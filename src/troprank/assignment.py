@@ -1,9 +1,12 @@
 """Tropical determinant: exact minimum permutation sum with a uniqueness certificate.
 
 The minimum is computed by a Hungarian solver over integer-scaled exact costs
-(forbidden edges for inf entries).  Uniqueness is certified by re-solving the
-assignment problem once per witness edge with that edge forbidden: any re-solve
-matching the optimum refutes uniqueness.
+(forbidden edges for inf entries).  Uniqueness comes from the optimal dual
+potentials of that same solve: the optimal permutations are exactly the
+perfect matchings of the tight subgraph (edges of reduced cost 0), so the
+optimum is unique iff that subgraph has no cycle alternating with the optimal
+matching (Butkovič, *Max-linear Systems*, 2010).  Below size 5 the n!
+permutation sums are enumerated instead, which is faster at those sizes.
 """
 
 from __future__ import annotations
@@ -52,11 +55,14 @@ def scale_to_ints(m: TropicalMatrix):
     return cost, scale
 
 
-def solve_min_assignment(cost, forbid=frozenset()):
+def solve_min_assignment(cost):
     """Minimum-cost perfect matching on a square cost matrix.
 
-    cost[i][j] is an int or None (forbidden edge).  Returns (total, perm) or
-    None when no perfect matching of allowed edges exists.
+    cost[i][j] is an int or None (forbidden edge).  Returns
+    (total, perm, row_pot, col_pot), or None when no perfect matching of
+    allowed edges exists.  The potentials are optimal duals:
+    cost[i][j] - row_pot[i] - col_pot[j] is >= 0 on every allowed edge and 0
+    on the matched edges (i, perm[i]).
     """
     n = len(cost)
     u = [0] * (n + 1)
@@ -78,9 +84,7 @@ def solve_min_assignment(cost, forbid=frozenset()):
                 if used[j]:
                     continue
                 c = row[j - 1]
-                if c is None or (i0 - 1, j - 1) in forbid:
-                    cur = None
-                else:
+                if c is not None:
                     cur = c - u[i0] - v[j]
                     if cur < minv[j]:
                         minv[j] = cur
@@ -107,7 +111,78 @@ def solve_min_assignment(cost, forbid=frozenset()):
     for j in range(1, n + 1):
         perm[p[j] - 1] = j - 1
     total = sum(cost[i][perm[i]] for i in range(n))
-    return total, tuple(perm)
+    return total, tuple(perm), u[1:], v[1:]
+
+
+def _has_alternating_cycle(cost, perm, row_pot, col_pot) -> bool:
+    """True when the tight subgraph holds a second perfect matching.
+
+    Row i points to row owner[j] for each tight edge (i, j) off the matching;
+    a directed cycle swaps columns along it at no cost, and any second
+    optimal matching differs from perm by such cycles.
+    """
+    n = len(cost)
+    owner = [0] * n
+    for i, j in enumerate(perm):
+        owner[j] = i
+    succ = [
+        [
+            owner[j]
+            for j, c in enumerate(row)
+            if c is not None and j != perm[i] and c - row_pot[i] - col_pot[j] == 0
+        ]
+        for i, row in enumerate(cost)
+    ]
+    # Peel rows with no remaining predecessor; a cycle is what cannot be peeled.
+    indegree = [0] * n
+    for targets in succ:
+        for t in targets:
+            indegree[t] += 1
+    ready = [i for i in range(n) if indegree[i] == 0]
+    peeled = 0
+    while ready:
+        peeled += 1
+        for t in succ[ready.pop()]:
+            indegree[t] -= 1
+            if indegree[t] == 0:
+                ready.append(t)
+    return peeled < n
+
+
+def min_permutation(cost):
+    """(total, perm, unique) for a square int/None cost matrix.
+
+    ``unique`` is True when exactly one permutation attains the minimum;
+    (None, None, False) when every permutation meets a None.  Sizes up to 4
+    enumerate all permutations, the first optimum in lexicographic order
+    being the witness; larger sizes make one Hungarian solve.
+    """
+    n = len(cost)
+    if n <= 4:
+        best = None
+        witness = None
+        count = 0
+        for perm in itertools.permutations(range(n)):
+            total = 0
+            dead = False
+            for i in range(n):
+                c = cost[i][perm[i]]
+                if c is None:
+                    dead = True
+                    break
+                total += c
+            if dead:
+                continue
+            if best is None or total < best:
+                best, witness, count = total, perm, 1
+            elif total == best:
+                count += 1
+        return best, witness, count == 1
+    solved = solve_min_assignment(cost)
+    if solved is None:
+        return None, None, False
+    total, perm, row_pot, col_pot = solved
+    return total, perm, not _has_alternating_cycle(cost, perm, row_pot, col_pot)
 
 
 def tropical_determinant(m: TropicalMatrix) -> AssignmentCertificate:
@@ -115,16 +190,9 @@ def tropical_determinant(m: TropicalMatrix) -> AssignmentCertificate:
     if not m.is_square:
         raise ValueError("tropical determinant requires a square matrix")
     cost, scale = scale_to_ints(m)
-    base = solve_min_assignment(cost)
-    if base is None:
+    total, perm, unique = min_permutation(cost)
+    if total is None:
         return AssignmentCertificate(INF, None, False)
-    total, perm = base
-    unique = True
-    for i in range(m.rows):
-        again = solve_min_assignment(cost, forbid=frozenset({(i, perm[i])}))
-        if again is not None and again[0] == total:
-            unique = False
-            break
     return AssignmentCertificate(Fraction(total, scale), perm, unique)
 
 
@@ -132,7 +200,7 @@ def is_nonsingular(m: TropicalMatrix) -> bool:
     """True iff the minimum permutation sum is finite and attained uniquely."""
     if not m.is_square:
         raise ValueError("nonsingularity is defined for square matrices only")
-    return tropical_determinant(m).unique
+    return min_permutation(scale_to_ints(m)[0])[2]
 
 
 def brute_force_determinant(m: TropicalMatrix):
@@ -159,43 +227,3 @@ def brute_force_determinant(m: TropicalMatrix):
         elif total == best:
             winners.append(perm)
     return best, winners
-
-
-def min_perm_int(cost):
-    """(value, witness, unique) for an int/None cost matrix; brute force for n <= 4.
-
-    Internal helper for submatrix scans: identical verdicts to
-    tropical_determinant, tuned for tiny sizes.
-    """
-    n = len(cost)
-    if n <= 4:
-        best = None
-        witness = None
-        count = 0
-        for perm in itertools.permutations(range(n)):
-            total = 0
-            dead = False
-            for i in range(n):
-                c = cost[i][perm[i]]
-                if c is None:
-                    dead = True
-                    break
-                total += c
-            if dead:
-                continue
-            if best is None or total < best:
-                best, witness, count = total, perm, 1
-            elif total == best:
-                count += 1
-        if best is None:
-            return None, None, False
-        return best, witness, count == 1
-    base = solve_min_assignment(cost)
-    if base is None:
-        return None, None, False
-    total, perm = base
-    for i in range(n):
-        again = solve_min_assignment(cost, forbid=frozenset({(i, perm[i])}))
-        if again is not None and again[0] == total:
-            return total, perm, False
-    return total, perm, True

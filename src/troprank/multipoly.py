@@ -10,7 +10,7 @@ which preserves vanishing as long as den is nonzero.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 
 def _coeff(field, x):
@@ -182,8 +182,6 @@ class Poly:
             return self
         lead = max(self.terms)
         if self.field is None:
-            from math import gcd, lcm
-
             den = lcm(*[c.denominator for c in self.terms.values()])
             nums = [c.numerator * (den // c.denominator) for c in self.terms.values()]
             g = 0
@@ -221,6 +219,31 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self.render()})"
+
+
+def primitive_triple(coords, field=None):
+    """Scale a triple of Polys by one nonzero constant to a canonical form.
+
+    The lead coefficient is that of the first sorted monomial of the first
+    nonzero entry.  Over Q the result has integer coefficients with content 1
+    and a positive lead; over GF(p) the lead is 1.  An all-zero triple comes
+    back unchanged.
+    """
+    lead = next((p.terms[min(p.terms)] for p in coords if p.terms), None)
+    if lead is None:
+        return coords
+    if field is not None:
+        inv = pow(lead, -1, field)
+        return tuple(
+            Poly(field, {m: (c * inv) % field for m, c in p.terms.items()}) for p in coords
+        )
+    coeffs = [c for p in coords for c in p.terms.values()]
+    den = lcm(*(c.denominator for c in coeffs))
+    g = 0
+    for c in coeffs:
+        g = gcd(g, c.numerator * (den // c.denominator))
+    scale = Fraction(den, g) if lead > 0 else Fraction(-den, g)
+    return tuple(Poly(None, {m: c * scale for m, c in p.terms.items()}) for p in coords)
 
 
 def univariate_roots(poly: Poly, v: int):
@@ -261,8 +284,6 @@ def univariate_roots(poly: Poly, v: int):
         return sorted(set([Fraction(0)] + sub))
     # Clear all denominators first: any rational root p/q of the integer
     # polynomial satisfies p | A_0 and q | A_n.
-    from math import lcm
-
     scale = lcm(*[c.denominator for c in coeffs])
     ints = [c.numerator * (scale // c.denominator) for c in coeffs]
     num_divs = _divisors(abs(ints[0]))

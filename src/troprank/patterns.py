@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .galois import make_field
-from .tropical import INF, TropicalMatrix
+from .tropical import INF, TropicalMatrix, format_value
 
 INCIDENCE_TOL = 1e-9      # float incidence: |v.w| <= tol * |v||w|
 NONINCIDENCE_MARGIN = 1e-4  # float non-incidence: |v.w| >= margin * |v||w|
@@ -137,24 +137,25 @@ def check_realization_float(pattern: IncidencePattern, points, lines) -> Optiona
 def _format_coord(c, field):
     if field == "float":
         return f"{float(c):.17g}"
-    if isinstance(c, Fraction):
-        return str(c) if c.denominator != 1 else str(c.numerator)
-    return str(c)
+    return format_value(c)
 
 
 def format_configuration(cfg: Configuration) -> str:
-    if cfg.field is None:
-        tag = "q"
-    elif cfg.field == "float":
-        tag = "float"
-    else:
-        tag = f"gf{cfg.field}"
-    out = [f"field {tag}"]
+    out = [f"field {field_tag(cfg.field)}"]
     for i, pt in enumerate(cfg.points):
         out.append("P " + str(i) + " " + " ".join(_format_coord(c, cfg.field) for c in pt))
     for j, ln in enumerate(cfg.lines):
         out.append("L " + str(j) + " " + " ".join(_format_coord(c, cfg.field) for c in ln))
     return "\n".join(out) + "\n"
+
+
+def field_tag(field) -> str:
+    """Text tag of a base field (None, "float" or a prime p); parse_field_tag inverts it."""
+    if field is None:
+        return "q"
+    if field == "float":
+        return "float"
+    return f"gf{field}"
 
 
 def parse_field_tag(tag: str):

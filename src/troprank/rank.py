@@ -29,8 +29,8 @@ from typing import Optional
 
 import numpy as np
 
-from .assignment import min_perm_int, scale_to_ints
-from .tropical import INF, TropicalMatrix
+from .assignment import min_permutation, scale_to_ints
+from .tropical import TropicalMatrix
 
 # Generic per-pair testing is used below this many (row-set, col-set) pairs.
 _GENERIC_CUTOFF = 60_000
@@ -72,23 +72,12 @@ class _Budget:
         return True
 
 
-def _structure_masks(m: TropicalMatrix):
-    """(zero_mask, weights) when all finite entries are 0 or positive, else None.
-
-    zero_mask[i][j] is True where the entry is exactly 0; weights carries the
-    integer-scaled entries with None for inf.
-    """
-    for v in m.entries:
-        if v is INF:
-            continue
-        if v < 0:
-            return None
-    cost, scale = scale_to_ints(m)
-    zero = np.zeros((m.rows, m.cols), dtype=bool)
-    for i in range(m.rows):
-        for j in range(m.cols):
-            zero[i, j] = cost[i][j] == 0
-    return zero, cost, scale
+def _zero_mask(cost):
+    """Bool array, True where the integer-scaled entry is exactly 0, when all
+    finite entries are 0 or positive; None otherwise."""
+    if any(c is not None and c < 0 for row in cost for c in row):
+        return None
+    return np.array([[c == 0 for c in row] for row in cost], dtype=bool)
 
 
 def _is_nonsingular_cost(cost, rows, cols) -> bool:
@@ -100,8 +89,7 @@ def _is_nonsingular_cost(cost, rows, cols) -> bool:
     for j in range(len(cols)):
         if all(sub[i][j] is None for i in range(len(rows))):
             return False
-    _, _, unique = min_perm_int(sub)
-    return unique
+    return min_permutation(sub)[2]
 
 
 def _ordered_combos(finite_per_axis, n, k):
@@ -129,6 +117,23 @@ def _generic_level_scan(m, cost, k, budget, probe_only=False):
     return "exhausted", None
 
 
+def _zero_perm_counts(blocks: np.ndarray) -> np.ndarray:
+    """All-zero permutations per pair of a (k, pairs, k) bool stack.
+
+    blocks[i, p, j] is True where row i, column j of pair p is zero.  The
+    classifier's gather yields this layout; (pairs, k, k) callers pass a
+    transposed view.
+    """
+    k = blocks.shape[0]
+    counts = np.zeros(blocks.shape[1], dtype=np.uint8)
+    for perm in _PERMS[k]:
+        term = blocks[0, :, perm[0]]
+        for i in range(1, k):
+            term = term & blocks[i, :, perm[i]]
+        counts += term
+    return counts
+
+
 # Per-pattern classification cache: repeated weightings of one zero pattern
 # (the 20-seed reproduction runs) reuse the combinatorial scan.
 _CLASSIFY_CACHE: dict = {}
@@ -147,19 +152,13 @@ def _classify_level(zero_mask: np.ndarray, k: int):
         return _CLASSIFY_CACHE[key]
     nr, nc = zero_mask.shape
     col_combos = np.array(list(itertools.combinations(range(nc), k)), dtype=np.int32)
-    perms = _PERMS[k]
     ones_pairs = []
     zr_chunks = []
     zc_chunks = []
     for rc in itertools.combinations(range(nr), k):
         zr = zero_mask[np.array(rc)]          # (k, nc)
         gathered = zr[:, col_combos]          # (k, NC, k)
-        counts = np.zeros(len(col_combos), dtype=np.uint8)
-        for perm in perms:
-            term = gathered[0, :, perm[0]]
-            for i in range(1, k):
-                term = term & gathered[i, :, perm[i]]
-            counts += term
+        counts = _zero_perm_counts(gathered)
         for ci in np.nonzero(counts == 1)[0]:
             ones_pairs.append((rc, tuple(int(x) for x in col_combos[ci])))
         zi = np.nonzero(counts == 0)[0]
@@ -242,18 +241,18 @@ def tropical_rank(m: TropicalMatrix, limit: Optional[int] = None, budget: Option
     if limit is not None:
         cap = min(cap, limit)
     tracker = _Budget(budget)
-    structure = _structure_masks(m)
     cost, _ = scale_to_ints(m)
+    zero_mask = _zero_mask(cost)
 
     rank = 0
     witness = (None, None)
     for k in range(1, cap + 1):
         space = comb(m.rows, k) * comb(m.cols, k)
-        use_structured = structure is not None and k <= 5 and space > _GENERIC_CUTOFF
+        use_structured = zero_mask is not None and k <= 5 and space > _GENERIC_CUTOFF
         if use_structured:
             status, found = _generic_level_scan(m, cost, k, tracker, probe_only=True)
             if status == "probe-exhausted":
-                status, found = _structured_level_scan(m, cost, structure[0], k, tracker)
+                status, found = _structured_level_scan(m, cost, zero_mask, k, tracker)
         else:
             status, found = _generic_level_scan(m, cost, k, tracker)
         if status == "witness":
@@ -270,10 +269,10 @@ def sample_level_singular(m: TropicalMatrix, k: int, samples: int, seed: int):
     """Smoke check: draw `samples` random k x k submatrices, return
     (all_singular, counterexample or None).  Sampling only; not a certificate.
     """
-    structure = _structure_masks(m)
     cost, _ = scale_to_ints(m)
+    zero_mask = _zero_mask(cost)
     rng = np.random.default_rng(seed)
-    if structure is None:
+    if zero_mask is None:
         py_rng = random.Random(seed)
         for _ in range(samples):
             rc = tuple(sorted(py_rng.sample(range(m.rows), k)))
@@ -282,8 +281,6 @@ def sample_level_singular(m: TropicalMatrix, k: int, samples: int, seed: int):
                 return False, (rc, cc)
         return True, None
 
-    zero_mask = structure[0]
-    perms = _PERMS[k]
     remaining = samples
     chunk = 200_000
     while remaining > 0:
@@ -292,12 +289,7 @@ def sample_level_singular(m: TropicalMatrix, k: int, samples: int, seed: int):
         rc = np.sort(_sample_distinct(rng, batch, m.rows, k), axis=1)
         cc = np.sort(_sample_distinct(rng, batch, m.cols, k), axis=1)
         sub = zero_mask[rc[:, :, None], cc[:, None, :]]  # (B, k, k)
-        counts = np.zeros(batch, dtype=np.uint8)
-        for perm in perms:
-            term = sub[:, 0, perm[0]]
-            for i in range(1, k):
-                term = term & sub[:, i, perm[i]]
-            counts += term
+        counts = _zero_perm_counts(sub.transpose(1, 0, 2))
         suspicious = np.nonzero(counts <= 1)[0]
         for b in suspicious:
             rows = tuple(int(x) for x in rc[b])

@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .barvinok import barvinok_rank
-from .multipoly import Poly, univariate_roots
+from .multipoly import Poly, primitive_triple, univariate_roots
 from .patterns import (
     Configuration,
     IncidencePattern,
@@ -178,45 +178,6 @@ class _ExactEngine:
             u[0] * v[1] - u[1] * v[0],
         )
 
-    def _norm_triple(self, coords):
-        """Remove the common scalar content of a coordinate triple."""
-        if self.field is not None:
-            for p in coords:
-                for mono in sorted(p.terms):
-                    inv = pow(p.terms[mono], -1, self.field)
-                    return tuple(
-                        Poly(self.field, {m: (c * inv) % self.field for m, c in q.terms.items()})
-                        for q in coords
-                    )
-            return coords
-        from math import gcd, lcm
-
-        nums = []
-        dens = []
-        for p in coords:
-            for c in p.terms.values():
-                nums.append(c.numerator)
-                dens.append(c.denominator)
-        if not nums:
-            return coords
-        den = lcm(*dens)
-        g = 0
-        for n, d in zip(nums, dens):
-            g = gcd(g, n * (den // d))
-        scale = Fraction(den, g)
-        first = None
-        for p in coords:
-            for mono in sorted(p.terms):
-                first = p.terms[mono]
-                break
-            if first is not None:
-                break
-        if first is not None and first * scale < 0:
-            scale = -scale
-        return tuple(
-            Poly(None, {m: c * scale for m, c in p.terms.items()}) for p in coords
-        )
-
     # ---- search -------------------------------------------------------------
 
     def run(self):
@@ -359,8 +320,8 @@ class _ExactEngine:
             if other[0] == kind:
                 continue
             i, j = (idx, other[1]) if kind == "P" else (other[1], idx)
-            u = self._norm_triple(
-                tuple(self._reduce(p, node.subs) for p in node.coords[other])
+            u = primitive_triple(
+                tuple(self._reduce(p, node.subs) for p in node.coords[other]), self.field
             )
             if self.pattern.bits[i][j]:
                 partners.append(u)
@@ -397,8 +358,8 @@ class _ExactEngine:
         else:
             u1, u2 = partners[0], partners[1]
             extras = partners[2:]
-            cross = self._norm_triple(
-                tuple(self._reduce(p, node.subs) for p in self._cross(u1, u2))
+            cross = primitive_triple(
+                tuple(self._reduce(p, node.subs) for p in self._cross(u1, u2)), self.field
             )
             if not all(p.is_zero() for p in cross):
                 child = self._clone(node, f"{name}:meet")

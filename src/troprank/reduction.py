@@ -24,12 +24,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
 from typing import Optional
 
 import numpy as np
 
-from .multipoly import Poly
+from .multipoly import Poly, primitive_triple
 from .patterns import IncidencePattern
 
 WITNESS_PRIME = 2_147_483_647  # 2^31 - 1
@@ -307,33 +306,6 @@ def _poly_key(p: Poly):
     return tuple(sorted(p.terms.items()))
 
 
-def _normalize_triple(coords):
-    """Scale a coordinate triple to integer primitive form with a fixed sign."""
-    nums = []
-    dens = []
-    for p in coords:
-        for c in p.terms.values():
-            nums.append(c.numerator)
-            dens.append(c.denominator)
-    if not nums:
-        raise CompileError("zero coordinate triple")
-    den = lcm(*dens)
-    g = 0
-    for n, d in zip(nums, dens):
-        g = gcd(g, n * (den // d))
-    scale = Fraction(den, g)
-    first = None
-    for p in coords:
-        for mono in sorted(p.terms):
-            first = p.terms[mono]
-            break
-        if first is not None:
-            break
-    if first is not None and first * scale < 0:
-        scale = -scale
-    return tuple(Poly(None, {m: c * scale for m, c in p.terms.items()}) for p in coords)
-
-
 class GadgetProgram:
     """Ordered construction of points and lines with cached, deduplicated steps."""
 
@@ -354,7 +326,9 @@ class GadgetProgram:
     # -- construction primitives
 
     def _add_element(self, kind, coords, name, prov) -> int:
-        coords = _normalize_triple(coords)
+        if all(p.is_zero() for p in coords):
+            raise CompileError("zero coordinate triple")
+        coords = primitive_triple(coords)
         key = (kind, tuple(_poly_key(p) for p in coords))
         hit = self._index.get(key)
         if hit is not None:

@@ -13,8 +13,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .patterns import Configuration, IncidencePattern, check_realization_exact
-from .tropical import INF, TropicalMatrix
+from .patterns import (
+    Configuration,
+    IncidencePattern,
+    check_realization_exact,
+    field_tag,
+    parse_field_tag,
+)
+from .tropical import INF, TropicalMatrix, format_value
 
 DEFAULT_TRUNCATION = Fraction(3)
 
@@ -99,7 +105,7 @@ class TruncatedSeries:
     def render(self) -> str:
         if not self.terms:
             return "0"
-        body = " + ".join(f"{_coeff_str(c)}*t^{_exp_str(e)}" for e, c in self.terms)
+        body = " + ".join(f"{format_value(c)}*t^{format_value(e)}" for e, c in self.terms)
         return body.replace("+ -", "- ")
 
     def __repr__(self):
@@ -345,24 +351,10 @@ def _dot(u, v):
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
-def _coeff_str(c) -> str:
-    if isinstance(c, Fraction) and c.denominator != 1:
-        return f"{c.numerator}/{c.denominator}"
-    return str(int(c) if not isinstance(c, Fraction) else c.numerator)
-
-
-def _exp_str(e: Fraction) -> str:
-    return f"{e.numerator}/{e.denominator}" if e.denominator != 1 else str(e.numerator)
-
-
 def format_lift(lift: LiftMatrix) -> str:
     """`troplift` text format: header then one `i j : terms` line per entry."""
-    if lift.field is None:
-        tag = "q"
-    else:
-        tag = f"gf{lift.field}"
     trunc = "inf" if lift.trunc is INF else str(lift.trunc)
-    out = [f"troplift {lift.rows} {lift.cols} {tag} {trunc}"]
+    out = [f"troplift {lift.rows} {lift.cols} {field_tag(lift.field)} {trunc}"]
     for i in range(lift.rows):
         for j in range(lift.cols):
             out.append(f"{i} {j} : {lift.entry(i, j).render()}")
@@ -377,13 +369,9 @@ def parse_lift(text: str) -> LiftMatrix:
     if len(head) != 5 or head[0] != "troplift":
         raise ValueError("bad troplift header")
     rows, cols = int(head[1]), int(head[2])
-    tag = head[3].lower()
-    if tag == "q":
-        field = None
-    elif tag.startswith("gf"):
-        field = int(tag[2:])
-    else:
-        raise ValueError(f"unknown field tag {tag!r}")
+    field = parse_field_tag(head[3])
+    if field == "float":
+        raise ValueError("lift certificates need an exact field, not float")
     trunc = INF if head[4].lower() == "inf" else Fraction(head[4])
     cells = {}
     for ln in lines[1:]:

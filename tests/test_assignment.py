@@ -95,6 +95,13 @@ def test_oracle_equivalence_random():
             assert total == value
 
 
+def _tie_heavy_matrix(rng, n, inf_rate=0.2):
+    """Entries in {0, 1, 2}: tied optima are common, so uniqueness is often false."""
+    return TropicalMatrix.from_rows(
+        [[INF if rng.random() < inf_rate else rng.randint(0, 2) for _ in range(n)] for _ in range(n)]
+    )
+
+
 def test_oracle_equivalence_larger_sizes():
     rng = random.Random(31)
     for trial in range(20):
@@ -104,6 +111,13 @@ def test_oracle_equivalence_larger_sizes():
         cert = tropical_determinant(m)
         assert cert.value == value
         assert cert.unique == (len(winners) == 1)
+    ties = random.Random(59)
+    for trial in range(40):
+        m = _tie_heavy_matrix(ties, ties.randint(5, 8))
+        value, winners = brute_force_determinant(m)
+        cert = tropical_determinant(m)
+        assert cert.value == value, (trial, m)
+        assert cert.unique == (len(winners) == 1), (trial, m)
 
 
 def test_scaling_invariance_100_random():

@@ -129,6 +129,11 @@ def test_lift_format_round_trip():
     assert parse_lift(format_lift(Lt)) == Lt
 
 
+def test_parse_lift_rejects_float_field():
+    with pytest.raises(ValueError):
+        parse_lift("troplift 1 1 float 3\n0 0 : 1*t^0\n")
+
+
 def test_lift_from_configuration_identity():
     pattern = IncidencePattern.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     cfg = Configuration(
