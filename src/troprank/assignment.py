@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Optional
 
 from .tropical import INF, TropicalMatrix
@@ -38,21 +37,6 @@ class AssignmentCertificate:
     @property
     def is_finite(self) -> bool:
         return self.value is not INF
-
-
-def scale_to_ints(m: TropicalMatrix):
-    """Return (int cost rows with None for inf, denominator) sharing one scale."""
-    denoms = [v.denominator for v in m.entries if v is not INF]
-    scale = lcm(*denoms) if denoms else 1
-    cost = []
-    for i in range(m.rows):
-        cost.append(
-            [
-                None if v is INF else v.numerator * (scale // v.denominator)
-                for v in m.row(i)
-            ]
-        )
-    return cost, scale
 
 
 def solve_min_assignment(cost):
@@ -189,7 +173,7 @@ def tropical_determinant(m: TropicalMatrix) -> AssignmentCertificate:
     """Exact min over permutations of sum m[i][perm(i)], with witness and uniqueness."""
     if not m.is_square:
         raise ValueError("tropical determinant requires a square matrix")
-    cost, scale = scale_to_ints(m)
+    cost, scale = m.scaled
     total, perm, unique = min_permutation(cost)
     if total is None:
         return AssignmentCertificate(INF, None, False)
@@ -200,7 +184,7 @@ def is_nonsingular(m: TropicalMatrix) -> bool:
     """True iff the minimum permutation sum is finite and attained uniquely."""
     if not m.is_square:
         raise ValueError("nonsingularity is defined for square matrices only")
-    return min_permutation(scale_to_ints(m)[0])[2]
+    return min_permutation(m.scaled[0])[2]
 
 
 def brute_force_determinant(m: TropicalMatrix):

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .assignment import scale_to_ints
 from .tropical import INF, TropicalMatrix, min_plus_multiply
 
 
@@ -125,7 +124,7 @@ def barvinok_rank(m: TropicalMatrix, kmax: Optional[int] = None, budget: Optiona
     hard_cap = min(m.rows, m.cols)
     cap = hard_cap if kmax is None else min(kmax, hard_cap)
     exceeded = kmax is not None and kmax < hard_cap
-    cost, scale = scale_to_ints(m)
+    cost, scale = m.scaled
     finite_cells = [
         (i, j)
         for i in range(m.rows)

@@ -51,6 +51,11 @@ def _atomic_write(path: str, text: str):
         raise
 
 
+def _read(path: str) -> str:
+    with open(path) as fh:
+        return fh.read()
+
+
 def _digest(path: str) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -118,7 +123,7 @@ def _prefix(args, default_stem):
 
 def cmd_det(args) -> int:
     man = Manifest("det", {"matrix": args.matrix}, None, {})
-    m = parse_matrix(open(args.matrix).read())
+    m = parse_matrix(_read(args.matrix))
     if not m.is_square:
         raise ValueError("determinant needs a square matrix")
     cert = tropical_determinant(m)
@@ -142,7 +147,7 @@ def cmd_rank(args) -> int:
     man = Manifest(
         "rank", {"matrix": args.matrix}, seed, {"budget": args.budget, "kmax": args.kmax}
     )
-    m = parse_matrix(open(args.matrix).read())
+    m = parse_matrix(_read(args.matrix))
     prefix = _prefix(args, os.path.splitext(args.matrix)[0] + f".{args.kind}")
     if args.kind == "tropical":
         res = tropical_rank(m, limit=args.kmax, budget=args.budget)
@@ -233,11 +238,11 @@ def cmd_reduce(args) -> int:
         inputs["polys"] = args.polys
     man = Manifest("reduce", inputs, seed, {"harden": args.harden})
     if args.cnf:
-        clauses, nvars = parse_dimacs(open(args.cnf).read())
+        clauses, nvars = parse_dimacs(_read(args.cnf))
         system = cnf_to_polys(clauses, nvars)
         stem = os.path.splitext(args.cnf)[0]
     else:
-        system = parse_poly_system(open(args.polys).read())
+        system = parse_poly_system(_read(args.polys))
         stem = os.path.splitext(args.polys)[0]
     if args.harden == "on":
         system, _info = harden(system, seed, stand_in_bits=args.bits)
@@ -271,7 +276,7 @@ def cmd_realize(args) -> int:
     man = Manifest(
         "realize", {"pattern": args.pattern}, seed, {"budget": args.budget, "field": args.field}
     )
-    m = parse_matrix(open(args.pattern).read())
+    m = parse_matrix(_read(args.pattern))
     pattern = IncidencePattern.from_matrix(m)
     field = parse_field_tag(args.field)
     budget = RealizeBudget() if args.budget is None else RealizeBudget(
@@ -299,8 +304,8 @@ def cmd_verify_lift(args) -> int:
     man = Manifest(
         "verify-lift", {"matrix": args.matrix, "lift": args.lift}, None, {"rank": args.rank}
     )
-    m = parse_matrix(open(args.matrix).read())
-    lift = parse_lift(open(args.lift).read())
+    m = parse_matrix(_read(args.matrix))
+    lift = parse_lift(_read(args.lift))
     verdict = verify_lift(m, lift, args.rank)
     man.finish(
         accepted=verdict.accepted,

@@ -13,10 +13,13 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 
-def _coeff(field, x):
+def as_coeff(field, c):
+    """c as a Fraction over Q (field None), or as an int mod p (num * den^-1 for a Fraction)."""
     if field is None:
-        return x if isinstance(x, Fraction) else Fraction(x)
-    return int(x) % field
+        return c if isinstance(c, Fraction) else Fraction(c)
+    if isinstance(c, Fraction):
+        return (c.numerator * pow(c.denominator, -1, field)) % field
+    return int(c) % field
 
 
 def _mono_mul(a, b):
@@ -35,12 +38,12 @@ class Poly:
 
     @staticmethod
     def const(c, field=None) -> "Poly":
-        c = _coeff(field, c)
+        c = as_coeff(field, c)
         return Poly(field, {(): c} if c != 0 else {})
 
     @staticmethod
     def var(v: int, field=None) -> "Poly":
-        return Poly(field, {((v, 1),): _coeff(field, 1)})
+        return Poly(field, {((v, 1),): as_coeff(field, 1)})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -49,7 +52,7 @@ class Poly:
         return all(m == () for m in self.terms)
 
     def constant_value(self):
-        return self.terms.get((), _coeff(self.field, 0))
+        return self.terms.get((), as_coeff(self.field, 0))
 
     def variables(self):
         seen = set()
@@ -164,11 +167,11 @@ class Poly:
 
     def evaluate(self, assignment: dict):
         """Full evaluation; assignment must cover every variable present."""
-        acc = _coeff(self.field, 0)
+        acc = as_coeff(self.field, 0)
         for m, c in self.terms.items():
             term = c
             for var, e in m:
-                x = _coeff(self.field, assignment[var])
+                x = as_coeff(self.field, assignment[var])
                 for _ in range(e):
                     term = term * x
             acc = acc + term

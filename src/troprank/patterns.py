@@ -11,54 +11,80 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+import numpy as np
+
 from .galois import make_field
-from .tropical import INF, TropicalMatrix, format_value
+from .tropical import TropicalMatrix, format_value
 
 INCIDENCE_TOL = 1e-9      # float incidence: |v.w| <= tol * |v||w|
 NONINCIDENCE_MARGIN = 1e-4  # float non-incidence: |v.w| >= margin * |v||w|
 
 
-@dataclass(frozen=True)
+_ZERO_ONE = (Fraction(0), Fraction(1))  # entries shared by every to_tropical matrix
+
+
+@dataclass(frozen=True, eq=False)
 class IncidencePattern:
-    rows: int
-    cols: int
-    bits: tuple  # tuple of row tuples over {0, 1}
+    """A (0,1) pattern stored as one read-only bool array (True = incidence)."""
+
+    bits: np.ndarray
 
     def __post_init__(self):
-        if len(self.bits) != self.rows or any(len(r) != self.cols for r in self.bits):
-            raise ValueError("pattern shape mismatch")
-        if any(b not in (0, 1) for r in self.bits for b in r):
-            raise ValueError("pattern entries must be 0 or 1")
+        bits = np.array(self.bits)
+        if bits.dtype != np.bool_ or bits.ndim != 2:
+            raise ValueError("pattern bits must be a two-dimensional bool array")
+        bits.flags.writeable = False
+        object.__setattr__(self, "bits", bits)
+
+    @property
+    def rows(self) -> int:
+        return self.bits.shape[0]
+
+    @property
+    def cols(self) -> int:
+        return self.bits.shape[1]
+
+    def __eq__(self, other):
+        if not isinstance(other, IncidencePattern):
+            return NotImplemented
+        return np.array_equal(self.bits, other.bits)
+
+    def __hash__(self):
+        return hash((self.bits.shape, self.bits.tobytes()))
 
     @staticmethod
     def from_rows(rows) -> "IncidencePattern":
-        bits = tuple(tuple(int(b) for b in r) for r in rows)
-        return IncidencePattern(len(bits), len(bits[0]) if bits else 0, bits)
+        values = np.array([list(r) for r in rows], dtype=object)  # ragged rows stay lists
+        bits = values == 1
+        if not (bits | (values == 0)).all():
+            raise ValueError("pattern rows must be equal-length rows of 0/1 entries")
+        return IncidencePattern(bits)
 
     @staticmethod
     def from_matrix(m: TropicalMatrix) -> "IncidencePattern":
         """Read a (0,1)-valued tropical matrix as a pattern (1 = incidence)."""
-        bits = []
-        for i in range(m.rows):
-            row = []
-            for v in m.row(i):
-                if v is INF or v not in (0, 1):
-                    raise ValueError("matrix is not (0,1)-valued")
-                row.append(int(v))
-            bits.append(tuple(row))
-        return IncidencePattern(m.rows, m.cols, tuple(bits))
+        flat = []
+        for v in m.entries:
+            if v == 1:
+                flat.append(True)
+            elif v == 0:
+                flat.append(False)
+            else:
+                raise ValueError("matrix is not (0,1)-valued")
+        return IncidencePattern(np.array(flat, dtype=bool).reshape(m.rows, m.cols))
 
     def to_tropical(self) -> TropicalMatrix:
-        return TropicalMatrix.from_rows(self.bits)
+        return TropicalMatrix(
+            self.rows, self.cols, tuple(_ZERO_ONE[b] for b in self.bits.ravel().tolist())
+        )
 
-    def ones(self):
-        for i in range(self.rows):
-            for j in range(self.cols):
-                if self.bits[i][j]:
-                    yield i, j
+    def ones(self) -> list:
+        """Incidences (i, j) as Python ints, in row-major order."""
+        rows, cols = np.nonzero(self.bits)
+        return list(zip(rows.tolist(), cols.tolist()))
 
     def transpose(self) -> "IncidencePattern":
-        return IncidencePattern.from_rows(zip(*self.bits))
+        return IncidencePattern(self.bits.T)
 
 
 @dataclass(frozen=True)
@@ -73,42 +99,27 @@ class Configuration:
     lines: tuple
 
 
-def check_realization_exact(
-    pattern: IncidencePattern,
-    points,
-    lines,
-    field=None,
-    require_nonincidence: bool = True,
-) -> Optional[str]:
+def check_realization_exact(pattern: IncidencePattern, points, lines, field=None) -> Optional[str]:
     """None when the configuration realizes the pattern; else the first problem."""
     if len(points) != pattern.rows or len(lines) != pattern.cols:
         return "configuration size does not match pattern"
     if field is None:
         def dot(u, v):
             return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
-
-        def is_zero(x):
-            return x == 0
     else:
-        f = make_field(field)
-
-        def dot(u, v):
-            return f.dot(u, v)
-
-        def is_zero(x):
-            return x == 0
+        dot = make_field(field).dot
     for i, pt in enumerate(points):
-        if all(is_zero(c) for c in pt):
+        if all(c == 0 for c in pt):
             return f"point {i} is the zero vector"
     for j, ln in enumerate(lines):
-        if all(is_zero(c) for c in ln):
+        if all(c == 0 for c in ln):
             return f"line {j} is the zero vector"
-    for i in range(pattern.rows):
-        for j in range(pattern.cols):
-            z = is_zero(dot(points[i], lines[j]))
-            if pattern.bits[i][j] == 1 and not z:
+    for i, row in enumerate(pattern.bits.tolist()):
+        for j, incident in enumerate(row):
+            z = dot(points[i], lines[j]) == 0
+            if incident and not z:
                 return f"required incidence ({i},{j}) fails"
-            if pattern.bits[i][j] == 0 and z and require_nonincidence:
+            if not incident and z:
                 return f"required non-incidence ({i},{j}) vanishes"
     return None
 
@@ -121,11 +132,11 @@ def check_realization_float(pattern: IncidencePattern, points, lines) -> Optiona
     ln = [math.sqrt(sum(c * c for c in lv)) for lv in lines]
     if any(x == 0.0 for x in pn) or any(x == 0.0 for x in ln):
         return "zero vector in configuration"
-    for i in range(pattern.rows):
-        for j in range(pattern.cols):
+    for i, row in enumerate(pattern.bits.tolist()):
+        for j, incident in enumerate(row):
             d = abs(sum(a * b for a, b in zip(points[i], lines[j])))
             bound = pn[i] * ln[j]
-            if pattern.bits[i][j] == 1:
+            if incident:
                 if d > INCIDENCE_TOL * bound:
                     return f"incidence ({i},{j}) residual {d / bound:.3e}"
             else:

@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .assignment import min_permutation, scale_to_ints
+from .assignment import min_permutation
 from .tropical import TropicalMatrix
 
 # Generic per-pair testing is used below this many (row-set, col-set) pairs.
@@ -135,8 +135,10 @@ def _zero_perm_counts(blocks: np.ndarray) -> np.ndarray:
 
 
 # Per-pattern classification cache: repeated weightings of one zero pattern
-# (the 20-seed reproduction runs) reuse the combinatorial scan.
+# (the 20-seed reproduction runs) reuse the combinatorial scan.  At most
+# _CLASSIFY_CACHE_SIZE patterns are kept; the oldest is dropped first.
 _CLASSIFY_CACHE: dict = {}
+_CLASSIFY_CACHE_SIZE = 8
 
 
 def _classify_level(zero_mask: np.ndarray, k: int):
@@ -168,6 +170,8 @@ def _classify_level(zero_mask: np.ndarray, k: int):
     zeros_r = np.concatenate(zr_chunks) if zr_chunks else np.empty((0, k), dtype=np.int32)
     zeros_c = np.concatenate(zc_chunks) if zc_chunks else np.empty((0, k), dtype=np.int32)
     result = (tuple(ones_pairs), zeros_r, zeros_c)
+    if len(_CLASSIFY_CACHE) >= _CLASSIFY_CACHE_SIZE:
+        del _CLASSIFY_CACHE[next(iter(_CLASSIFY_CACHE))]
     _CLASSIFY_CACHE[key] = result
     return result
 
@@ -241,7 +245,7 @@ def tropical_rank(m: TropicalMatrix, limit: Optional[int] = None, budget: Option
     if limit is not None:
         cap = min(cap, limit)
     tracker = _Budget(budget)
-    cost, _ = scale_to_ints(m)
+    cost = m.scaled[0]
     zero_mask = _zero_mask(cost)
 
     rank = 0
@@ -269,7 +273,7 @@ def sample_level_singular(m: TropicalMatrix, k: int, samples: int, seed: int):
     """Smoke check: draw `samples` random k x k submatrices, return
     (all_singular, counterexample or None).  Sampling only; not a certificate.
     """
-    cost, _ = scale_to_ints(m)
+    cost = m.scaled[0]
     zero_mask = _zero_mask(cost)
     rng = np.random.default_rng(seed)
     if zero_mask is None:

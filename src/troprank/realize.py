@@ -41,7 +41,7 @@ from .patterns import (
     check_realization_float,
 )
 from .rank import tropical_rank
-from .tropical import INF, TropicalMatrix
+from .tropical import TropicalMatrix
 
 
 @dataclass(frozen=True)
@@ -74,62 +74,52 @@ def _gauge_quadruple(pattern: IncidencePattern):
     These are pinned to a projective frame first (with degeneracy branches),
     which keeps later coordinates small.
     """
-    deg = {i: sum(pattern.bits[i]) for i in range(pattern.rows)}
-    by_degree = sorted(range(pattern.rows), key=lambda i: (-deg[i], i))
+    bits = pattern.bits
+    by_degree = np.argsort(-bits.sum(axis=1), kind="stable").tolist()
     chosen = []
     for i in by_degree:
         if len(chosen) == 4:
             break
-        bad = False
-        for j in range(pattern.cols):
-            on = sum(pattern.bits[p][j] for p in chosen + [i])
-            if on >= 3:
-                bad = True
-                break
-        if not bad:
+        if not (bits[chosen + [i]].sum(axis=0) >= 3).any():
             chosen.append(i)
-    for i in by_degree:
-        if len(chosen) == 4:
-            break
-        if i not in chosen:
-            chosen.append(i)
-    return chosen
+    return chosen + [i for i in by_degree if i not in chosen][: 4 - len(chosen)]
 
 
 def _element_order(pattern: IncidencePattern):
     """Frame quadruple first, then greedy most-incidences-to-placed.
 
     Returns (order, n_gauge): the first n_gauge entries are the points the
-    engine may pin with the projective gauge.
+    engine may pin with the projective gauge.  Each step places the largest
+    key (incidences to placed elements, degree, is a point, -index), packed
+    into one integer per element and updated as elements are placed.
     """
-    elems = [("P", i) for i in range(pattern.rows)] + [("L", j) for j in range(pattern.cols)]
-    deg = {}
-    for kind, idx in elems:
-        if kind == "P":
-            deg[(kind, idx)] = sum(pattern.bits[idx])
-        else:
-            deg[(kind, idx)] = sum(pattern.bits[i][idx] for i in range(pattern.rows))
-    gauge = [("P", i) for i in _gauge_quadruple(pattern)]
-    placed = list(gauge)
-    remaining = set(elems) - set(placed)
-    while remaining:
-        def placed_incidence(e):
-            kind, idx = e
-            count = 0
-            for other in placed:
-                if other[0] == kind:
-                    continue
-                i, j = (idx, other[1]) if kind == "P" else (other[1], idx)
-                count += pattern.bits[i][j]
-            return count
+    bits = pattern.bits.astype(np.int64)
+    rows, cols = bits.shape
+    n = max(rows, cols)
+    unit = 2 * n                 # one unit of degree
+    step = (n + 1) * unit        # one incidence to a placed element
+    placed_key = -(2**62)        # stays below every live key under all updates
+    key = np.concatenate([
+        bits.sum(axis=1) * unit + n + (n - 1 - np.arange(rows)),
+        bits.sum(axis=0) * unit + (n - 1 - np.arange(cols)),
+    ])
+    order = []
 
-        best = max(
-            remaining,
-            key=lambda e: (placed_incidence(e), deg[e], e[0] == "P", -e[1]),
-        )
-        placed.append(best)
-        remaining.remove(best)
-    return placed, len(gauge)
+    def place(e):
+        key[e] = placed_key
+        if e < rows:
+            order.append(("P", e))
+            key[rows:] += step * bits[e]
+        else:
+            order.append(("L", e - rows))
+            key[:rows] += step * bits[:, e - rows]
+
+    gauge = _gauge_quadruple(pattern)
+    for i in gauge:
+        place(i)
+    for _ in range(rows + cols - len(gauge)):
+        place(int(key.argmax()))
+    return order, len(gauge)
 
 
 @dataclass
@@ -323,7 +313,7 @@ class _ExactEngine:
             u = primitive_triple(
                 tuple(self._reduce(p, node.subs) for p in node.coords[other]), self.field
             )
-            if self.pattern.bits[i][j]:
+            if self.pattern.bits[i, j]:
                 partners.append(u)
             else:
                 avoids.append((u, other))
@@ -556,14 +546,8 @@ def _float_realize(pattern, seed, restarts):
     from scipy.optimize import least_squares
 
     n, m = pattern.rows, pattern.cols
-    oi = np.array([i for i, j in pattern.ones()], dtype=np.intp)
-    oj = np.array([j for i, j in pattern.ones()], dtype=np.intp)
-    zi = np.array(
-        [i for i in range(n) for j in range(m) if not pattern.bits[i][j]], dtype=np.intp
-    )
-    zj = np.array(
-        [j for i in range(n) for j in range(m) if not pattern.bits[i][j]], dtype=np.intp
-    )
+    oi, oj = np.nonzero(pattern.bits)
+    zi, zj = np.nonzero(~pattern.bits)
     margin = 3e-4  # optimize above the acceptance margin for hysteresis
     nvar = 3 * (n + m)
     k1, k2 = len(oi), len(zi)
@@ -722,11 +706,14 @@ def kapranov_bounds(
         notes.append(
             "factorization search inconclusive; trivial upper bound min(rows, cols)"
         )
-    is01 = all(v is not INF and v in (0, 1) for v in m.entries)
-    if is01 and upper > 3 and field is None:
-        verdict = realize_rank3(
-            IncidencePattern.from_matrix(m), field=None, seed=seed, budget=realize_budget
-        )
+    pattern = None
+    if upper > 3:
+        try:
+            pattern = IncidencePattern.from_matrix(m)
+        except ValueError:
+            pass  # not (0,1)-valued: no realization question
+    if pattern is not None and field is None:
+        verdict = realize_rank3(pattern, field=None, seed=seed, budget=realize_budget)
         if isinstance(verdict, Realized):
             upper = 3 if lower <= 3 else upper
             notes.append("rational rank-3 realization found; upper bound improved to 3")
@@ -734,7 +721,7 @@ def kapranov_bounds(
             notes.append("no rational rank-3 realization exists")
         else:
             notes.append("rank-3 realization search inconclusive")
-    elif is01 and upper > 3 and field is not None:
+    elif pattern is not None:
         notes.append("finite-field realizations are not used to improve the bound")
     tight = lower_cert and upper_cert and lower == upper
     return BoundsReport(lower, upper, tight, lower_cert, upper_cert, tuple(notes))

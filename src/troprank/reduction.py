@@ -32,6 +32,8 @@ from .multipoly import Poly, primitive_triple
 from .patterns import IncidencePattern
 
 WITNESS_PRIME = 2_147_483_647  # 2^31 - 1
+_MIX_TERMS = 4  # hardening: monomials per mixing definition, besides a constant
+_MIX_BOUND = 9  # hardening: equations get multiples 1.._MIX_BOUND of each definition
 
 
 class CompileError(RuntimeError):
@@ -235,13 +237,7 @@ class HardenInfo:
         return out
 
 
-def harden(
-    sys: PolySystem,
-    seed: int,
-    stand_in_bits: int = 64,
-    mix_bound: int = 9,
-    mix_terms: int = 4,
-) -> tuple:
+def harden(sys: PolySystem, seed: int, stand_in_bits: int = 64) -> tuple:
     """Offset the variables, append two generic mixing equations, mix them in.
 
     Variable n (1-based) is shifted by 2^n + 1, so a 0/1 variable lands on the
@@ -272,7 +268,7 @@ def harden(
     mix_polys = []
     e_eqs = []
     for t in range(2):
-        picks = rng.sample(monomial_pool, min(mix_terms, len(monomial_pool)))
+        picks = rng.sample(monomial_pool, min(_MIX_TERMS, len(monomial_pool)))
         terms = {(): rng.randint(1, 2**stand_in_bits)}
         for mono in sorted(picks):
             terms[mono] = rng.randint(1, 2**stand_in_bits)
@@ -282,8 +278,8 @@ def harden(
     multipliers = []
     mixed = []
     for eq in shifted:
-        c1 = rng.randint(1, mix_bound)
-        c2 = rng.randint(1, mix_bound)
+        c1 = rng.randint(1, _MIX_BOUND)
+        c2 = rng.randint(1, _MIX_BOUND)
         multipliers.append((c1, c2))
         mixed.append(eq + e_eqs[0] * c1 + e_eqs[1] * c2)
     hardened = PolySystem(names, tuple(mixed) + tuple(e_eqs))
@@ -530,7 +526,7 @@ class GadgetProgram:
                     raise CompileError("frame non-collinearity violated at the witnesses")
             for p_idx, l_idx, _ in self.asserted:
                 bits[point_row[p_idx], line_col[l_idx]] = True
-            pattern = IncidencePattern.from_rows(bits.astype(int).tolist())
+            pattern = IncidencePattern(bits)
             return pattern, points, lines, attempt
         raise CompileError(
             f"witness evaluations disagreed on {last_disagreement} incidences three times"
@@ -685,17 +681,14 @@ def verify_reduction(sys: PolySystem, assignment: dict, compiled: CompiledPatter
         if all(c == 0 for c in vec):
             return ReductionVerdict(False, f"element {e.name}#{i} degenerates to zero")
         concrete.append(vec)
-    for r in range(compiled.pattern.rows):
+    for r, c in compiled.pattern.ones():
         prow = concrete[compiled.row_elements[r]]
-        for c in range(compiled.pattern.cols):
-            if not compiled.pattern.bits[r][c]:
-                continue
-            lcol = concrete[compiled.col_elements[c]]
-            d = prow[0] * lcol[0] + prow[1] * lcol[1] + prow[2] * lcol[2]
-            if d != 0:
-                return ReductionVerdict(
-                    False,
-                    f"incidence ({compiled.row_names[r]}, {compiled.col_names[c]}) "
-                    f"fails at the assignment",
-                )
+        lcol = concrete[compiled.col_elements[c]]
+        d = prow[0] * lcol[0] + prow[1] * lcol[1] + prow[2] * lcol[2]
+        if d != 0:
+            return ReductionVerdict(
+                False,
+                f"incidence ({compiled.row_names[r]}, {compiled.col_names[c]}) "
+                f"fails at the assignment",
+            )
     return ReductionVerdict(True, None)

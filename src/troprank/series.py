@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from .multipoly import as_coeff
 from .patterns import (
     Configuration,
     IncidencePattern,
@@ -23,18 +24,11 @@ from .patterns import (
 from .tropical import INF, TropicalMatrix, format_value
 
 DEFAULT_TRUNCATION = Fraction(3)
+_LIFT_RETRIES = 64  # perturbation draws before lift_from_configuration gives up
 
 
 class IndeterminateAtTruncation(Exception):
     """A verdict would depend on coefficients beyond the truncation order."""
-
-
-def _cnorm(field, c):
-    if field is None:
-        return c if isinstance(c, Fraction) else Fraction(c)
-    if isinstance(c, Fraction):
-        return (c.numerator * pow(c.denominator, -1, field)) % field
-    return int(c) % field
 
 
 @dataclass(frozen=True)
@@ -77,9 +71,9 @@ class TruncatedSeries:
         trunc = _trunc_min(self.trunc, other.trunc)
         acc = {}
         for e, c in self.terms:
-            acc[e] = acc.get(e, _cnorm(self.field, 0)) + c
+            acc[e] = acc.get(e, as_coeff(self.field, 0)) + c
         for e, c in other.terms:
-            acc[e] = acc.get(e, _cnorm(self.field, 0)) + c
+            acc[e] = acc.get(e, as_coeff(self.field, 0)) + c
         return series(acc, field=self.field, trunc=trunc)
 
     def __sub__(self, other):
@@ -95,11 +89,11 @@ class TruncatedSeries:
         for e1, c1 in self.terms:
             for e2, c2 in other.terms:
                 e = e1 + e2
-                acc[e] = acc.get(e, _cnorm(self.field, 0)) + c1 * c2
+                acc[e] = acc.get(e, as_coeff(self.field, 0)) + c1 * c2
         return series(acc, field=self.field, trunc=trunc)
 
     def scale(self, c):
-        c = _cnorm(self.field, c)
+        c = as_coeff(self.field, c)
         return series({e: c * k for e, k in self.terms}, field=self.field, trunc=self.trunc)
 
     def render(self) -> str:
@@ -143,12 +137,12 @@ def series(terms, field=None, trunc=INF) -> TruncatedSeries:
         e = Fraction(e)
         if e < 0:
             raise ValueError("negative exponents are not allowed")
-        c = _cnorm(field, c)
+        c = as_coeff(field, c)
         if c == 0:
             continue
         if trunc is not INF and e >= trunc:
             continue
-        norm[e] = norm.get(e, _cnorm(field, 0)) + c
+        norm[e] = norm.get(e, as_coeff(field, 0)) + c
     cleaned = tuple(sorted((e, c) for e, c in norm.items() if c != 0))
     return TruncatedSeries(field, cleaned, trunc)
 
@@ -307,7 +301,6 @@ def lift_from_configuration(
     pattern: IncidencePattern,
     config: Configuration,
     seed: int = 0,
-    max_retries: int = 64,
 ) -> LiftMatrix:
     """Exact lift from a rational rank-3 realization of the pattern.
 
@@ -321,17 +314,14 @@ def lift_from_configuration(
     if problem is not None:
         raise ValueError(f"configuration does not realize the pattern: {problem}")
     rng = random.Random(seed)
-    for _ in range(max_retries):
+    for _ in range(_LIFT_RETRIES):
         g = [tuple(Fraction(rng.randint(1, 99)) for _ in range(3)) for _ in config.points]
         h = [tuple(Fraction(rng.randint(1, 99)) for _ in range(3)) for _ in config.lines]
-        ok = True
-        for i, j in pattern.ones():
-            t1 = _dot(config.points[i], h[j]) + _dot(g[i], config.lines[j])
-            if t1 == 0:
-                ok = False
-                break
-        if not ok:
-            continue
+        if any(
+            _dot(config.points[i], h[j]) + _dot(g[i], config.lines[j]) == 0
+            for i, j in pattern.ones()
+        ):
+            continue  # some incidence entry would lose its valuation-1 term
         entries = []
         for i in range(pattern.rows):
             for j in range(pattern.cols):
@@ -344,7 +334,7 @@ def lift_from_configuration(
         if not verdict.accepted:
             raise RuntimeError(f"constructed lift failed verification: {verdict.reason}")
         return lift
-    raise RuntimeError(f"no generic perturbation found in {max_retries} draws")
+    raise RuntimeError(f"no generic perturbation found in {_LIFT_RETRIES} draws")
 
 
 def _dot(u, v):

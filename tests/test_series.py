@@ -16,6 +16,7 @@ from troprank import (
     verify_lift,
     zero_series,
 )
+from troprank.multipoly import Poly, as_coeff
 from troprank.patterns import Configuration
 from troprank.series import IndeterminateAtTruncation, format_lift
 
@@ -208,3 +209,13 @@ def test_minor_rank_agreement_on_monomial_lifts():
             if hit:
                 best = k
         assert got == best
+
+
+def test_fraction_coefficient_over_gf_p_is_num_times_inverse_den():
+    assert as_coeff(7, Fraction(1, 3)) == 5          # 3 * 5 = 15 = 1 mod 7
+    assert as_coeff(7, Fraction(-2, 5)) == (-2 * 3) % 7
+    assert as_coeff(7, 9) == 2
+    assert as_coeff(None, 3) == Fraction(3)
+    assert Poly.const(Fraction(1, 3), 7).constant_value() == 5
+    assert Poly.var(0, 7).evaluate({0: Fraction(1, 3)}) == 5
+    assert S({0: Fraction(1, 3)}, field=7).terms == ((0, 5),)
