@@ -660,6 +660,14 @@ def realize_rank3(
 # ---- rank bounds ------------------------------------------------------------
 
 
+def _zero_one_pattern(m: TropicalMatrix):
+    """m as an incidence pattern, or None when it is not (0,1)-valued."""
+    try:
+        return IncidencePattern.from_matrix(m)
+    except ValueError:
+        return None
+
+
 @dataclass(frozen=True)
 class BoundsReport:
     lower: int
@@ -706,12 +714,7 @@ def kapranov_bounds(
         notes.append(
             "factorization search inconclusive; trivial upper bound min(rows, cols)"
         )
-    pattern = None
-    if upper > 3:
-        try:
-            pattern = IncidencePattern.from_matrix(m)
-        except ValueError:
-            pass  # not (0,1)-valued: no realization question
+    pattern = _zero_one_pattern(m) if upper > 3 else None
     if pattern is not None and field is None:
         verdict = realize_rank3(pattern, field=None, seed=seed, budget=realize_budget)
         if isinstance(verdict, Realized):

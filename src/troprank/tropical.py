@@ -163,18 +163,12 @@ class TropicalMatrix:
     @property
     def scaled(self):
         """(cost rows, scale): finite entries times the lcm of their
-        denominators as ints, None for inf; computed once per matrix."""
-        # Cached by hand in the instance dict: functools.cached_property takes
-        # a lock on every first read (Python 3.11), which costs ~8 % of a 5x5
-        # determinant.
-        cached = self.__dict__.get("_scaled")
-        if cached is None:
-            denoms = [v.denominator for v in self.entries if v is not INF]
-            scale = lcm(*denoms) if denoms else 1
-            flat = [None if v is INF else v.numerator * (scale // v.denominator) for v in self.entries]
-            cost = tuple(tuple(flat[i : i + self.cols]) for i in range(0, len(flat), self.cols))
-            cached = self.__dict__["_scaled"] = (cost, scale)
-        return cached
+        denominators as ints, None for inf."""
+        denoms = [v.denominator for v in self.entries if v is not INF]
+        scale = lcm(*denoms) if denoms else 1
+        flat = [None if v is INF else v.numerator * (scale // v.denominator) for v in self.entries]
+        cost = tuple(tuple(flat[i : i + self.cols]) for i in range(0, len(flat), self.cols))
+        return cost, scale
 
 
 def min_plus_multiply(a: TropicalMatrix, b: TropicalMatrix) -> TropicalMatrix:
