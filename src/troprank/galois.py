@@ -18,7 +18,7 @@ class UnsupportedOrder(ValueError):
     pass
 
 
-def _is_prime(n: int) -> bool:
+def is_prime(n: int) -> bool:
     if n < 2:
         return False
     f = 2
@@ -32,7 +32,7 @@ def _is_prime(n: int) -> bool:
 def _prime_power(q: int):
     """(p, d) with q = p^d, or None."""
     for p in range(2, q + 1):
-        if not _is_prime(p):
+        if not is_prime(p):
             continue
         d = 0
         m = q

@@ -7,22 +7,29 @@ submatrix (normalize the unique optimal permutation onto the diagonal; every
 nontrivial cycle then carries strictly positive weight, and that survives
 deleting any diagonal vertex), so the nonsingular levels form a prefix.
 
+Witness order: rows ranked by decreasing finite-entry count (ties by index),
+row sets the k-combinations of that ranking, each sorted; columns likewise;
+every column set within a row set.  A level's witness is its first
+nonsingular pair in this order, whichever scan finds it.
+
 For matrices whose finite entries are all >= 0 with a zero/positive split
-(weighted incidence matrices), level refutation is accelerated by counting
+(weighted incidence matrices), large levels are classified by counting
 zero-entry permutations per submatrix:
 
   >= 2 all-zero permutations  -> singular for every positive weighting;
   exactly 1                   -> nonsingular (all other sums are positive);
   0                           -> the weighted assignment problem decides.
 
-Only the third class needs arithmetic, which keeps certified refutation at
-level 4 feasible for matrices with a few hundred rows.
+The classification streams row sets in witness order and stops after the
+first row set holding an exactly-1 pair; the witness is the first nonsingular
+0-class pair before that pair, else that pair.  Only the 0 class needs
+arithmetic, which keeps certified refutation at level 4 feasible for matrices
+with a few hundred rows.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from math import comb
 from typing import Optional
@@ -34,10 +41,12 @@ from .tropical import TropicalMatrix
 
 # Generic per-pair testing is used below this many (row-set, col-set) pairs.
 _GENERIC_CUTOFF = 60_000
-# Plain witness probe size before falling into a full level scan.
-_PROBE_CAP = 4_000
+# Largest level the zero-permutation classification handles.
+_CLASSIFY_MAX_K = 5
+# inf in the int64 cost view; _CLASSIFY_MAX_K of these sum below 2**63.
+_DENSE_INF = 2**60
 
-_PERMS = {k: tuple(itertools.permutations(range(k))) for k in range(1, 7)}
+_PERMS = {k: tuple(itertools.permutations(range(k))) for k in range(1, _CLASSIFY_MAX_K + 1)}
 
 
 @dataclass(frozen=True)
@@ -72,46 +81,48 @@ class _Budget:
         return True
 
 
-def _zero_mask(cost):
-    """Bool array, True where the integer-scaled entry is exactly 0, when all
-    finite entries are 0 or positive; None otherwise."""
-    if any(c is not None and c < 0 for row in cost for c in row):
+@dataclass(frozen=True)
+class _Views:
+    """The arrays a classified level reads, derived once per call."""
+
+    zero: np.ndarray              # True where the entry is exactly 0
+    finite: np.ndarray            # True where the entry is finite
+    dense: Optional[np.ndarray]   # int64 cost, inf as _DENSE_INF; None on overflow
+
+
+def _level_views(cost):
+    """_Views of the integer-scaled cost, or None when an entry is negative."""
+    finite = [c for row in cost for c in row if c is not None]
+    if finite and min(finite) < 0:
         return None
-    return np.array([[c == 0 for c in row] for row in cost], dtype=bool)
+    fits = max(finite, default=0) * _CLASSIFY_MAX_K < _DENSE_INF
+    return _Views(
+        np.array([[c == 0 for c in row] for row in cost], dtype=bool),
+        np.array([[c is not None for c in row] for row in cost], dtype=bool),
+        np.array([[_DENSE_INF if c is None else c for c in row] for row in cost], dtype=np.int64)
+        if fits else None,
+    )
 
 
 def _is_nonsingular_cost(cost, rows, cols) -> bool:
-    sub = [[cost[i][j] for j in cols] for i in rows]
-    # All-inf row or column blocks every permutation.
-    for r in sub:
-        if all(c is None for c in r):
-            return False
-    for j in range(len(cols)):
-        if all(sub[i][j] is None for i in range(len(rows))):
-            return False
-    return min_permutation(sub)[2]
+    return min_permutation([[cost[i][j] for j in cols] for i in rows])[2]
 
 
 def _ordered_combos(finite_per_axis, n, k):
-    """Index combinations, preferring indices with many finite entries."""
+    """Index combinations in witness order, preferring indices with many finite entries."""
     order = sorted(range(n), key=lambda i: (-finite_per_axis[i], i))
     for combo in itertools.combinations(order, k):
         yield tuple(sorted(combo))
 
 
-def _generic_level_scan(m, cost, k, budget, probe_only=False):
+def _generic_level_scan(m, cost, k, budget):
     """('witness', (R, C)) | ('exhausted', None) | ('budget', None)."""
     finite_rows = [sum(1 for j in range(m.cols) if cost[i][j] is not None) for i in range(m.rows)]
     finite_cols = [sum(1 for i in range(m.rows) if cost[i][j] is not None) for j in range(m.cols)]
-    row_combos = _ordered_combos(finite_rows, m.rows, k)
-    examined = 0
-    for rc in row_combos:
+    for rc in _ordered_combos(finite_rows, m.rows, k):
         for cc in _ordered_combos(finite_cols, m.cols, k):
             if not budget.spend(1):
                 return "budget", None
-            examined += 1
-            if probe_only and examined > _PROBE_CAP:
-                return "probe-exhausted", None
             if _is_nonsingular_cost(cost, rc, cc):
                 return "witness", (rc, cc)
     return "exhausted", None
@@ -141,57 +152,56 @@ _CLASSIFY_CACHE: dict = {}
 _CLASSIFY_CACHE_SIZE = 8
 
 
-def _classify_level(zero_mask: np.ndarray, k: int):
-    """Split all (row-set, col-set) pairs at level k by zero-permutation count.
+def _classify_level(views: _Views, k: int, room: Optional[int]):
+    """Stream level k in witness order, classifying by zero-permutation count.
 
-    Returns (ones_pairs, zeros_r, zeros_c): pairs with exactly one all-zero
-    permutation, and index arrays (P, k) for pairs with none.  Every pair not
-    listed has >= 2 all-zero permutations and is singular under any positive
-    weighting of the nonzero entries.
+    Returns (one_pair, zeros_r, zeros_c, covered): the first pair with one
+    all-zero permutation (or None), (P, k) arrays of the pairs with none
+    before it, and the pairs classified, in whole row sets.  Other covered
+    pairs have >= 2 and are singular.  A cold scan returns None (caching
+    nothing) rather than cover more than `room` pairs; a cached result is
+    returned whatever `room` is, and the caller charges `covered`.
     """
-    key = (zero_mask.tobytes(), zero_mask.shape, k)
+    key = (views.zero.shape, views.zero.tobytes(), views.finite.tobytes(), k)
     if key in _CLASSIFY_CACHE:
         return _CLASSIFY_CACHE[key]
-    nr, nc = zero_mask.shape
-    col_combos = np.array(list(itertools.combinations(range(nc), k)), dtype=np.int32)
-    ones_pairs = []
-    zr_chunks = []
-    zc_chunks = []
-    for rc in itertools.combinations(range(nr), k):
-        zr = zero_mask[np.array(rc)]          # (k, nc)
-        gathered = zr[:, col_combos]          # (k, NC, k)
-        counts = _zero_perm_counts(gathered)
-        for ci in np.nonzero(counts == 1)[0]:
-            ones_pairs.append((rc, tuple(int(x) for x in col_combos[ci])))
+    nr, nc = views.zero.shape
+    col_combos = np.array(
+        list(_ordered_combos(views.finite.sum(axis=0).tolist(), nc, k)), dtype=np.int32
+    )
+    one_pair = None
+    covered = 0
+    zr_chunks, zc_chunks = [], []
+    for rc in _ordered_combos(views.finite.sum(axis=1).tolist(), nr, k):
+        if room is not None and covered + len(col_combos) > room:
+            return None
+        covered += len(col_combos)
+        counts = _zero_perm_counts(views.zero[np.array(rc)][:, col_combos])  # gather (k, NC, k)
         zi = np.nonzero(counts == 0)[0]
+        oi = np.nonzero(counts == 1)[0]
+        if oi.size:
+            one_pair = (rc, tuple(int(x) for x in col_combos[oi[0]]))
+            zi = zi[zi < oi[0]]
         if zi.size:
             zr_chunks.append(np.broadcast_to(np.array(rc, dtype=np.int32), (zi.size, k)).copy())
             zc_chunks.append(col_combos[zi])
+        if one_pair is not None:
+            break
     zeros_r = np.concatenate(zr_chunks) if zr_chunks else np.empty((0, k), dtype=np.int32)
     zeros_c = np.concatenate(zc_chunks) if zc_chunks else np.empty((0, k), dtype=np.int32)
-    result = (tuple(ones_pairs), zeros_r, zeros_c)
+    result = (one_pair, zeros_r, zeros_c, covered)
     if len(_CLASSIFY_CACHE) >= _CLASSIFY_CACHE_SIZE:
         del _CLASSIFY_CACHE[next(iter(_CLASSIFY_CACHE))]
     _CLASSIFY_CACHE[key] = result
     return result
 
 
-def _resolve_weighted_pairs(cost, zeros_r, zeros_c, k):
-    """First nonsingular pair among the no-zero-permutation class, or None."""
-    if len(zeros_r) == 0:
-        return None
-    # Vectorize with a safe integer sentinel when the scaled values allow it.
-    max_abs = 0
-    for row in cost:
-        for c in row:
-            if c is not None:
-                max_abs = max(max_abs, abs(c))
-    big = (max_abs + 1) * (k + 1)
-    if big * (k + 1) < 2**60:
-        dense = np.array(
-            [[big if c is None else c for c in row] for row in cost], dtype=np.int64
-        )
-        sub = dense[zeros_r[:, :, None], zeros_c[:, None, :]]  # (P, k, k)
+def _resolve_weighted_pairs(cost, views: _Views, zeros_r, zeros_c, k):
+    """First nonsingular pair among the listed no-zero-permutation pairs, or None."""
+    if views.dense is None:
+        candidates = range(len(zeros_r))  # every pair, checked exactly
+    else:
+        sub = views.dense[zeros_r[:, :, None], zeros_c[:, None, :]]  # (P, k, k)
         perms = _PERMS[k]
         sums = np.empty((len(zeros_r), len(perms)), dtype=np.int64)
         for t, perm in enumerate(perms):
@@ -201,62 +211,59 @@ def _resolve_weighted_pairs(cost, zeros_r, zeros_c, k):
             sums[:, t] = acc
         mins = sums.min(axis=1)
         counts = (sums == mins[:, None]).sum(axis=1)
-        candidate = np.nonzero((mins < big) & (counts == 1))[0]
-        for p in candidate:
-            rc = tuple(int(x) for x in zeros_r[int(p)])
-            cc = tuple(int(x) for x in zeros_c[int(p)])
-            if not _is_nonsingular_cost(cost, rc, cc):  # exact confirmation
-                raise RuntimeError("vectorized and exact assignment verdicts disagree")
-            return rc, cc
-        return None
-    for t in range(len(zeros_r)):
+        candidates = np.nonzero((mins < _DENSE_INF) & (counts == 1))[0][:1]
+    for t in candidates:
         rc = tuple(int(x) for x in zeros_r[t])
         cc = tuple(int(x) for x in zeros_c[t])
         if _is_nonsingular_cost(cost, rc, cc):
             return rc, cc
+        if views.dense is not None:  # exact confirmation failed
+            raise RuntimeError("vectorized and exact assignment verdicts disagree")
     return None
 
 
-def _structured_level_scan(m, cost, zero_mask, k, budget):
-    """Exhaustive level-k scan via zero-permutation classification."""
-    space = comb(m.rows, k) * comb(m.cols, k)
-    if not budget.spend(space):
+def _structured_level_scan(cost, views: _Views, k, budget):
+    """_generic_level_scan's result via zero-permutation classification."""
+    room = None if budget.limit is None else budget.limit - budget.used
+    classified = _classify_level(views, k, room)
+    if classified is None or not budget.spend(classified[3]):
         return "budget", None
-    ones_pairs, zeros_r, zeros_c = _classify_level(zero_mask, k)
-    for rc, cc in ones_pairs:
-        # One all-zero permutation and positive weights: nonsingular.
-        if not _is_nonsingular_cost(cost, rc, cc):
-            raise RuntimeError("zero-permutation classification disagrees with exact check")
-        return "witness", (rc, cc)
-    hit = _resolve_weighted_pairs(cost, zeros_r, zeros_c, k)
+    one_pair, zeros_r, zeros_c, _ = classified
+    hit = _resolve_weighted_pairs(cost, views, zeros_r, zeros_c, k)
     if hit is not None:
         return "witness", hit
-    return "exhausted", None
+    if one_pair is None:
+        return "exhausted", None
+    # One all-zero permutation and positive weights: nonsingular.
+    if not _is_nonsingular_cost(cost, *one_pair):
+        raise RuntimeError("zero-permutation classification disagrees with exact check")
+    return "witness", one_pair
 
 
 def tropical_rank(m: TropicalMatrix, limit: Optional[int] = None, budget: Optional[int] = None) -> RankResult:
     """Largest k <= limit with a nonsingular k x k submatrix, with witness.
 
-    The refutation at level rank+1 is exhaustive whenever the budget (counted
-    in submatrix pairs) allows; a budget stop is reported distinctly via
-    ``certified = False``.
+    The refutation at level rank+1 is exhaustive whenever the budget allows.
+    It counts submatrix pairs tested, or classified in whole row sets; a
+    budget stop is reported distinctly via ``certified = False``.
     """
     cap = min(m.rows, m.cols)
     if limit is not None:
         cap = min(cap, limit)
     tracker = _Budget(budget)
     cost = m.scaled[0]
-    zero_mask = _zero_mask(cost)
+    views = None
+    derived = False  # views are derived at the first level large enough to classify
 
     rank = 0
     witness = (None, None)
     for k in range(1, cap + 1):
         space = comb(m.rows, k) * comb(m.cols, k)
-        use_structured = zero_mask is not None and k <= 5 and space > _GENERIC_CUTOFF
-        if use_structured:
-            status, found = _generic_level_scan(m, cost, k, tracker, probe_only=True)
-            if status == "probe-exhausted":
-                status, found = _structured_level_scan(m, cost, zero_mask, k, tracker)
+        structured = k <= _CLASSIFY_MAX_K and space > _GENERIC_CUTOFF
+        if structured and not derived:
+            views, derived = _level_views(cost), True
+        if structured and views is not None:
+            status, found = _structured_level_scan(cost, views, k, tracker)
         else:
             status, found = _generic_level_scan(m, cost, k, tracker)
         if status == "witness":
@@ -272,29 +279,27 @@ def tropical_rank(m: TropicalMatrix, limit: Optional[int] = None, budget: Option
 def sample_level_singular(m: TropicalMatrix, k: int, samples: int, seed: int):
     """Smoke check: draw `samples` random k x k submatrices, return
     (all_singular, counterexample or None).  Sampling only; not a certificate.
-    """
-    cost = m.scaled[0]
-    zero_mask = _zero_mask(cost)
-    rng = np.random.default_rng(seed)
-    if zero_mask is None:
-        py_rng = random.Random(seed)
-        for _ in range(samples):
-            rc = tuple(sorted(py_rng.sample(range(m.rows), k)))
-            cc = tuple(sorted(py_rng.sample(range(m.cols), k)))
-            if _is_nonsingular_cost(cost, rc, cc):
-                return False, (rc, cc)
-        return True, None
 
+    Draws with < 2 all-zero permutations are checked exactly; every draw is
+    when an entry is negative or k exceeds the classified levels.
+    """
+    if not 1 <= k <= min(m.rows, m.cols):
+        raise ValueError(f"level {k} outside 1..{min(m.rows, m.cols)}")
+    cost = m.scaled[0]
+    views = _level_views(cost) if k in _PERMS else None
+    rng = np.random.default_rng(seed)
     remaining = samples
     chunk = 200_000
     while remaining > 0:
         batch = min(chunk, remaining)
         remaining -= batch
-        rc = np.sort(_sample_distinct(rng, batch, m.rows, k), axis=1)
-        cc = np.sort(_sample_distinct(rng, batch, m.cols, k), axis=1)
-        sub = zero_mask[rc[:, :, None], cc[:, None, :]]  # (B, k, k)
-        counts = _zero_perm_counts(sub.transpose(1, 0, 2))
-        suspicious = np.nonzero(counts <= 1)[0]
+        rc = _sample_subsets(rng, batch, m.rows, k)
+        cc = _sample_subsets(rng, batch, m.cols, k)
+        if views is None:
+            suspicious = range(batch)
+        else:
+            sub = views.zero[rc[:, :, None], cc[:, None, :]]  # (B, k, k)
+            suspicious = np.nonzero(_zero_perm_counts(sub.transpose(1, 0, 2)) <= 1)[0]
         for b in suspicious:
             rows = tuple(int(x) for x in rc[b])
             cols = tuple(int(x) for x in cc[b])
@@ -303,14 +308,17 @@ def sample_level_singular(m: TropicalMatrix, k: int, samples: int, seed: int):
     return True, None
 
 
-def _sample_distinct(rng, batch, n, k):
-    """(batch, k) index draws without replacement per row."""
-    out = rng.integers(0, n, size=(batch, k), dtype=np.int32)
+def _sample_subsets(rng, batch, n, k):
+    """(batch, k) uniform k-subsets of range(n), each sorted.  Draws with a
+    repeat are redrawn; above n/2 the complement is drawn instead, so that
+    stays cheap for every k <= n."""
+    if 2 * k > n:
+        keep = np.ones((batch, n), dtype=bool)
+        keep[np.arange(batch)[:, None], _sample_subsets(rng, batch, n, n - k)] = False
+        return np.nonzero(keep)[1].reshape(batch, k).astype(np.int32)
+    out = np.sort(rng.integers(0, n, size=(batch, k), dtype=np.int32), axis=1)
     while True:
-        bad = np.zeros(batch, dtype=bool)
-        s = np.sort(out, axis=1)
-        bad |= (s[:, 1:] == s[:, :-1]).any(axis=1)
-        idx = np.nonzero(bad)[0]
+        idx = np.nonzero((out[:, 1:] == out[:, :-1]).any(axis=1))[0]
         if idx.size == 0:
             return out
-        out[idx] = rng.integers(0, n, size=(idx.size, k), dtype=np.int32)
+        out[idx] = np.sort(rng.integers(0, n, size=(idx.size, k), dtype=np.int32), axis=1)

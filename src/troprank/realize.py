@@ -33,6 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .barvinok import barvinok_rank
+from .galois import is_prime
 from .multipoly import Poly, primitive_triple, univariate_roots
 from .patterns import (
     Configuration,
@@ -218,13 +219,15 @@ class _ExactEngine:
                 return step
             # step was a direct substitution; keep draining the queue
         # eager prune on recorded non-incidences
+        groups = []
         for group in node.diseqs:
             reduced = [self._reduce(p, node.subs) for p in group]
             if all(p.is_zero() for p in reduced):
                 return self._close(node, "required non-incidence vanishes identically")
+            groups.append(reduced)
         if node.next_elem < len(self.order):
             return self._place(node)
-        return self._leaf(node)
+        return self._leaf(node, groups)
 
     def _solve_equation(self, node, eq):
         """Apply a substitution in place, return child specs, or classify."""
@@ -457,14 +460,9 @@ class _ExactEngine:
 
     # ---- leaves -------------------------------------------------------------
 
-    def _leaf(self, node):
+    def _leaf(self, node, groups):
+        """groups: the node's non-incidence groups, reduced by its substitutions."""
         self.leaves += 1
-        groups = []
-        for group in node.diseqs:
-            reduced = [self._reduce(p, node.subs) for p in group]
-            if all(p.is_zero() for p in reduced):
-                return self._close(node, "required non-incidence vanishes identically")
-            groups.append([p for p in reduced if not p.is_zero()])
         free = sorted(
             set(range(node.nparams)) - {v for v, _, _ in node.subs}
         )
@@ -636,13 +634,8 @@ def realize_rank3(
     budget = budget or RealizeBudget()
     if field == "float":
         return _float_realize(pattern, seed, budget.restarts)
-    if field is not None:
-        if not isinstance(field, int) or field < 2 or any(
-            field % f == 0 for f in range(2, int(field**0.5) + 1)
-        ):
-            raise ValueError(
-                f"exact realizability needs Q (None) or a prime field, got {field!r}"
-            )
+    if field is not None and not (isinstance(field, int) and is_prime(field)):
+        raise ValueError(f"exact realizability needs Q (None) or a prime field, got {field!r}")
     engine = _ExactEngine(pattern, field, seed, budget)
     verdict = engine.run()
     if isinstance(verdict, Realized):
@@ -707,10 +700,8 @@ def kapranov_bounds(
     bar = barvinok_rank(m, kmax=kmax, budget=barvinok_budget)
     if bar.rank is not None:
         upper = bar.rank
-        upper_cert = True
     else:
         upper = min(m.rows, m.cols)
-        upper_cert = True
         notes.append(
             "factorization search inconclusive; trivial upper bound min(rows, cols)"
         )
@@ -726,5 +717,5 @@ def kapranov_bounds(
             notes.append("rank-3 realization search inconclusive")
     elif pattern is not None:
         notes.append("finite-field realizations are not used to improve the bound")
-    tight = lower_cert and upper_cert and lower == upper
-    return BoundsReport(lower, upper, tight, lower_cert, upper_cert, tuple(notes))
+    tight = lower_cert and lower == upper
+    return BoundsReport(lower, upper, tight, lower_cert, True, tuple(notes))

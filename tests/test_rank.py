@@ -1,6 +1,9 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
+
+import pytest
 
 from troprank import (
     INF,
@@ -12,6 +15,7 @@ from troprank import (
     tropical_rank,
     tropical_scale,
 )
+from troprank import rank as rank_mod
 
 
 def test_all_zero_rank_one():
@@ -142,3 +146,96 @@ def test_sampled_smoke_is_sampling_only():
     # at level 3 a nonsingular submatrix exists and sampling finds it
     ok3, ce = sample_level_singular(m, 3, 5000, seed=3)
     assert not ok3 and ce is not None
+
+
+def _random_nonneg(rng, rows, cols):
+    """Entries 0 (half), a small positive weight, or inf: ties and blocked
+    permutations in every size."""
+    def entry():
+        u = rng.random()
+        return Fraction(0) if u < 0.5 else INF if u < 0.65 else Fraction(rng.randint(1, 3))
+    return TropicalMatrix.from_rows([[entry() for _ in range(cols)] for _ in range(rows)])
+
+
+def test_classified_scan_returns_generic_witness(monkeypatch):
+    """Oracle: per level, the zero-permutation scan reports exactly what the
+    plain pair-by-pair scan reports, witness included."""
+    rng = random.Random(29)
+    levels = {"witness": 0, "exhausted": 0}
+    for _ in range(300):
+        m = _random_nonneg(rng, rng.randint(6, 9), rng.randint(6, 9))
+        cost = m.scaled[0]
+        views = rank_mod._level_views(cost)
+        # dense=None takes the exact fallback used when int64 would overflow.
+        python_views = dataclasses.replace(views, dense=None)
+        for k in range(1, 6):
+            expected = rank_mod._generic_level_scan(m, cost, k, rank_mod._Budget(None))
+            for v in (views, python_views):
+                rank_mod._CLASSIFY_CACHE.clear()
+                got = rank_mod._structured_level_scan(cost, v, k, rank_mod._Budget(None))
+                assert got == expected, (m.rows, m.cols, k)
+            levels[expected[0]] += 1
+            if expected[0] == "exhausted":
+                break
+    assert levels["witness"] > 0 and levels["exhausted"] > 0
+    # Whole searches agree too, with every level classified.  Each matrix is
+    # followed by one with the same zeros but inf and weights swapped, whose
+    # scan order differs: its classification must not come from the cache.
+    for _ in range(15):
+        m = _random_nonneg(rng, rng.randint(6, 9), rng.randint(6, 9))
+        swapped = TropicalMatrix.from_rows(
+            [
+                [x if x == 0 else Fraction(2) if x is INF else INF for x in row]
+                for row in m.to_rows()
+            ]
+        )
+        for a in (m, swapped):
+            plain = tropical_rank(a)
+            monkeypatch.setattr(rank_mod, "_GENERIC_CUTOFF", 0)
+            classified = tropical_rank(a)
+            monkeypatch.undo()
+            assert (classified.rank, classified.row_witness, classified.col_witness) == (
+                plain.rank, plain.row_witness, plain.col_witness
+            )
+            assert classified.refuted_level == plain.refuted_level
+
+
+def test_rank_result_same_cold_and_warm(monkeypatch):
+    """A budgeted call gives the same RankResult whatever the classification
+    cache holds, and never charges past its budget."""
+    monkeypatch.setattr(rank_mod, "_GENERIC_CUTOFF", 0)
+    m = incidence_matrix(projective_plane(2), "random", seed=5)
+    cold = {}
+    for budget in (None, 50, 500, 5000):
+        rank_mod._CLASSIFY_CACHE.clear()
+        cold[budget] = tropical_rank(m, budget=budget)
+        assert tropical_rank(m, budget=budget) == cold[budget]
+        if budget is not None:
+            assert cold[budget].pairs_examined <= budget
+    assert cold[None].certified and cold[None].refuted_level == 4
+    assert cold[50].budget_exhausted and not cold[50].certified
+    # Warm after a full, unbudgeted classification of every level.
+    rank_mod._CLASSIFY_CACHE.clear()
+    tropical_rank(m)
+    for budget, expected in cold.items():
+        assert tropical_rank(m, budget=budget) == expected
+
+
+def test_sample_level_range():
+    fano = incidence_matrix(projective_plane(2), "random", seed=3)
+    for k in (0, 8, -1):
+        with pytest.raises(ValueError):
+            sample_level_singular(fano, k, 10, seed=1)
+    for k in range(1, 8):
+        ok, ce = sample_level_singular(fano, k, 300, seed=k)
+        assert ok == (k > 3), k
+        if ce is not None:
+            value, winners = brute_force_determinant(fano.submatrix(*ce))
+            assert value is not INF and len(winners) == 1
+    # A negative entry: every draw is checked exactly, at every k.
+    m = TropicalMatrix.from_rows(
+        [[Fraction(-1) if i == j else Fraction(i + j) for j in range(7)] for i in range(7)]
+    )
+    for k in range(1, 8):
+        ok, ce = sample_level_singular(m, k, 50, seed=k)
+        assert not ok and len(ce[0]) == k
