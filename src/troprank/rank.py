@@ -20,11 +20,11 @@ zero-entry permutations per submatrix:
   exactly 1                   -> nonsingular (all other sums are positive);
   0                           -> the weighted assignment problem decides.
 
-The classification streams row sets in witness order and stops after the
-first row set holding an exactly-1 pair; the witness is the first nonsingular
-0-class pair before that pair, else that pair.  Only the 0 class needs
-arithmetic, which keeps certified refutation at level 4 feasible for matrices
-with a few hundred rows.
+The classification streams row sets in witness order, resolving their 0-class
+pairs with the weights in batches, and stops at the first row set holding a
+nonsingular pair of either class; its first such pair is the witness.  Only
+the 0 class needs arithmetic, which keeps certified refutation at level 4
+feasible for matrices with a few hundred rows.
 """
 
 from __future__ import annotations
@@ -45,8 +45,10 @@ _GENERIC_CUTOFF = 60_000
 _CLASSIFY_MAX_K = 5
 # inf in the int64 cost view; _CLASSIFY_MAX_K of these sum below 2**63.
 _DENSE_INF = 2**60
+_UNSET = object()  # tropical_rank's views before the first classified level
 
-_PERMS = {k: tuple(itertools.permutations(range(k))) for k in range(1, _CLASSIFY_MAX_K + 1)}
+# Up to k = 6: the sampler filters its draws by zero-permutation count too.
+_PERMS = {k: tuple(itertools.permutations(range(k))) for k in range(1, 7)}
 
 
 @dataclass(frozen=True)
@@ -146,98 +148,102 @@ def _zero_perm_counts(blocks: np.ndarray) -> np.ndarray:
 
 
 # Per-pattern classification cache: repeated weightings of one zero pattern
-# (the 20-seed reproduction runs) reuse the combinatorial scan.  At most
-# _CLASSIFY_CACHE_SIZE patterns are kept; the oldest is dropped first.
+# (the 20-seed reproduction runs) reuse the combinatorial scan.  An entry is
+# the classification of a prefix of one level's row sets, in witness order;
+# the weighted stop is decided per call.  At most _CLASSIFY_CACHE_SIZE
+# entries are kept; the oldest is dropped first.
 _CLASSIFY_CACHE: dict = {}
 _CLASSIFY_CACHE_SIZE = 8
+# No-zero-permutation pairs gathered before they are resolved with weights.
+_RESOLVE_CHUNK = 1 << 14
 
 
-def _classify_level(views: _Views, k: int, room: Optional[int]):
-    """Stream level k in witness order, classifying by zero-permutation count.
-
-    Returns (one_pair, zeros_r, zeros_c, covered): the first pair with one
-    all-zero permutation (or None), (P, k) arrays of the pairs with none
-    before it, and the pairs classified, in whole row sets.  Other covered
-    pairs have >= 2 and are singular.  A cold scan returns None (caching
-    nothing) rather than cover more than `room` pairs; a cached result is
-    returned whatever `room` is, and the caller charges `covered`.
-    """
-    key = (views.zero.shape, views.zero.tobytes(), views.finite.tobytes(), k)
-    if key in _CLASSIFY_CACHE:
-        return _CLASSIFY_CACHE[key]
-    nr, nc = views.zero.shape
-    col_combos = np.array(
-        list(_ordered_combos(views.finite.sum(axis=0).tolist(), nc, k)), dtype=np.int32
-    )
-    one_pair = None
-    covered = 0
-    zr_chunks, zc_chunks = [], []
-    for rc in _ordered_combos(views.finite.sum(axis=1).tolist(), nr, k):
-        if room is not None and covered + len(col_combos) > room:
-            return None
-        covered += len(col_combos)
-        counts = _zero_perm_counts(views.zero[np.array(rc)][:, col_combos])  # gather (k, NC, k)
-        zi = np.nonzero(counts == 0)[0]
-        oi = np.nonzero(counts == 1)[0]
-        if oi.size:
-            one_pair = (rc, tuple(int(x) for x in col_combos[oi[0]]))
-            zi = zi[zi < oi[0]]
-        if zi.size:
-            zr_chunks.append(np.broadcast_to(np.array(rc, dtype=np.int32), (zi.size, k)).copy())
-            zc_chunks.append(col_combos[zi])
-        if one_pair is not None:
-            break
-    zeros_r = np.concatenate(zr_chunks) if zr_chunks else np.empty((0, k), dtype=np.int32)
-    zeros_c = np.concatenate(zc_chunks) if zc_chunks else np.empty((0, k), dtype=np.int32)
-    result = (one_pair, zeros_r, zeros_c, covered)
-    if len(_CLASSIFY_CACHE) >= _CLASSIFY_CACHE_SIZE:
-        del _CLASSIFY_CACHE[next(iter(_CLASSIFY_CACHE))]
-    _CLASSIFY_CACHE[key] = result
-    return result
+def _classify_row_set(views: _Views, rc, col_combos):
+    """(column-set indices with no all-zero permutation, before the first with
+    exactly one; that one or None).  The rest have >= 2 and are singular."""
+    counts = _zero_perm_counts(views.zero[np.array(rc)][:, col_combos])  # gather (k, NC, k)
+    zi = np.nonzero(counts == 0)[0]
+    oi = np.nonzero(counts == 1)[0]
+    return (zi[zi < oi[0]], int(oi[0])) if oi.size else (zi, None)
 
 
-def _resolve_weighted_pairs(cost, views: _Views, zeros_r, zeros_c, k):
-    """First nonsingular pair among the listed no-zero-permutation pairs, or None."""
+def _first_weighted_nonsingular(cost, views: _Views, zeros_r, zeros_c) -> Optional[int]:
+    """Index of the first nonsingular pair among the (P, k) row and column
+    sets listed, all with no all-zero permutation, or None."""
     if views.dense is None:
         candidates = range(len(zeros_r))  # every pair, checked exactly
     else:
         sub = views.dense[zeros_r[:, :, None], zeros_c[:, None, :]]  # (P, k, k)
-        perms = _PERMS[k]
-        sums = np.empty((len(zeros_r), len(perms)), dtype=np.int64)
-        for t, perm in enumerate(perms):
+        perms = _PERMS[sub.shape[1]]
+        sums = np.empty((len(sub), len(perms)), dtype=np.int64)
+        for j, perm in enumerate(perms):
             acc = sub[:, 0, perm[0]].copy()
-            for i in range(1, k):
+            for i in range(1, len(perm)):
                 acc += sub[:, i, perm[i]]
-            sums[:, t] = acc
-        mins = sums.min(axis=1)
-        counts = (sums == mins[:, None]).sum(axis=1)
-        candidates = np.nonzero((mins < _DENSE_INF) & (counts == 1))[0][:1]
+            sums[:, j] = acc
+        best = sums.min(axis=1)
+        ties = (sums == best[:, None]).sum(axis=1)
+        candidates = np.nonzero((best < _DENSE_INF) & (ties == 1))[0][:1]
     for t in candidates:
-        rc = tuple(int(x) for x in zeros_r[t])
-        cc = tuple(int(x) for x in zeros_c[t])
-        if _is_nonsingular_cost(cost, rc, cc):
-            return rc, cc
+        if _is_nonsingular_cost(cost, zeros_r[t].tolist(), zeros_c[t].tolist()):
+            return int(t)
         if views.dense is not None:  # exact confirmation failed
             raise RuntimeError("vectorized and exact assignment verdicts disagree")
     return None
 
 
 def _structured_level_scan(cost, views: _Views, k, budget):
-    """_generic_level_scan's result via zero-permutation classification."""
-    room = None if budget.limit is None else budget.limit - budget.used
-    classified = _classify_level(views, k, room)
-    if classified is None or not budget.spend(classified[3]):
+    """_generic_level_scan's result via zero-permutation classification.
+
+    Row sets are charged whole: a witness in the r-th row set (0-based) costs
+    r + 1 of them, a refuted level all.  Nothing past the remaining budget is
+    classified and a level that does not fit is not charged, so the result
+    does not depend on what the cache holds.
+    """
+    nr, nc = views.zero.shape
+    col_combos = np.array(list(_ordered_combos(views.finite.sum(axis=0).tolist(), nc, k)))
+    total = room = comb(nr, k)
+    if budget.limit is not None:
+        room = min(total, (budget.limit - budget.used) // len(col_combos))
+    key = (views.zero.shape, views.zero.tobytes(), views.finite.tobytes(), k)
+    if key not in _CLASSIFY_CACHE and len(_CLASSIFY_CACHE) >= _CLASSIFY_CACHE_SIZE:
+        del _CLASSIFY_CACHE[next(iter(_CLASSIFY_CACHE))]
+    classified = _CLASSIFY_CACHE.setdefault(key, [])  # (row set, *_classify_row_set)
+    unseen = itertools.islice(
+        _ordered_combos(views.finite.sum(axis=1).tolist(), nr, k), len(classified), None
+    )
+    batch_r, batch_c = [], []  # row sets awaiting resolution, their weighted column sets
+    held = 0
+    for r in range(room):
+        if r == len(classified):
+            rc = next(unseen)
+            classified.append((rc, *_classify_row_set(views, rc, col_combos)))
+        rc, zero_cols, one_col = classified[r]
+        batch_r.append(rc)
+        batch_c.append(zero_cols)
+        held += len(zero_cols)
+        if one_col is None and held < _RESOLVE_CHUNK and r + 1 < room:
+            continue
+        at = np.repeat(np.arange(len(batch_r)), [len(c) for c in batch_c])
+        cols = np.concatenate(batch_c)
+        t = _first_weighted_nonsingular(cost, views, np.array(batch_r)[at], col_combos[cols])
+        if t is not None:
+            r += int(at[t]) + 1 - len(batch_r)
+            found = (batch_r[at[t]], tuple(col_combos[cols[t]].tolist()))
+        elif one_col is not None:
+            found = (rc, tuple(col_combos[one_col].tolist()))
+            # One all-zero permutation and positive weights: nonsingular.
+            if not _is_nonsingular_cost(cost, *found):
+                raise RuntimeError("zero-permutation classification disagrees with exact check")
+        else:
+            batch_r, batch_c, held = [], [], 0
+            continue
+        budget.spend((r + 1) * len(col_combos))
+        return "witness", found
+    if room < total:
         return "budget", None
-    one_pair, zeros_r, zeros_c, _ = classified
-    hit = _resolve_weighted_pairs(cost, views, zeros_r, zeros_c, k)
-    if hit is not None:
-        return "witness", hit
-    if one_pair is None:
-        return "exhausted", None
-    # One all-zero permutation and positive weights: nonsingular.
-    if not _is_nonsingular_cost(cost, *one_pair):
-        raise RuntimeError("zero-permutation classification disagrees with exact check")
-    return "witness", one_pair
+    budget.spend(total * len(col_combos))
+    return "exhausted", None
 
 
 def tropical_rank(m: TropicalMatrix, limit: Optional[int] = None, budget: Optional[int] = None) -> RankResult:
@@ -252,23 +258,21 @@ def tropical_rank(m: TropicalMatrix, limit: Optional[int] = None, budget: Option
         cap = min(cap, limit)
     tracker = _Budget(budget)
     cost = m.scaled[0]
-    views = None
-    derived = False  # views are derived at the first level large enough to classify
+    views = _UNSET  # derived at the first classified level
 
     rank = 0
     witness = (None, None)
     for k in range(1, cap + 1):
         space = comb(m.rows, k) * comb(m.cols, k)
         structured = k <= _CLASSIFY_MAX_K and space > _GENERIC_CUTOFF
-        if structured and not derived:
-            views, derived = _level_views(cost), True
+        if structured and views is _UNSET:
+            views = _level_views(cost)
         if structured and views is not None:
             status, found = _structured_level_scan(cost, views, k, tracker)
         else:
             status, found = _generic_level_scan(m, cost, k, tracker)
         if status == "witness":
-            rank = k
-            witness = found
+            rank, witness = k, found
             continue
         if status == "exhausted":
             return RankResult(rank, witness[0], witness[1], True, k, False, tracker.used)
@@ -301,8 +305,7 @@ def sample_level_singular(m: TropicalMatrix, k: int, samples: int, seed: int):
             sub = views.zero[rc[:, :, None], cc[:, None, :]]  # (B, k, k)
             suspicious = np.nonzero(_zero_perm_counts(sub.transpose(1, 0, 2)) <= 1)[0]
         for b in suspicious:
-            rows = tuple(int(x) for x in rc[b])
-            cols = tuple(int(x) for x in cc[b])
+            rows, cols = tuple(rc[b].tolist()), tuple(cc[b].tolist())
             if _is_nonsingular_cost(cost, rows, cols):
                 return False, (rows, cols)
     return True, None

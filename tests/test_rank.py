@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -168,12 +169,21 @@ def test_classified_scan_returns_generic_witness(monkeypatch):
         views = rank_mod._level_views(cost)
         # dense=None takes the exact fallback used when int64 would overflow.
         python_views = dataclasses.replace(views, dense=None)
+        finite_rows = [sum(x is not INF for x in row) for row in m.to_rows()]
         for k in range(1, 6):
             expected = rank_mod._generic_level_scan(m, cost, k, rank_mod._Budget(None))
-            for v in (views, python_views):
+            # A witness in the r-th row set is charged r + 1 whole row sets.
+            row_sets = list(rank_mod._ordered_combos(finite_rows, m.rows, k))
+            covered = len(row_sets) if expected[0] == "exhausted" else row_sets.index(expected[1][0]) + 1
+            # Batches of 5 pairs resolve each level in many steps.
+            for v, chunk in ((views, 1 << 14), (python_views, 1 << 14), (views, 5)):
+                monkeypatch.setattr(rank_mod, "_RESOLVE_CHUNK", chunk)
                 rank_mod._CLASSIFY_CACHE.clear()
-                got = rank_mod._structured_level_scan(cost, v, k, rank_mod._Budget(None))
-                assert got == expected, (m.rows, m.cols, k)
+                budget = rank_mod._Budget(None)
+                got = rank_mod._structured_level_scan(cost, v, k, budget)
+                monkeypatch.undo()
+                assert got == expected, (m.rows, m.cols, k, chunk)
+                assert budget.used == covered * comb(m.cols, k)
             levels[expected[0]] += 1
             if expected[0] == "exhausted":
                 break
@@ -200,25 +210,84 @@ def test_classified_scan_returns_generic_witness(monkeypatch):
             assert classified.refuted_level == plain.refuted_level
 
 
-def test_rank_result_same_cold_and_warm(monkeypatch):
+def _deep_witness_matrix(rng, n):
+    """Two all-zero rows rank first in witness order, and every submatrix
+    holding both is singular, so witnesses lie past the first row sets."""
+    def entry():
+        u = rng.random()
+        return Fraction(0) if u < 0.2 else INF if u < 0.36 else Fraction(rng.randint(1, 3))
+    rows = [[Fraction(0)] * n, [Fraction(0)] * n]
+    rows += [[entry() for _ in range(n)] for _ in range(n - 2)]
+    return TropicalMatrix.from_rows(rows)
+
+
+@pytest.mark.parametrize("chunk", [1 << 14, 40, 3])
+def test_rank_result_same_cold_and_warm(monkeypatch, chunk):
     """A budgeted call gives the same RankResult whatever the classification
-    cache holds, and never charges past its budget."""
+    cache holds, and never charges past its budget.  Budgets fall on and just
+    short of row-set boundaries; with small batches they cut a level between
+    resolutions, and a cache filled under a larger budget reaches past them."""
     monkeypatch.setattr(rank_mod, "_GENERIC_CUTOFF", 0)
-    m = incidence_matrix(projective_plane(2), "random", seed=5)
-    cold = {}
-    for budget in (None, 50, 500, 5000):
+    monkeypatch.setattr(rank_mod, "_RESOLVE_CHUNK", chunk)
+    rng = random.Random(41)
+    matrices = [incidence_matrix(projective_plane(2), "random", seed=5)]
+    matrices += [_deep_witness_matrix(rng, 8) for _ in range(2)]
+    assert tropical_rank(matrices[0], limit=5).refuted_level == 4
+    for m in matrices:
         rank_mod._CLASSIFY_CACHE.clear()
-        cold[budget] = tropical_rank(m, budget=budget)
-        assert tropical_rank(m, budget=budget) == cold[budget]
-        if budget is not None:
+        full = tropical_rank(m, limit=5)
+        level_start = [tropical_rank(m, limit=k).pairs_examined for k in range(5)]
+        boundaries = [
+            level_start[k - 1] + j * comb(m.cols, k) - d
+            for k in range(1, 6)
+            for j in range(1, comb(m.rows, k) + 1)
+            for d in (0, 1)
+        ]
+        picked = rng.sample(boundaries, 12)
+        budgets = sorted({50, 500, 5000, *(b for b in picked if b <= full.pairs_examined + 1)})
+        cold = {None: full}
+        for budget in budgets:
+            rank_mod._CLASSIFY_CACHE.clear()
+            cold[budget] = tropical_rank(m, limit=5, budget=budget)
+            assert tropical_rank(m, limit=5, budget=budget) == cold[budget]
             assert cold[budget].pairs_examined <= budget
-    assert cold[None].certified and cold[None].refuted_level == 4
-    assert cold[50].budget_exhausted and not cold[50].certified
-    # Warm after a full, unbudgeted classification of every level.
+            if budget >= full.pairs_examined:
+                assert cold[budget] == full
+            else:
+                assert cold[budget].budget_exhausted and not cold[budget].certified
+        # Warm from the prefix a smaller budget classified.
+        rank_mod._CLASSIFY_CACHE.clear()
+        for budget in budgets:
+            assert tropical_rank(m, limit=5, budget=budget) == cold[budget]
+        # Warm after a full classification of every level.
+        rank_mod._CLASSIFY_CACHE.clear()
+        tropical_rank(m, limit=5)
+        for budget, expected in cold.items():
+            assert tropical_rank(m, limit=5, budget=budget) == expected
+
+
+def test_all_positive_matrix_stops_at_first_witness_row_set():
+    """No zero entries: every pair needs the weighted check.  Each classified
+    level (3-5 on 16x16) must stop at the row set holding its witness rather
+    than classify the whole level (C(16, 5)^2 = 19.1M pairs at k = 5)."""
+    rng = random.Random(31)
+    m = TropicalMatrix.from_rows(
+        [[Fraction(rng.randint(1, 9)) for _ in range(16)] for _ in range(16)]
+    )
     rank_mod._CLASSIFY_CACHE.clear()
-    tropical_rank(m)
-    for budget, expected in cold.items():
-        assert tropical_rank(m, budget=budget) == expected
+    res = tropical_rank(m, limit=5)
+    assert res.rank == 5 and res.certified
+    assert res.pairs_examined <= 2 * (comb(16, 3) + comb(16, 4) + comb(16, 5))
+    # Row sets classified per level: those of the first weighted batch,
+    # which closes once it holds _RESOLVE_CHUNK pairs.
+    for (_, _, _, k), classified in rank_mod._CLASSIFY_CACHE.items():
+        assert len(classified) * comb(16, k) < rank_mod._RESOLVE_CHUNK + comb(16, k)
+    cost = m.scaled[0]
+    views = rank_mod._level_views(cost)
+    for k in (3, 4, 5):
+        expected = rank_mod._generic_level_scan(m, cost, k, rank_mod._Budget(None))
+        got = rank_mod._structured_level_scan(cost, views, k, rank_mod._Budget(None))
+        assert got == expected
 
 
 def test_sample_level_range():
