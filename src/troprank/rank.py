@@ -177,10 +177,7 @@ def _first_weighted_nonsingular(cost, views: _Views, zeros_r, zeros_c) -> Option
         perms = _PERMS[sub.shape[1]]
         sums = np.empty((len(sub), len(perms)), dtype=np.int64)
         for j, perm in enumerate(perms):
-            acc = sub[:, 0, perm[0]].copy()
-            for i in range(1, len(perm)):
-                acc += sub[:, i, perm[i]]
-            sums[:, j] = acc
+            sums[:, j] = sum(sub[:, i, c] for i, c in enumerate(perm))
         best = sums.min(axis=1)
         ties = (sums == best[:, None]).sum(axis=1)
         candidates = np.nonzero((best < _DENSE_INF) & (ties == 1))[0][:1]
