@@ -20,6 +20,11 @@ zero-entry permutations per submatrix:
   exactly 1                   -> nonsingular (all other sums are positive);
   0                           -> the weighted assignment problem decides.
 
+A k x k zero block is held as k column codes (bit i of a column's code set
+when its row i is zero).  For k <= 4 the codes pack into one k*k-bit key and
+the count is read from a table of all 2**(k*k) blocks; for k = 5 and 6 it is
+expanded along the last column into (k-1)-counts.
+
 The classification streams row sets in witness order, resolving their 0-class
 pairs with the weights in batches, and stops at the first row set holding a
 nonsingular pair of either class; its first such pair is the witness.  Only
@@ -47,8 +52,11 @@ _CLASSIFY_MAX_K = 5
 _DENSE_INF = 2**60
 _UNSET = object()  # tropical_rank's views before the first classified level
 
-# Up to k = 6: the sampler filters its draws by zero-permutation count too.
-_PERMS = {k: tuple(itertools.permutations(range(k))) for k in range(1, 7)}
+# Permutations of the classified levels: they build the count tables (k <= 4)
+# and sum the weighted pairs' permutation costs (k <= _CLASSIFY_MAX_K).
+_PERMS = {k: tuple(itertools.permutations(range(k))) for k in range(1, _CLASSIFY_MAX_K + 1)}
+# Largest block _zero_perm_counts handles; the sampler filters its draws up to it.
+_COUNT_MAX_K = 6
 
 
 @dataclass(frozen=True)
@@ -130,20 +138,45 @@ def _generic_level_scan(m, cost, k, budget):
     return "exhausted", None
 
 
-def _zero_perm_counts(blocks: np.ndarray) -> np.ndarray:
-    """All-zero permutations per pair of a (k, pairs, k) bool stack.
+def _column_codes(zero: np.ndarray) -> np.ndarray:
+    """uint8 column codes of a (..., k, cols) bool stack, k <= 8: bit i of
+    codes[..., t] is set when row i, column t is zero."""
+    codes = zero[..., 0, :].astype(np.uint8)
+    for i in range(1, zero.shape[-2]):
+        codes |= zero[..., i, :].view(np.uint8) << i
+    return codes
 
-    blocks[i, p, j] is True where row i, column j of pair p is zero.  The
-    classifier's gather yields this layout; (pairs, k, k) callers pass a
-    transposed view.
-    """
-    k = blocks.shape[0]
-    counts = np.zeros(blocks.shape[1], dtype=np.uint8)
+
+def _count_table(k: int) -> np.ndarray:
+    """All-zero permutations of every k x k block, indexed by its key
+    sum_t codes[t] << (k*t), whose bit k*t + i is row i, column t."""
+    keys = np.arange(1 << (k * k))
+    counts = np.zeros(keys.size, dtype=np.uint8)  # at most 4! = 24
     for perm in _PERMS[k]:
-        term = blocks[0, :, perm[0]]
-        for i in range(1, k):
-            term = term & blocks[i, :, perm[i]]
-        counts += term
+        mask = sum(1 << (k * perm[i] + i) for i in range(k))
+        counts += (keys & mask) == mask
+    return counts
+
+
+_COUNT_TABLES = {k: _count_table(k) for k in range(1, 5)}
+
+
+def _zero_perm_counts(codes: np.ndarray) -> np.ndarray:
+    """All-zero permutations per pair of a (pairs, k) uint8 array of column
+    codes, k <= _COUNT_MAX_K.  The counts do not wrap (6! = 720)."""
+    k = codes.shape[1]
+    if k <= 4:
+        key = codes[:, 0].astype(np.uint16)  # k*k <= 16 bits
+        for t in range(1, k):
+            key |= codes[:, t].astype(np.uint16) << (k * t)
+        return _COUNT_TABLES[k].take(key)
+    # Expand along the last column: row i's zero there times the count of
+    # the other columns with row i removed.
+    rest = codes[:, :-1]
+    counts = np.zeros(len(codes), dtype=np.intp)
+    for i in range(k):
+        minor = ((rest >> (i + 1)) << i) | (rest & ((1 << i) - 1))
+        counts += ((codes[:, -1] >> i) & 1) * _zero_perm_counts(minor)
     return counts
 
 
@@ -161,7 +194,8 @@ _RESOLVE_CHUNK = 1 << 14
 def _classify_row_set(views: _Views, rc, col_combos):
     """(column-set indices with no all-zero permutation, before the first with
     exactly one; that one or None).  The rest have >= 2 and are singular."""
-    counts = _zero_perm_counts(views.zero[np.array(rc)][:, col_combos])  # gather (k, NC, k)
+    code = _column_codes(views.zero[list(rc)])
+    counts = _zero_perm_counts(code[col_combos])  # gather (NC, k)
     zi = np.nonzero(counts == 0)[0]
     oi = np.nonzero(counts == 1)[0]
     return (zi[zi < oi[0]], int(oi[0])) if oi.size else (zi, None)
@@ -198,7 +232,8 @@ def _structured_level_scan(cost, views: _Views, k, budget):
     does not depend on what the cache holds.
     """
     nr, nc = views.zero.shape
-    col_combos = np.array(list(_ordered_combos(views.finite.sum(axis=0).tolist(), nc, k)))
+    # Column-major, so each row set's (NC, k) code gather is read column by column.
+    col_combos = np.array(list(_ordered_combos(views.finite.sum(axis=0).tolist(), nc, k)), order="F")
     total = room = comb(nr, k)
     if budget.limit is not None:
         room = min(total, (budget.limit - budget.used) // len(col_combos))
@@ -206,13 +241,13 @@ def _structured_level_scan(cost, views: _Views, k, budget):
     if key not in _CLASSIFY_CACHE and len(_CLASSIFY_CACHE) >= _CLASSIFY_CACHE_SIZE:
         del _CLASSIFY_CACHE[next(iter(_CLASSIFY_CACHE))]
     classified = _CLASSIFY_CACHE.setdefault(key, [])  # (row set, *_classify_row_set)
-    unseen = itertools.islice(
-        _ordered_combos(views.finite.sum(axis=1).tolist(), nr, k), len(classified), None
-    )
+    unseen = None  # row sets past the cached prefix, made on first use
     batch_r, batch_c = [], []  # row sets awaiting resolution, their weighted column sets
     held = 0
     for r in range(room):
         if r == len(classified):
+            if unseen is None:
+                unseen = itertools.islice(_ordered_combos(views.finite.sum(axis=1).tolist(), nr, k), r, None)
             rc = next(unseen)
             classified.append((rc, *_classify_row_set(views, rc, col_combos)))
         rc, zero_cols, one_col = classified[r]
@@ -282,12 +317,12 @@ def sample_level_singular(m: TropicalMatrix, k: int, samples: int, seed: int):
     (all_singular, counterexample or None).  Sampling only; not a certificate.
 
     Draws with < 2 all-zero permutations are checked exactly; every draw is
-    when an entry is negative or k exceeds the classified levels.
+    when an entry is negative or k > _COUNT_MAX_K.
     """
     if not 1 <= k <= min(m.rows, m.cols):
         raise ValueError(f"level {k} outside 1..{min(m.rows, m.cols)}")
     cost = m.scaled[0]
-    views = _level_views(cost) if k in _PERMS else None
+    views = _level_views(cost) if k <= _COUNT_MAX_K else None
     rng = np.random.default_rng(seed)
     remaining = samples
     chunk = 200_000
@@ -299,8 +334,8 @@ def sample_level_singular(m: TropicalMatrix, k: int, samples: int, seed: int):
         if views is None:
             suspicious = range(batch)
         else:
-            sub = views.zero[rc[:, :, None], cc[:, None, :]]  # (B, k, k)
-            suspicious = np.nonzero(_zero_perm_counts(sub.transpose(1, 0, 2)) <= 1)[0]
+            codes = _column_codes(views.zero[rc[:, :, None], cc[:, None, :]])  # (B, k)
+            suspicious = np.nonzero(_zero_perm_counts(codes) <= 1)[0]
         for b in suspicious:
             rows, cols = tuple(rc[b].tolist()), tuple(cc[b].tolist())
             if _is_nonsingular_cost(cost, rows, cols):

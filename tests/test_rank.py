@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 
 from troprank import (
@@ -11,6 +12,7 @@ from troprank import (
     TropicalMatrix,
     brute_force_determinant,
     incidence_matrix,
+    is_nonsingular,
     projective_plane,
     sample_level_singular,
     tropical_rank,
@@ -308,3 +310,61 @@ def test_sample_level_range():
     for k in range(1, 8):
         ok, ce = sample_level_singular(m, k, 50, seed=k)
         assert not ok and len(ce[0]) == k
+
+
+def _and_over_permutations(blocks):
+    """Reference count: all-zero permutations per block of a (P, k, k) bool
+    stack (True where row i, column j is zero), one AND chain per permutation."""
+    k = blocks.shape[1]
+    counts = np.zeros(len(blocks), dtype=np.int64)
+    for perm in itertools.permutations(range(k)):
+        term = blocks[:, 0, perm[0]]
+        for i in range(1, k):
+            term = term & blocks[:, i, perm[i]]
+        counts += term
+    return counts
+
+
+def _pack_columns(blocks):
+    """Column codes of a (P, k, k) bool stack: bit i of codes[p, t] is row i, column t."""
+    k = blocks.shape[1]
+    return (blocks.astype(np.int64) << np.arange(k)[:, None]).sum(axis=1).astype(np.uint8)
+
+
+def test_zero_perm_counts_match_and_over_permutations():
+    """Every block for k <= 4, and random blocks for k = 1..6 at zero
+    densities 0.3, 0.6 and 0.9, against the AND-over-permutations count."""
+    for k in range(1, 5):
+        keys = np.arange(1 << (k * k))
+        blocks = ((keys[:, None, None] >> (k * np.arange(k) + np.arange(k)[:, None])) & 1).astype(bool)
+        assert ((_pack_columns(blocks).astype(np.int64) << k * np.arange(k)).sum(axis=1) == keys).all()  # every block once
+        assert (rank_mod._zero_perm_counts(_pack_columns(blocks)) == _and_over_permutations(blocks)).all()
+    rng = np.random.default_rng(43)
+    for k in range(1, 7):
+        for density in (0.3, 0.6, 0.9):
+            blocks = rng.random((3000, k, k)) < density
+            codes = rank_mod._column_codes(blocks)
+            assert (codes == _pack_columns(blocks)).all()
+            expected = _and_over_permutations(blocks)
+            assert (rank_mod._zero_perm_counts(codes) == expected).all(), (k, density)
+    # Dense 6x6 blocks exceed 255 all-zero permutations; the count must not wrap.
+    assert expected.max() > 255
+
+
+def test_sample_level_finds_nonsingular_at_k5_k6():
+    """The block on rows and columns 1..6 is zero on its diagonal only, so
+    its equal-index submatrices have exactly one all-zero permutation and
+    are nonsingular: the zero filter must keep such draws.  Row 0 and
+    column 0 are all zero, which gives some draws two or more (filtered
+    out).  The all-positive matrix has none, so every draw is checked."""
+    rng = random.Random(47)
+    rows = [[Fraction(0)] * 7]
+    rows += [[Fraction(0)] + [Fraction(0) if i == j else Fraction(rng.randint(1, 3)) for j in range(1, 7)]
+             for i in range(1, 7)]
+    m = TropicalMatrix.from_rows(rows)
+    positive = TropicalMatrix.from_rows([[Fraction(rng.randint(1, 9)) for _ in range(8)] for _ in range(8)])
+    for matrix in (m, positive):
+        for k in (5, 6):
+            ok, ce = sample_level_singular(matrix, k, 2000, seed=k)
+            assert not ok and len(ce[0]) == len(ce[1]) == k
+            assert is_nonsingular(matrix.submatrix(*ce))
