@@ -13,31 +13,49 @@ every column set within a row set.  A level's witness is its first
 nonsingular pair in this order, whichever scan finds it.
 
 For matrices whose finite entries are all >= 0 with a zero/positive split
-(weighted incidence matrices), large levels are classified by counting
-zero-entry permutations per submatrix:
+(weighted incidence matrices), large levels are classified by the zero
+pattern of each submatrix alone, treating every nonzero entry (inf too) as
+an unknown positive weight:
 
-  >= 2 all-zero permutations  -> singular for every positive weighting;
-  exactly 1                   -> nonsingular (all other sums are positive);
-  0                           -> the weighted assignment problem decides.
+  SINGULAR     singular for every positive weighting;
+  NONSINGULAR  exactly one all-zero permutation, so nonsingular for every
+               positive weighting (all other sums are positive);
+  WEIGHTED     the rest: the weighted assignment problem decides.
+
+The support of a permutation is the set of nonzero cells it uses.  A block
+is SINGULAR iff every inclusion-minimal support is the support of at least
+two permutations (two or more all-zero permutations is the case of the empty
+support).  If so, a finite minimizer's support is minimal, since a proper
+subset would cost less, and a second permutation with that support costs the
+same; an infinite minimum is singular anyway.  Conversely, weight 1 on a
+minimal support used by one permutation and k + 1 on every other nonzero
+cell makes that permutation the unique minimum.  No inf case is needed.
 
 A k x k zero block is held as k column codes (bit i of a column's code set
-when its row i is zero).  For k <= 4 the codes pack into one k*k-bit key and
-the count is read from a table of all 2**(k*k) blocks; for k = 5 and 6 it is
-expanded along the last column into (k-1)-counts.
+when its row i is zero).  For k <= 4 the codes pack into one k*k-bit key
+that indexes a table of all 2**(k*k) blocks: the all-zero permutation counts
+are built at import, the classes from them on first use.  For k = 5 and 6
+the count is expanded along the last column into (k-1)-counts, and the
+class is read from the count (0 is WEIGHTED).  The class does not depend on
+the column order, so for k <= 4 a row set is skipped outright when no
+non-SINGULAR multiset of k codes fits in the codes of its columns.
 
-The classification streams row sets in witness order, resolving their 0-class
-pairs with the weights in batches, and stops at the first row set holding a
-nonsingular pair of either class; its first such pair is the witness.  Only
-the 0 class needs arithmetic, which keeps certified refutation at level 4
-feasible for matrices with a few hundred rows.
+The classification streams row sets in witness order, resolving their
+WEIGHTED pairs with the weights in batches, and stops at the first row set
+holding a nonsingular pair of either class; its first such pair is the
+witness.  Only WEIGHTED pairs need arithmetic.  For the PG(2,q) incidence
+matrices, q <= 5, every level-4 pair is SINGULAR (every row set is
+skipped), so their refutation holds for every positive weighting of the
+pattern (``RankResult.weight_free``).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from math import comb
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -46,17 +64,20 @@ from .tropical import TropicalMatrix
 
 # Generic per-pair testing is used below this many (row-set, col-set) pairs.
 _GENERIC_CUTOFF = 60_000
-# Largest level the zero-permutation classification handles.
+# Largest level the zero-pattern classification handles.
 _CLASSIFY_MAX_K = 5
 # inf in the int64 cost view; _CLASSIFY_MAX_K of these sum below 2**63.
 _DENSE_INF = 2**60
 _UNSET = object()  # tropical_rank's views before the first classified level
 
-# Permutations of the classified levels: they build the count tables (k <= 4)
-# and sum the weighted pairs' permutation costs (k <= _CLASSIFY_MAX_K).
+# Permutations of the classified levels: they build the count and class
+# tables (k <= 4) and sum the weighted pairs' permutation costs.
 _PERMS = {k: tuple(itertools.permutations(range(k))) for k in range(1, _CLASSIFY_MAX_K + 1)}
 # Largest block _zero_perm_counts handles; the sampler filters its draws up to it.
 _COUNT_MAX_K = 6
+# Block classes, ordered so that min(all-zero permutation count, 2) is the
+# class of every block but the WEIGHTED-by-count ones the rule makes SINGULAR.
+_WEIGHTED, _NONSINGULAR, _SINGULAR = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -66,7 +87,11 @@ class RankResult:
     ``certified`` is True when the reported rank is exact: either the next
     level was exhaustively refuted (``refuted_level = rank + 1``) or the
     search cap was reached by a witness.  A budget stop leaves the best
-    witness found with ``certified = False``.
+    witness found with ``certified = False``.  ``weight_free`` is True when
+    the refuted level was classified without weights (every pair SINGULAR),
+    so the refutation holds for every positive weighting of the zero
+    pattern; False says only that this was not shown (a level small enough
+    for the pair-by-pair scan is never classified).
     """
 
     rank: int
@@ -76,6 +101,7 @@ class RankResult:
     refuted_level: Optional[int]
     budget_exhausted: bool
     pairs_examined: int
+    weight_free: bool
 
 
 class _Budget:
@@ -161,15 +187,80 @@ def _count_table(k: int) -> np.ndarray:
 _COUNT_TABLES = {k: _count_table(k) for k in range(1, 5)}
 
 
+@functools.cache
+def _class_table(k: int) -> np.ndarray:
+    """Class of every k x k block, k <= 4, keyed like _COUNT_TABLES[k].
+    Only blocks with no all-zero permutation need the support rule, and
+    since a block's class does not depend on its column order, only one
+    per column multiset: the one whose codes are sorted."""
+    counts = _COUNT_TABLES[k]
+    codes = [(np.arange(counts.size, dtype=np.uint16) >> (k * t)) & ((1 << k) - 1) for t in range(k)]
+    for last in range(k - 1, 0, -1):  # bubble sort, all keys at once
+        for t in range(last):
+            codes[t], codes[t + 1] = np.minimum(codes[t], codes[t + 1]), np.maximum(codes[t], codes[t + 1])
+    sorted_key = sum(code << (k * t) for t, code in enumerate(codes))
+    todo = np.zeros(counts.size, dtype=bool)
+    todo[sorted_key[counts == 0]] = True
+    keys = np.nonzero(todo)[0].astype(np.uint16)
+    masks = np.array([sum(1 << (k * perm[i] + i) for i in range(k)) for perm in _PERMS[k]], dtype=np.uint16)
+    support = masks & ~keys[:, None]  # (keys, perms): nonzero cells each permutation uses
+    # A support that holds no other permutation's support is minimal and used
+    # once: its permutation can be made the unique minimum.
+    separating = np.zeros(keys.size, dtype=bool)
+    for p in range(masks.size):
+        separating |= np.count_nonzero((support & ~support[:, p, None]) == 0, axis=1) == 1
+    singular = np.zeros(counts.size, dtype=bool)
+    singular[keys[~separating]] = True
+    classes = np.where(singular[sorted_key], _SINGULAR, np.minimum(counts, _SINGULAR)).astype(np.uint8)
+    classes.flags.writeable = False  # shared by every caller
+    return classes
+
+
+@functools.cache
+def _open_multisets(k: int):
+    """(masks, bits) for k <= 4.  A block's class does not depend on its
+    column order, so it is one of a multiset of k column codes.  masks has
+    one uint64 per multiset whose blocks are not SINGULAR, with bit
+    16*j + c set when code c occurs more than j times; bits[c, j] is that bit."""
+    bits = np.uint64(1) << (16 * np.arange(k) + np.arange(1 << k)[:, None]).astype(np.uint64)
+    codes = np.array(list(itertools.combinations_with_replacement(range(1 << k), k)), dtype=np.uint8)
+    codes = codes[_block_classes(codes) != _SINGULAR]  # each row sorted
+    seen = np.zeros(codes.shape, dtype=np.intp)  # earlier copies of the same code
+    for t in range(1, k):
+        seen[:, t] = np.where(codes[:, t] == codes[:, t - 1], seen[:, t - 1] + 1, 0)
+    masks = bits[codes, seen].sum(axis=1)
+    masks.flags.writeable = bits.flags.writeable = False  # shared by every caller
+    return masks, bits
+
+
+def _may_hold_open(codes: np.ndarray, k: int) -> np.ndarray:
+    """Per row set of a (row sets, cols) array of column codes: False when
+    every k of its columns form a SINGULAR block, which for k <= 4 is when no
+    non-SINGULAR multiset fits in the codes it holds.  True for k = 5."""
+    if k > 4:
+        return np.ones(len(codes), dtype=bool)
+    masks, bits = _open_multisets(k)
+    n = 1 << k
+    hist = np.bincount((codes + n * np.arange(len(codes))[:, None]).ravel(), minlength=n * len(codes))
+    held = (bits * (hist.reshape(-1, n, 1) > np.arange(k))).sum(axis=(1, 2))
+    return ((masks & ~held[:, None]) == 0).any(axis=1)
+
+
+def _block_keys(codes: np.ndarray) -> np.ndarray:
+    """Table keys of a (pairs, k) uint8 array of column codes, k <= 4."""
+    k = codes.shape[1]
+    key = codes[:, 0].astype(np.uint16)  # k*k <= 16 bits
+    for t in range(1, k):
+        key |= codes[:, t].astype(np.uint16) << (k * t)
+    return key
+
+
 def _zero_perm_counts(codes: np.ndarray) -> np.ndarray:
     """All-zero permutations per pair of a (pairs, k) uint8 array of column
     codes, k <= _COUNT_MAX_K.  The counts do not wrap (6! = 720)."""
     k = codes.shape[1]
     if k <= 4:
-        key = codes[:, 0].astype(np.uint16)  # k*k <= 16 bits
-        for t in range(1, k):
-            key |= codes[:, t].astype(np.uint16) << (k * t)
-        return _COUNT_TABLES[k].take(key)
+        return _COUNT_TABLES[k].take(_block_keys(codes))
     # Expand along the last column: row i's zero there times the count of
     # the other columns with row i removed.
     rest = codes[:, :-1]
@@ -180,30 +271,109 @@ def _zero_perm_counts(codes: np.ndarray) -> np.ndarray:
     return counts
 
 
+def _block_classes(codes: np.ndarray) -> np.ndarray:
+    """Class per pair of a (pairs, k) uint8 array of column codes, k <= _COUNT_MAX_K."""
+    if codes.shape[1] <= 4:
+        return _class_table(codes.shape[1]).take(_block_keys(codes))
+    return np.minimum(_zero_perm_counts(codes), _SINGULAR)
+
+
 # Per-pattern classification cache: repeated weightings of one zero pattern
-# (the 20-seed reproduction runs) reuse the combinatorial scan.  An entry is
-# the classification of a prefix of one level's row sets, in witness order;
-# the weighted stop is decided per call.  At most _CLASSIFY_CACHE_SIZE
-# entries are kept; the oldest is dropped first.
+# (the 20-seed reproduction runs) reuse the combinatorial scan, which makes a
+# PG(2,4) call about 1 ms instead of about 45 ms.  At most
+# _CLASSIFY_CACHE_SIZE levels are kept; the oldest is dropped first.
 _CLASSIFY_CACHE: dict = {}
 _CLASSIFY_CACHE_SIZE = 8
-# No-zero-permutation pairs gathered before they are resolved with weights.
+# WEIGHTED pairs gathered before they are resolved with weights.
 _RESOLVE_CHUNK = 1 << 14
+# Row sets whose column codes are filtered in one step.
+_FILTER_CHUNK = 64
 
 
-def _classify_row_set(views: _Views, rc, col_combos):
-    """(column-set indices with no all-zero permutation, before the first with
-    exactly one; that one or None).  The rest have >= 2 and are singular."""
-    code = _column_codes(views.zero[list(rc)])
-    counts = _zero_perm_counts(code[col_combos])  # gather (NC, k)
-    zi = np.nonzero(counts == 0)[0]
-    oi = np.nonzero(counts == 1)[0]
-    return (zi[zi < oi[0]], int(oi[0])) if oi.size else (zi, None)
+class _Mark(NamedTuple):
+    """A classified row set holding a non-SINGULAR pair."""
+
+    index: int                # position in witness order
+    rows: tuple
+    weighted: np.ndarray      # WEIGHTED column-set indices before `one`
+    one: Optional[int]        # the first NONSINGULAR column-set index
 
 
-def _first_weighted_nonsingular(cost, views: _Views, zeros_r, zeros_c) -> Optional[int]:
-    """Index of the first nonsingular pair among the (P, k) row and column
-    sets listed, all with no all-zero permutation, or None."""
+class _LevelEntry:
+    """One level of one zero pattern: its column sets in witness order, the
+    number of row sets classified (a prefix in witness order), and the
+    _Marks among them.  A walk over the classified prefix visits only these."""
+
+    def __init__(self, views: _Views, k: int):
+        # Column-major, so each row set's (NC, k) code gather is read column by column.
+        self.col_combos = np.array(
+            list(_ordered_combos(views.finite.sum(axis=0).tolist(), views.zero.shape[1], k)), order="F"
+        )
+        self.classified = 0
+        self.marked = []
+
+
+def _level_entry(views: _Views, k: int) -> _LevelEntry:
+    key = (views.zero.shape, views.zero.tobytes(), views.finite.tobytes(), k)
+    entry = _CLASSIFY_CACHE.get(key)
+    if entry is None:
+        if len(_CLASSIFY_CACHE) >= _CLASSIFY_CACHE_SIZE:
+            del _CLASSIFY_CACHE[next(iter(_CLASSIFY_CACHE))]
+        entry = _CLASSIFY_CACHE[key] = _LevelEntry(views, k)
+    return entry
+
+
+def _classify_row_set(code: np.ndarray, col_combos):
+    """(WEIGHTED column-set indices before the first NONSINGULAR one; that
+    one or None) of a row set with these column codes.  The rest are SINGULAR."""
+    classes = _block_classes(code[col_combos])  # gather (NC, k)
+    open_ = np.nonzero(classes != _SINGULAR)[0]
+    one = open_[classes[open_] == _NONSINGULAR]
+    if one.size:
+        return open_[open_ < one[0]], int(one[0])
+    return open_, None
+
+
+def _marked_row_sets(views: _Views, k, entry: _LevelEntry, room):
+    """The entry's marked row sets with index below `room`, in order,
+    classifying row sets past its prefix as the walk reaches them.  Their
+    codes are filtered _FILTER_CHUNK at a time; a row set is classified
+    only when the walk gets to it and it may hold a non-SINGULAR pair."""
+    unseen = None  # row sets past the classified prefix, made on first use
+    i = 0
+    while i < len(entry.marked) or entry.classified < room:
+        if i < len(entry.marked):
+            if entry.marked[i].index >= room:
+                return
+            i += 1
+            yield entry.marked[i - 1]
+            continue
+        if unseen is None:
+            order = _ordered_combos(views.finite.sum(axis=1).tolist(), views.zero.shape[0], k)
+            unseen = itertools.islice(order, entry.classified, None)
+        rows = list(itertools.islice(unseen, min(_FILTER_CHUNK, room - entry.classified)))
+        codes = _column_codes(views.zero[np.array(rows)])  # (rows, cols)
+        for rc, code, may_hold_open in zip(rows, codes, _may_hold_open(codes, k)):
+            mark = None
+            if may_hold_open:
+                weighted, one_col = _classify_row_set(code, entry.col_combos)
+                if weighted.size or one_col is not None:
+                    mark = _Mark(entry.classified, rc, weighted, one_col)
+                    entry.marked.append(mark)
+            entry.classified += 1
+            if mark is not None:
+                i += 1
+                yield mark
+
+
+def _first_weighted_nonsingular(cost, views: _Views, col_combos, batch):
+    """(row-set index, (rows, cols)) of the first nonsingular WEIGHTED pair
+    of a batch of _Marks, or None."""
+    at = np.repeat(np.arange(len(batch)), [len(mark.weighted) for mark in batch])
+    if not at.size:
+        return None
+    zeros_r = np.array([mark.rows for mark in batch])[at]
+    zeros_c = col_combos[np.concatenate([mark.weighted for mark in batch])]
     if views.dense is None:
         candidates = range(len(zeros_r))  # every pair, checked exactly
     else:
@@ -216,66 +386,51 @@ def _first_weighted_nonsingular(cost, views: _Views, zeros_r, zeros_c) -> Option
         ties = (sums == best[:, None]).sum(axis=1)
         candidates = np.nonzero((best < _DENSE_INF) & (ties == 1))[0][:1]
     for t in candidates:
-        if _is_nonsingular_cost(cost, zeros_r[t].tolist(), zeros_c[t].tolist()):
-            return int(t)
+        found = (batch[at[t]].rows, tuple(zeros_c[t].tolist()))
+        if _is_nonsingular_cost(cost, *found):
+            return batch[at[t]].index, found
         if views.dense is not None:  # exact confirmation failed
             raise RuntimeError("vectorized and exact assignment verdicts disagree")
     return None
 
 
 def _structured_level_scan(cost, views: _Views, k, budget):
-    """_generic_level_scan's result via zero-permutation classification.
+    """_generic_level_scan's result via zero-pattern classification, with
+    'weight-free' for an exhausted level none of whose pairs is WEIGHTED.
 
     Row sets are charged whole: a witness in the r-th row set (0-based) costs
     r + 1 of them, a refuted level all.  Nothing past the remaining budget is
     classified and a level that does not fit is not charged, so the result
     does not depend on what the cache holds.
     """
-    nr, nc = views.zero.shape
-    # Column-major, so each row set's (NC, k) code gather is read column by column.
-    col_combos = np.array(list(_ordered_combos(views.finite.sum(axis=0).tolist(), nc, k)), order="F")
-    total = room = comb(nr, k)
+    entry = _level_entry(views, k)
+    col_combos = entry.col_combos
+    total = room = comb(views.zero.shape[0], k)
     if budget.limit is not None:
         room = min(total, (budget.limit - budget.used) // len(col_combos))
-    key = (views.zero.shape, views.zero.tobytes(), views.finite.tobytes(), k)
-    if key not in _CLASSIFY_CACHE and len(_CLASSIFY_CACHE) >= _CLASSIFY_CACHE_SIZE:
-        del _CLASSIFY_CACHE[next(iter(_CLASSIFY_CACHE))]
-    classified = _CLASSIFY_CACHE.setdefault(key, [])  # (row set, *_classify_row_set)
-    unseen = None  # row sets past the cached prefix, made on first use
-    batch_r, batch_c = [], []  # row sets awaiting resolution, their weighted column sets
-    held = 0
-    for r in range(room):
-        if r == len(classified):
-            if unseen is None:
-                unseen = itertools.islice(_ordered_combos(views.finite.sum(axis=1).tolist(), nr, k), r, None)
-            rc = next(unseen)
-            classified.append((rc, *_classify_row_set(views, rc, col_combos)))
-        rc, zero_cols, one_col = classified[r]
-        batch_r.append(rc)
-        batch_c.append(zero_cols)
-        held += len(zero_cols)
-        if one_col is None and held < _RESOLVE_CHUNK and r + 1 < room:
-            continue
-        at = np.repeat(np.arange(len(batch_r)), [len(c) for c in batch_c])
-        cols = np.concatenate(batch_c)
-        t = _first_weighted_nonsingular(cost, views, np.array(batch_r)[at], col_combos[cols])
-        if t is not None:
-            r += int(at[t]) + 1 - len(batch_r)
-            found = (batch_r[at[t]], tuple(col_combos[cols[t]].tolist()))
-        elif one_col is not None:
-            found = (rc, tuple(col_combos[one_col].tolist()))
+    batch, held = [], 0  # marks awaiting resolution, their WEIGHTED pairs
+    # A final None resolves what is left of the batch.
+    for mark in itertools.chain(_marked_row_sets(views, k, entry, room), [None]):
+        if mark is not None:
+            batch.append(mark)
+            held += len(mark.weighted)
+            if mark.one is None and held < _RESOLVE_CHUNK:
+                continue
+        hit = _first_weighted_nonsingular(cost, views, col_combos, batch)
+        if hit is None and mark is not None and mark.one is not None:
+            hit = mark.index, (mark.rows, tuple(col_combos[mark.one].tolist()))
             # One all-zero permutation and positive weights: nonsingular.
-            if not _is_nonsingular_cost(cost, *found):
+            if not _is_nonsingular_cost(cost, *hit[1]):
                 raise RuntimeError("zero-permutation classification disagrees with exact check")
-        else:
-            batch_r, batch_c, held = [], [], 0
-            continue
-        budget.spend((r + 1) * len(col_combos))
-        return "witness", found
+        if hit is not None:
+            budget.spend((hit[0] + 1) * len(col_combos))
+            return "witness", hit[1]
+        batch, held = [], 0
     if room < total:
         return "budget", None
     budget.spend(total * len(col_combos))
-    return "exhausted", None
+    # Every marked row set of an exhausted level holds WEIGHTED pairs only.
+    return ("exhausted" if entry.marked else "weight-free"), None
 
 
 def tropical_rank(m: TropicalMatrix, limit: Optional[int] = None, budget: Optional[int] = None) -> RankResult:
@@ -306,18 +461,18 @@ def tropical_rank(m: TropicalMatrix, limit: Optional[int] = None, budget: Option
         if status == "witness":
             rank, witness = k, found
             continue
-        if status == "exhausted":
-            return RankResult(rank, witness[0], witness[1], True, k, False, tracker.used)
-        return RankResult(rank, witness[0], witness[1], False, None, True, tracker.used)
-    return RankResult(rank, witness[0], witness[1], True, None, False, tracker.used)
+        if status == "budget":
+            return RankResult(rank, *witness, False, None, True, tracker.used, False)
+        return RankResult(rank, *witness, True, k, False, tracker.used, status == "weight-free")
+    return RankResult(rank, *witness, True, None, False, tracker.used, False)
 
 
 def sample_level_singular(m: TropicalMatrix, k: int, samples: int, seed: int):
     """Smoke check: draw `samples` random k x k submatrices, return
     (all_singular, counterexample or None).  Sampling only; not a certificate.
 
-    Draws with < 2 all-zero permutations are checked exactly; every draw is
-    when an entry is negative or k > _COUNT_MAX_K.
+    Draws that are not SINGULAR by their zero pattern are checked exactly;
+    every draw is when an entry is negative or k > _COUNT_MAX_K.
     """
     if not 1 <= k <= min(m.rows, m.cols):
         raise ValueError(f"level {k} outside 1..{min(m.rows, m.cols)}")
@@ -335,7 +490,7 @@ def sample_level_singular(m: TropicalMatrix, k: int, samples: int, seed: int):
             suspicious = range(batch)
         else:
             codes = _column_codes(views.zero[rc[:, :, None], cc[:, None, :]])  # (B, k)
-            suspicious = np.nonzero(_zero_perm_counts(codes) <= 1)[0]
+            suspicious = np.nonzero(_block_classes(codes) != _SINGULAR)[0]
         for b in suspicious:
             rows, cols = tuple(rc[b].tolist()), tuple(cc[b].tolist())
             if _is_nonsingular_cost(cost, rows, cols):
@@ -345,15 +500,16 @@ def sample_level_singular(m: TropicalMatrix, k: int, samples: int, seed: int):
 
 def _sample_subsets(rng, batch, n, k):
     """(batch, k) uniform k-subsets of range(n), each sorted.  Draws with a
-    repeat are redrawn; above n/2 the complement is drawn instead, so that
-    stays cheap for every k <= n."""
+    repeat are redrawn, and only the redrawn rows are tested again; above
+    n/2 the complement is drawn instead, so that stays cheap for every k <= n."""
     if 2 * k > n:
         keep = np.ones((batch, n), dtype=bool)
         keep[np.arange(batch)[:, None], _sample_subsets(rng, batch, n, n - k)] = False
         return np.nonzero(keep)[1].reshape(batch, k).astype(np.int32)
     out = np.sort(rng.integers(0, n, size=(batch, k), dtype=np.int32), axis=1)
-    while True:
-        idx = np.nonzero((out[:, 1:] == out[:, :-1]).any(axis=1))[0]
-        if idx.size == 0:
-            return out
-        out[idx] = np.sort(rng.integers(0, n, size=(idx.size, k), dtype=np.int32), axis=1)
+    idx = np.nonzero((out[:, 1:] == out[:, :-1]).any(axis=1))[0]
+    while idx.size:
+        redrawn = np.sort(rng.integers(0, n, size=(idx.size, k), dtype=np.int32), axis=1)
+        out[idx] = redrawn
+        idx = idx[(redrawn[:, 1:] == redrawn[:, :-1]).any(axis=1)]
+    return out

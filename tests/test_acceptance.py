@@ -98,11 +98,15 @@ def test_criterion_02_weighted_plane_rank():
     q4_time = time.time() - t0
     plane5 = tr.projective_plane(5)
     m5 = tr.incidence_matrix(plane5, "random", seed=505)
-    ok5, counter = tr.sample_level_singular(m5, 4, 1_000_000, seed=505)
+    # Exhaustive and weight-free: level 4 is refuted for every positive
+    # weighting of the PG(2,5) pattern.
+    res5 = tr.tropical_rank(m5)
+    assert res5.rank == 3 and res5.certified and res5.refuted_level == 4 and res5.weight_free, res5
+    ok5, counter = tr.sample_level_singular(m5, 4, 1_000_000, seed=505)  # smoke test
     assert ok5, counter
     _report(
         2,
-        "weighted plane rank 3, refuted at 4 (q=2,3,4 x20; q=5 sampled)",
+        "weighted plane rank 3, refuted at 4 (q=2,3,4 x20; q=5 for every weighting)",
         q4_time < 300.0,
         f"{q4_time:.1f}s",
     )

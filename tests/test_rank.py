@@ -19,6 +19,7 @@ from troprank import (
     tropical_scale,
 )
 from troprank import rank as rank_mod
+from troprank.assignment import min_permutation
 
 
 def test_all_zero_rank_one():
@@ -151,45 +152,64 @@ def test_sampled_smoke_is_sampling_only():
     assert not ok3 and ce is not None
 
 
-def _random_nonneg(rng, rows, cols):
-    """Entries 0 (half), a small positive weight, or inf: ties and blocked
-    permutations in every size."""
+def _random_nonneg(rng, rows, cols, inf_share=0.15, top=3):
+    """Entries 0 (half), inf (inf_share) or a weight in 1..top: ties and
+    blocked permutations in every size."""
     def entry():
         u = rng.random()
-        return Fraction(0) if u < 0.5 else INF if u < 0.65 else Fraction(rng.randint(1, 3))
+        return Fraction(0) if u < 0.5 else INF if u < 0.5 + inf_share else Fraction(rng.randint(1, top))
     return TropicalMatrix.from_rows([[entry() for _ in range(cols)] for _ in range(rows)])
 
 
+def _reweighted(rng, m):
+    """The same zeros and infs with fresh weights in 1..9."""
+    return TropicalMatrix.from_rows(
+        [[x if x == 0 or x is INF else Fraction(rng.randint(1, 9)) for x in row] for row in m.to_rows()]
+    )
+
+
 def test_classified_scan_returns_generic_witness(monkeypatch):
-    """Oracle: per level, the zero-permutation scan reports exactly what the
-    plain pair-by-pair scan reports, witness included."""
+    """Oracle: per level, the zero-pattern scan reports exactly what the
+    plain pair-by-pair scan reports, witness included.  The second pass has
+    no inf and weights 1-2 only, so weighted ties are common.  A level the
+    scan calls weight-free stays refuted under another weighting."""
     rng = random.Random(29)
-    levels = {"witness": 0, "exhausted": 0}
-    for _ in range(300):
-        m = _random_nonneg(rng, rng.randint(6, 9), rng.randint(6, 9))
-        cost = m.scaled[0]
-        views = rank_mod._level_views(cost)
-        # dense=None takes the exact fallback used when int64 would overflow.
-        python_views = dataclasses.replace(views, dense=None)
-        finite_rows = [sum(x is not INF for x in row) for row in m.to_rows()]
-        for k in range(1, 6):
-            expected = rank_mod._generic_level_scan(m, cost, k, rank_mod._Budget(None))
-            # A witness in the r-th row set is charged r + 1 whole row sets.
-            row_sets = list(rank_mod._ordered_combos(finite_rows, m.rows, k))
-            covered = len(row_sets) if expected[0] == "exhausted" else row_sets.index(expected[1][0]) + 1
-            # Batches of 5 pairs resolve each level in many steps.
-            for v, chunk in ((views, 1 << 14), (python_views, 1 << 14), (views, 5)):
-                monkeypatch.setattr(rank_mod, "_RESOLVE_CHUNK", chunk)
-                rank_mod._CLASSIFY_CACHE.clear()
-                budget = rank_mod._Budget(None)
-                got = rank_mod._structured_level_scan(cost, v, k, budget)
-                monkeypatch.undo()
-                assert got == expected, (m.rows, m.cols, k, chunk)
-                assert budget.used == covered * comb(m.cols, k)
-            levels[expected[0]] += 1
-            if expected[0] == "exhausted":
-                break
-    assert levels["witness"] > 0 and levels["exhausted"] > 0
+    levels = {"witness": 0, "exhausted": 0, "weight-free": 0}
+    for inf_share, top, count in ((0.15, 3, 300), (0.0, 2, 100)):
+        for _ in range(count):
+            m = _random_nonneg(rng, rng.randint(6, 9), rng.randint(6, 9), inf_share, top)
+            cost = m.scaled[0]
+            views = rank_mod._level_views(cost)
+            # dense=None takes the exact fallback used when int64 would overflow.
+            python_views = dataclasses.replace(views, dense=None)
+            finite_rows = [sum(x is not INF for x in row) for row in m.to_rows()]
+            for k in range(1, 6):
+                expected = rank_mod._generic_level_scan(m, cost, k, rank_mod._Budget(None))
+                # A witness in the r-th row set is charged r + 1 whole row sets.
+                row_sets = list(rank_mod._ordered_combos(finite_rows, m.rows, k))
+                covered = len(row_sets) if expected[0] == "exhausted" else row_sets.index(expected[1][0]) + 1
+                # Batches of 5 pairs resolve each level in many steps.
+                statuses = set()
+                for v, chunk in ((views, 1 << 14), (python_views, 1 << 14), (views, 5)):
+                    monkeypatch.setattr(rank_mod, "_RESOLVE_CHUNK", chunk)
+                    rank_mod._CLASSIFY_CACHE.clear()
+                    budget = rank_mod._Budget(None)
+                    status, found = rank_mod._structured_level_scan(cost, v, k, budget)
+                    monkeypatch.undo()
+                    statuses.add(status)
+                    assert ("exhausted" if status == "weight-free" else status, found) == expected, (
+                        m.rows, m.cols, k, chunk)
+                    assert budget.used == covered * comb(m.cols, k)
+                assert len(statuses) == 1
+                levels[status] += 1
+                if status == "weight-free":
+                    other = _reweighted(rng, m)
+                    assert rank_mod._generic_level_scan(
+                        other, other.scaled[0], k, rank_mod._Budget(None)
+                    ) == ("exhausted", None)
+                if expected[0] == "exhausted":
+                    break
+    assert min(levels.values()) > 0, levels
     # Whole searches agree too, with every level classified.  Each matrix is
     # followed by one with the same zeros but inf and weights swapped, whose
     # scan order differs: its classification must not come from the cache.
@@ -282,8 +302,8 @@ def test_all_positive_matrix_stops_at_first_witness_row_set():
     assert res.pairs_examined <= 2 * (comb(16, 3) + comb(16, 4) + comb(16, 5))
     # Row sets classified per level: those of the first weighted batch,
     # which closes once it holds _RESOLVE_CHUNK pairs.
-    for (_, _, _, k), classified in rank_mod._CLASSIFY_CACHE.items():
-        assert len(classified) * comb(16, k) < rank_mod._RESOLVE_CHUNK + comb(16, k)
+    for (_, _, _, k), entry in rank_mod._CLASSIFY_CACHE.items():
+        assert entry.classified * comb(16, k) < rank_mod._RESOLVE_CHUNK + comb(16, k)
     cost = m.scaled[0]
     views = rank_mod._level_views(cost)
     for k in (3, 4, 5):
@@ -368,3 +388,174 @@ def test_sample_level_finds_nonsingular_at_k5_k6():
             ok, ce = sample_level_singular(matrix, k, 2000, seed=k)
             assert not ok and len(ce[0]) == len(ce[1]) == k
             assert is_nonsingular(matrix.submatrix(*ce))
+
+
+def _supports(block):
+    """{permutation: frozenset of the nonzero cells it uses} of a (k, k) bool
+    zero pattern."""
+    k = len(block)
+    return {
+        perm: frozenset((i, perm[i]) for i in range(k) if not block[i][perm[i]])
+        for perm in itertools.permutations(range(k))
+    }
+
+
+def _minimal_support_class(block):
+    """Class of a zero pattern by definition: one all-zero permutation is
+    NONSINGULAR; SINGULAR when every inclusion-minimal support is used by two
+    or more permutations; WEIGHTED otherwise."""
+    supports = list(_supports(block).values())
+    if supports.count(frozenset()) == 1:
+        return rank_mod._NONSINGULAR
+    minimal = [s for s in supports if not any(t < s for t in supports)]
+    return rank_mod._SINGULAR if all(supports.count(s) >= 2 for s in minimal) else rank_mod._WEIGHTED
+
+
+def _separating_weighting(block):
+    """Costs making one permutation the unique minimum: 1 on a support that
+    holds no other permutation's support, k + 1 on the other nonzero cells.
+    None when every support holds another."""
+    k = len(block)
+    supports = _supports(block)
+    for perm, s in supports.items():
+        if not any(t <= s for other, t in supports.items() if other != perm):
+            return [[0 if block[i][j] else 1 if (i, j) in s else k + 1 for j in range(k)] for i in range(k)]
+    return None
+
+
+def _all_blocks(k):
+    keys = np.arange(1 << (k * k))
+    return ((keys[:, None, None] >> (k * np.arange(k) + np.arange(k)[:, None])) & 1).astype(bool)
+
+
+def test_class_table_matches_minimal_support_rule():
+    """Every block for k <= 3 and 5,000 random ones at k = 4 against the
+    definition; at k = 5, where classes come from counts, SINGULAR and
+    NONSINGULAR must still agree with it."""
+    rng = np.random.default_rng(53)
+    samples = [_all_blocks(k) for k in range(1, 4)]
+    samples.append(rng.random((5000, 4, 4)) < rng.uniform(0.1, 0.9, (5000, 1, 1)))
+    for blocks in samples:
+        got = rank_mod._block_classes(rank_mod._column_codes(blocks))
+        assert got.tolist() == [_minimal_support_class(b.tolist()) for b in blocks]
+    # The k = 4 table splits the 65,536 zero patterns like this.
+    assert np.bincount(rank_mod._class_table(4)).tolist() == [24701, 13032, 27803]
+    blocks = rng.random((150, 5, 5)) < rng.uniform(0.3, 0.9, (150, 1, 1))
+    for block, got in zip(blocks, rank_mod._block_classes(rank_mod._column_codes(blocks))):
+        if got != rank_mod._WEIGHTED:
+            assert got == _minimal_support_class(block.tolist())
+
+
+def test_row_set_filter_is_exact():
+    """For k <= 4 a row set is skipped exactly when every column set makes a
+    SINGULAR block with it (every level-4 row set of PG(2,3) is); k = 5
+    skips none."""
+    rng = np.random.default_rng(67)
+    plane = incidence_matrix(projective_plane(3), "unit").scaled[0]
+    patterns = [rng.random((11, 12)) < density for density in (0.2, 0.5, 0.8, 0.95)]
+    patterns.append(np.array([[c == 0 for c in row] for row in plane]))
+    skipped = {}
+    for p, zero in enumerate(patterns):
+        for k in range(1, 6):
+            rows = np.array(list(itertools.combinations(range(zero.shape[0]), k)))
+            col_combos = np.array(list(itertools.combinations(range(zero.shape[1]), k)))
+            codes = rank_mod._column_codes(zero[rows])
+            got = rank_mod._may_hold_open(codes, k)
+            skipped[p, k] = int((~got).sum())
+            if k < 5:
+                assert got.tolist() == [
+                    bool((rank_mod._block_classes(code[col_combos]) != rank_mod._SINGULAR).any()) for code in codes
+                ], (p, k)
+    assert skipped[len(patterns) - 1, 4] == comb(13, 4)
+    assert sum(skipped[p, k] for p in range(4) for k in range(1, 5)) > 0
+    assert not any(skipped[p, 5] for p in range(len(patterns)))
+
+
+def test_zero_pattern_classes_hold_for_every_weighting():
+    """SINGULAR blocks with 0, positive and inf entries have no unique
+    minimum under 20 random weightings; NONSINGULAR ones always do."""
+    rng = np.random.default_rng(59)
+    weights = random.Random(59)
+    seen = set()
+    for k in range(2, 6):
+        zero = rng.random((300, k, k)) < 0.5
+        inf = ~zero & (rng.random((300, k, k)) < 0.3)
+        codes = rank_mod._column_codes(zero)
+        classes = rank_mod._block_classes(codes)
+        counts = rank_mod._zero_perm_counts(codes)
+        for z, f, cls, count in zip(zero.tolist(), inf.tolist(), classes, counts):
+            if cls == rank_mod._WEIGHTED:
+                continue
+            seen.add((int(cls), count == 0))
+            for _ in range(20):
+                cost = [
+                    [0 if z[i][j] else None if f[i][j] else weights.randint(1, 5) for j in range(k)]
+                    for i in range(k)
+                ]
+                assert min_permutation(cost)[2] == (cls == rank_mod._NONSINGULAR), (z, f, cost)
+    # Some blocks are SINGULAR by the support rule alone, with no all-zero permutation.
+    assert seen == {(rank_mod._SINGULAR, True), (rank_mod._SINGULAR, False), (rank_mod._NONSINGULAR, False)}
+
+
+def test_weighted_blocks_have_a_separating_weighting():
+    """Each WEIGHTED block (all of them for k <= 3, a sample at k = 4) is
+    nonsingular under its constructed weighting; SINGULAR blocks have none."""
+    rng = np.random.default_rng(61)
+    samples = [_all_blocks(k) for k in range(1, 4)]
+    samples.append(rng.random((3000, 4, 4)) < rng.uniform(0.1, 0.7, (3000, 1, 1)))
+    weighted = 0
+    for blocks in samples:
+        for block, cls in zip(blocks.tolist(), rank_mod._block_classes(rank_mod._column_codes(blocks))):
+            cost = _separating_weighting(block)
+            if cls == rank_mod._SINGULAR:
+                assert cost is None
+            elif cls == rank_mod._WEIGHTED:
+                weighted += 1
+                assert min_permutation(cost)[2], block
+    assert weighted > 1000
+
+
+def test_weight_free_refutation(monkeypatch):
+    """weight_free marks a classified refutation with no WEIGHTED pair and
+    nothing else: not a budget stop, a capped search, a pair-by-pair level,
+    or a level refuted by its weights."""
+    m = incidence_matrix(projective_plane(3), "random", seed=7)
+    res = tropical_rank(m)
+    assert res.refuted_level == 4 and res.weight_free
+    assert not tropical_rank(m, budget=res.pairs_examined - 1).weight_free
+    assert not tropical_rank(m, limit=3).weight_free
+    fano = incidence_matrix(projective_plane(2), "random", seed=3)
+    assert tropical_rank(fano).refuted_level == 4 and not tropical_rank(fano).weight_free
+    # Tropical rank one: every 2 x 2 minor ties, and no entry is zero.
+    a, b = (1, 4, 2, 7, 3, 5), (2, 1, 6, 3, 8, 4)
+    rank_one = TropicalMatrix.from_rows([[Fraction(x + y) for y in b] for x in a])
+    monkeypatch.setattr(rank_mod, "_GENERIC_CUTOFF", 0)
+    assert tropical_rank(fano).weight_free
+    res = tropical_rank(rank_one)
+    assert (res.rank, res.refuted_level, res.weight_free) == (1, 2, False)
+
+
+def _sample_subsets_retest_all(rng, batch, n, k):
+    """The sampler's earlier loop, which re-tested every row on each pass."""
+    if 2 * k > n:
+        keep = np.ones((batch, n), dtype=bool)
+        keep[np.arange(batch)[:, None], _sample_subsets_retest_all(rng, batch, n, n - k)] = False
+        return np.nonzero(keep)[1].reshape(batch, k).astype(np.int32)
+    out = np.sort(rng.integers(0, n, size=(batch, k), dtype=np.int32), axis=1)
+    while True:
+        idx = np.nonzero((out[:, 1:] == out[:, :-1]).any(axis=1))[0]
+        if idx.size == 0:
+            return out
+        out[idx] = np.sort(rng.integers(0, n, size=(idx.size, k), dtype=np.int32), axis=1)
+
+
+def test_sample_subsets_match_retest_all_loop():
+    """Re-testing only the redrawn rows makes the same draws and leaves the
+    generator in the same state."""
+    for n, k, seed in ((31, 4, 1), (21, 4, 2), (7, 3, 3), (7, 5, 4), (12, 6, 5), (9, 9, 6), (5, 1, 7)):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = rank_mod._sample_subsets(rng, 4000, n, k)
+        assert got.dtype == np.int32 and got.shape == (4000, k)
+        assert np.array_equal(got, _sample_subsets_retest_all(ref, 4000, n, k)), (n, k)
+        assert (got[:, 1:] > got[:, :-1]).all()
+        assert rng.integers(1 << 30) == ref.integers(1 << 30)
