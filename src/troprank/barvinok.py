@@ -2,11 +2,18 @@
 
 Feasibility at a given k is decided by enumerating covering assignments (which
 inner index attains the min at each finite entry, labels canonicalized by
-first occurrence to kill the k! relabeling symmetry) and testing each covering
-with a difference-constraint system: equality on assigned entries, >= on the
-rest of each label's row x column rectangle.  Feasibility is negative-cycle
-detection; a feasible system yields the shortest-path potentials as the
-canonical factorization, which is verified entrywise before being returned.
+first occurrence to kill the k! relabeling symmetry) and testing each label
+group of a covering: a_i + b_j = m_ij on its assigned cells, a_i + b_j >= m_ij
+on the rest of its row x column rectangle.
+
+The test propagates the equalities.  They fix every potential up to one shift
+per connected component of the group's row-column graph, and a cycle whose
+propagated values disagree makes the group infeasible.  Rectangle cells inside
+one component are then checked directly; cells between two components bound
+the difference of their shifts, and those component-level difference
+constraints are feasible iff they hold no negative cycle.  Only the covering
+that passes is solved by Bellman-Ford, whose shortest-path potentials give the
+canonical factorization; it is verified entrywise before being returned.
 """
 
 from __future__ import annotations
@@ -82,12 +89,87 @@ def _coverings(finite_cells, finite_set, k):
     yield from rec(0, 0)
 
 
+def _group_feasible(cost, cells):
+    """Whether one label group admits potentials: a_i + b_j = m_ij on `cells`,
+    a_i + b_j >= m_ij on every other cell of their row x column rectangle.
+
+    Propagating the equalities from one row per component of the row-column
+    graph fixes the potentials up to a shift t_C per component C (rows get
+    +t_C, columns -t_C); a disagreeing cycle is infeasible.  A rectangle cell
+    (i, j) with slack s = a_i + b_j - m_ij then needs s >= 0 inside one
+    component and t_D - t_C <= s between row component C and column
+    component D.  Those shift constraints are feasible iff the complete
+    component graph has no negative cycle (Floyd-Warshall).
+    """
+    row_adj = {}
+    col_adj = {}
+    for i, j in cells:
+        row_adj.setdefault(i, []).append(j)
+        col_adj.setdefault(j, []).append(i)
+    a = {}
+    b = {}
+    row_comp = {}
+    col_comp = {}
+    ncomp = 0
+    for root in row_adj:
+        if root in a:
+            continue
+        a[root] = 0
+        row_comp[root] = ncomp
+        stack = [root]
+        while stack:
+            i = stack.pop()
+            row = cost[i]
+            ai = a[i]
+            for j in row_adj[i]:
+                if j in b:
+                    continue
+                bj = b[j] = row[j] - ai
+                col_comp[j] = ncomp
+                for ii in col_adj[j]:
+                    aii = cost[ii][j] - bj
+                    if ii not in a:
+                        a[ii] = aii
+                        row_comp[ii] = ncomp
+                        stack.append(ii)
+                    elif a[ii] != aii:
+                        return False
+        ncomp += 1
+    # bound[C][D]: least slack of a cell with row in C, column in D.  Every
+    # component has a row and a column, so every pair C != D gets a bound.
+    bound = [[0 if c == d else None for d in range(ncomp)] for c in range(ncomp)]
+    for i, ai in a.items():
+        row = cost[i]
+        c = row_comp[i]
+        out = bound[c]
+        for j, bj in b.items():
+            slack = ai + bj - row[j]
+            d = col_comp[j]
+            if c == d:
+                if slack < 0:
+                    return False
+            elif out[d] is None or slack < out[d]:
+                out[d] = slack
+    for via in range(ncomp):
+        through = bound[via]
+        for c in range(ncomp):
+            to_via = bound[c][via]
+            out = bound[c]
+            for d in range(ncomp):
+                cand = to_via + through[d]
+                if cand < out[d]:
+                    out[d] = cand
+    return all(bound[c][c] >= 0 for c in range(ncomp))
+
+
 def _group_solve(cost, rows_s, cols_s, eq_cells):
-    """Solve one label's potentials; None when infeasible.
+    """Canonical potentials of one feasible label group; None when infeasible.
 
     Variables a_i (i in rows_s) and y_j = -b_j (j in cols_s); constraints
     y_j - a_i <= -m_ij for every rectangle cell, plus a_i - y_j <= m_ij on
     assigned cells.  Bellman-Ford from a virtual source (all distances 0).
+    The search decides feasibility with `_group_feasible` and calls this only
+    on the groups of the covering it accepts, for their potentials.
     """
     nodes = [("a", i) for i in rows_s] + [("y", j) for j in cols_s]
     index = {v: t for t, v in enumerate(nodes)}
@@ -153,21 +235,21 @@ def barvinok_rank(m: TropicalMatrix, kmax: Optional[int] = None, budget: Optiona
             if budget is not None and tested >= budget:
                 return BarvinokResult(None, None, False, True, tested)
             tested += 1
-            groups = {}
+            groups = [[] for _ in range(k)]
             for cell, s in zip(finite_cells, labels):
-                groups.setdefault(s, []).append(cell)
+                groups[s].append(cell)
+            if not all(_group_feasible(cost, cells) for cells in groups if cells):
+                continue
             sols = {}
-            ok = True
-            for s, cells in sorted(groups.items()):
+            for s, cells in enumerate(groups):
+                if not cells:
+                    continue
                 rows_s = sorted({i for i, _ in cells})
                 cols_s = sorted({j for _, j in cells})
                 sol = _group_solve(cost, rows_s, cols_s, cells)
                 if sol is None:
-                    ok = False
-                    break
+                    raise RuntimeError("Bellman-Ford rejected a group the propagation test accepted")
                 sols[s] = (rows_s, cols_s, sol)
-            if not ok:
-                continue
             left_rows = [[INF] * k for _ in range(m.rows)]
             right_rows = [[INF] * m.cols for _ in range(k)]
             for s, (rows_s, cols_s, (a, b)) in sols.items():
