@@ -686,8 +686,12 @@ def kapranov_bounds(
     improves the upper bound to 3 (the realization lifts).  Realizations over
     finite fields are deliberately not used this way.
 
-    The factorization search defaults to a bounded covering budget; when it
-    runs out, the trivial min(rows, cols) upper bound stands in.
+    The factorization search (`barvinok_rank`) is capped at barvinok_budget
+    coverings, 200,000 by default; when it runs out, the trivial
+    min(rows, cols) upper bound stands in.  The default is costly on larger
+    patterns: on a 2-vCPU host, unit PG(2,3) takes about 15-17 s and still
+    ends at the trivial upper bound 13, while barvinok_budget=5000 gives the
+    same [3, 13] in 0.2-0.4 s.
     """
     notes = []
     rk = tropical_rank(m, budget=rank_budget)

@@ -4,10 +4,20 @@ A series is known exactly below its truncation order; order INF means the
 series is an exact polynomial.  The valuation (degree map) of an entry is the
 least exponent carrying a nonzero coefficient; tropicalization applies it
 entrywise, which is what verify_lift checks against a tropical matrix.
+
+`TruncatedSeries` is the public value type, with `+`, `-` and `*`.  The rank
+of a lift (`series_rank`) is not computed on those objects: the lift is
+converted once into integer-exponent, integer-coefficient polynomials and the
+elimination runs on those.  Multiplying every exponent and truncation by one
+common denominator D preserves their order and commutes with the sums and
+minima the elimination takes of them.  Multiplying a row by a nonzero
+rational preserves every coefficient's vanishing, so it changes no rank, no
+valuation and no truncation.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -196,12 +206,22 @@ def series_rank(lift: LiftMatrix) -> SeriesRankResult:
 
     Pivot: minimum valuation in the working column, then lowest row index.
     Rows are combined division-free (pivot*row - entry*pivot_row), so exact
-    polynomial inputs stay exact.  A column whose active entries are all
-    truncated-zero without being provably zero raises
-    IndeterminateAtTruncation; valuation_loss reports that some truncated-zero
-    entry was carried through a pivot step (the rank itself is still exact).
+    polynomial inputs stay exact; a product is known below
+    min(trunc_a + val_b, trunc_b + val_a), and terms at or above a truncation
+    are dropped.  A column whose active entries are all truncated-zero without
+    being provably zero raises IndeterminateAtTruncation; valuation_loss
+    reports that some truncated-zero entry was carried through a pivot step
+    (the rank itself is still exact).
+
+    The elimination runs on `_integer_rows(lift)`: exponents and truncations
+    scaled by the lcm of their denominators, and over Q each row scaled by the
+    lcm of its coefficient denominators.  Both scales keep the order of
+    exponents and the vanishing of every coefficient, so the pivots, the
+    truncations, the rank and the errors are those of the same elimination
+    run on the series themselves.
     """
-    rows = [lift.row(i) for i in range(lift.rows)]
+    p = lift.field if lift.entries else None
+    rows = _integer_rows(lift)
     active = list(range(lift.rows))
     loss = False
     rank = 0
@@ -209,10 +229,10 @@ def series_rank(lift: LiftMatrix) -> SeriesRankResult:
         pivots = []
         unknown = False
         for r in active:
-            e = rows[r][j]
-            if e.terms:
-                pivots.append((e.terms[0][0], r))
-            elif e.truncated_zero:
+            terms, trunc = rows[r][j]
+            if terms:
+                pivots.append((min(terms), r))
+            elif trunc is not None:
                 unknown = True
         if not pivots:
             if unknown:
@@ -222,22 +242,81 @@ def series_rank(lift: LiftMatrix) -> SeriesRankResult:
             continue
         if unknown:
             loss = True
-        _, prow = min(pivots)
-        pe = rows[prow][j]
+        pval, prow = min(pivots)
+        pivot_row = rows[prow]
+        pterms, ptrunc = pivot_row[j]
         for r in active:
             if r == prow:
                 continue
-            re = rows[r][j]
-            if re.provably_zero:
-                continue
-            rows[r] = [pe * rows[r][c] - re * rows[prow][c] for c in range(lift.cols)]
-            # The eliminated position is exactly zero by construction.
-            rows[r][j] = zero_series(field=lift.field, trunc=INF)
+            row = rows[r]
+            rterms, rtrunc = row[j]
+            if not rterms and rtrunc is None:
+                continue  # provably zero
+            rval = min(rterms) if rterms else rtrunc
+            # Columns up to j are exactly zero in every active row from here
+            # on and are never read again, so only columns after j are updated.
+            for c in range(j + 1, lift.cols):
+                row[c] = _combine(pterms, ptrunc, pval, row[c], rterms, rtrunc, rval, pivot_row[c], p)
         active.remove(prow)
         rank += 1
         if not active:
             break
     return SeriesRankResult(rank, loss)
+
+
+def _integer_rows(lift: LiftMatrix):
+    """The lift as rows of (terms {int exponent: int coefficient}, trunc) pairs.
+
+    trunc is an int, or None for an exact entry.  Exponents and truncations
+    are multiplied by the lcm of their denominators, and each row by the lcm
+    of its coefficient denominators (1 over GF(p), whose coefficients already
+    are ints mod p).
+    """
+    entries = lift.entries
+    d = math.lcm(
+        *(e.denominator for s in entries for e, _ in s.terms),
+        *(s.trunc.denominator for s in entries if s.trunc is not INF),
+    )
+    rows = []
+    for i in range(lift.rows):
+        row = entries[i * lift.cols : (i + 1) * lift.cols]
+        m = math.lcm(*(k.denominator for s in row for _, k in s.terms))
+        rows.append([
+            (
+                {e.numerator * (d // e.denominator): k.numerator * (m // k.denominator) for e, k in s.terms},
+                None if s.trunc is INF else s.trunc.numerator * (d // s.trunc.denominator),
+            )
+            for s in row
+        ])
+    return rows
+
+
+def _combine(pterms, ptrunc, pval, a, rterms, rtrunc, rval, b, p):
+    """pivot*a - entry*b on integer polynomials, truncated as series_rank says.
+
+    pval and rval are the valuation bounds of the pivot and the entry; None
+    stands for an INF truncation or bound.
+    """
+    aterms, atrunc = a
+    bterms, btrunc = b
+    aval = min(aterms) if aterms else atrunc
+    bval = min(bterms) if bterms else btrunc
+    trunc = None
+    for x, y in ((ptrunc, aval), (atrunc, pval), (rtrunc, bval), (btrunc, rval)):
+        if x is not None and y is not None and (trunc is None or x + y < trunc):
+            trunc = x + y
+    acc = {}
+    for e1, k1 in pterms.items():
+        for e2, k2 in aterms.items():
+            e = e1 + e2
+            acc[e] = acc.get(e, 0) + k1 * k2
+    for e1, k1 in rterms.items():
+        for e2, k2 in bterms.items():
+            e = e1 + e2
+            acc[e] = acc.get(e, 0) - k1 * k2
+    if p is not None:
+        acc = {e: k % p for e, k in acc.items()}
+    return {e: k for e, k in acc.items() if k and (trunc is None or e < trunc)}, trunc
 
 
 @dataclass(frozen=True)
@@ -370,6 +449,10 @@ def parse_lift(text: str) -> LiftMatrix:
         if len(toks) != 2:
             raise ValueError(f"bad troplift entry line: {ln!r}")
         i, j = int(toks[0]), int(toks[1])
+        if not (0 <= i < rows and 0 <= j < cols):
+            raise ValueError(f"entry ({i},{j}) outside a {rows}x{cols} lift")
+        if (i, j) in cells:
+            raise ValueError(f"repeated entry ({i},{j})")
         cells[(i, j)] = _parse_series_body(body.strip(), field, trunc)
     entries = []
     for i in range(rows):

@@ -171,6 +171,13 @@ def test_verify_lift_indeterminate(tmp_path, capsys):
     assert code == 2 and "indeterminate" in out
 
 
+def test_verify_lift_rejects_stray_entry_line(tmp_path, capsys):
+    m = write(tmp_path, "m.tropmat", "tropmat 1 1\n0\n")
+    lift = write(tmp_path, "L.troplift", "troplift 1 1 q inf\n0 0 : 1*t^0\n5 7 : 3*t^1\n")
+    code, _, err = run(["verify-lift", "--matrix", m, "--lift", lift, "--rank", "1"], capsys)
+    assert code == 1 and "outside" in err
+
+
 def test_json_output(tmp_path, capsys):
     f = write(tmp_path, "m.tropmat", "tropmat 1 1\n0\n")
     code, out, _ = run(["--json", "det", f], capsys)

@@ -18,7 +18,7 @@ from troprank import (
 )
 from troprank.multipoly import Poly, as_coeff
 from troprank.patterns import Configuration
-from troprank.series import IndeterminateAtTruncation, format_lift
+from troprank.series import IndeterminateAtTruncation, SeriesRankResult, format_lift
 
 
 def S(terms, **kw):
@@ -135,6 +135,18 @@ def test_parse_lift_rejects_float_field():
         parse_lift("troplift 1 1 float 3\n0 0 : 1*t^0\n")
 
 
+def test_parse_lift_rejects_out_of_range_entry():
+    with pytest.raises(ValueError, match="outside"):
+        parse_lift("troplift 1 1 q inf\n0 0 : 1*t^0\n5 7 : 3*t^1\n")
+    with pytest.raises(ValueError, match="outside"):
+        parse_lift("troplift 1 1 q inf\n0 0 : 1*t^0\n-1 0 : 3*t^1\n")
+
+
+def test_parse_lift_rejects_repeated_entry():
+    with pytest.raises(ValueError, match="repeated"):
+        parse_lift("troplift 1 1 q inf\n0 0 : 1*t^0\n0 0 : 3*t^1\n")
+
+
 def test_lift_from_configuration_identity():
     pattern = IncidencePattern.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     cfg = Configuration(
@@ -219,3 +231,108 @@ def test_fraction_coefficient_over_gf_p_is_num_times_inverse_den():
     assert Poly.const(Fraction(1, 3), 7).constant_value() == 5
     assert Poly.var(0, 7).evaluate({0: Fraction(1, 3)}) == 5
     assert S({0: Fraction(1, 3)}, field=7).terms == ((0, 5),)
+
+
+def _reference_series_rank(lift: LiftMatrix) -> SeriesRankResult:
+    """Elimination on TruncatedSeries objects, the oracle for series_rank."""
+    rows = [lift.row(i) for i in range(lift.rows)]
+    active = list(range(lift.rows))
+    loss = False
+    rank = 0
+    for j in range(lift.cols):
+        pivots = []
+        unknown = False
+        for r in active:
+            e = rows[r][j]
+            if e.terms:
+                pivots.append((e.terms[0][0], r))
+            elif e.truncated_zero:
+                unknown = True
+        if not pivots:
+            if unknown:
+                raise IndeterminateAtTruncation(
+                    f"column {j}: all remaining entries vanish up to truncation"
+                )
+            continue
+        if unknown:
+            loss = True
+        _, prow = min(pivots)
+        pe = rows[prow][j]
+        for r in active:
+            if r == prow:
+                continue
+            re = rows[r][j]
+            if re.provably_zero:
+                continue
+            rows[r] = [pe * rows[r][c] - re * rows[prow][c] for c in range(lift.cols)]
+            # The eliminated position is exactly zero by construction.
+            rows[r][j] = zero_series(field=lift.field, trunc=INF)
+        active.remove(prow)
+        rank += 1
+        if not active:
+            break
+    return SeriesRankResult(rank, loss)
+
+
+def _random_lift(rng):
+    """A small lift over Q or GF(2/3/7), often of low rank by construction."""
+    rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+    field = rng.choice([None, 2, 3, 7])
+    den = rng.choice([1, 2])
+    trunc = rng.choice([INF, Fraction(2), Fraction(5, 2), Fraction(3)])
+
+    def poly():
+        if rng.random() < 0.25:
+            return {}
+        out = {}
+        for _ in range(rng.randint(1, 3)):
+            e = Fraction(rng.randint(0, 3 * den), den)
+            if field is None:
+                k = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+            else:
+                k = rng.randint(1, field - 1)
+            out[e] = out.get(e, 0) + k
+        return out
+
+    if rng.random() < 0.5:
+        cells = [poly() for _ in range(rows * cols)]
+    else:
+        k = rng.randint(0, min(rows, cols))
+        u = [[poly() for _ in range(k)] for _ in range(rows)]
+        v = [[poly() for _ in range(cols)] for _ in range(k)]
+        cells = []
+        for i in range(rows):
+            for j in range(cols):
+                acc = {}
+                for m in range(k):
+                    for e1, k1 in u[i][m].items():
+                        for e2, k2 in v[m][j].items():
+                            acc[e1 + e2] = acc.get(e1 + e2, 0) + k1 * k2
+                cells.append(acc)
+    return LiftMatrix(rows, cols, tuple(series(c, field=field, trunc=trunc) for c in cells))
+
+
+def _rank_or_message(fn, lift):
+    try:
+        return fn(lift)
+    except IndeterminateAtTruncation as exc:
+        return str(exc)
+
+
+def test_series_rank_matches_series_elimination():
+    rng = random.Random(20260)
+    seen = set()
+    for _ in range(2000):
+        lift = _random_lift(rng)
+        want = _rank_or_message(_reference_series_rank, lift)
+        assert _rank_or_message(series_rank, lift) == want, format_lift(lift)
+        seen.add(want if isinstance(want, str) else (want.rank < min(lift.rows, lift.cols), want.valuation_loss))
+    # Deficient rank (exact lifts only: a truncated lift never proves a zero),
+    # full rank with and without valuation loss, and indeterminate columns.
+    assert {(True, False), (False, False), (False, True)} <= seen
+    assert any(isinstance(x, str) for x in seen)
+
+
+def test_series_rank_of_empty_lift():
+    assert series_rank(LiftMatrix(0, 3, ())) == SeriesRankResult(0, False)
+    assert series_rank(LiftMatrix(3, 0, ())) == SeriesRankResult(0, False)
