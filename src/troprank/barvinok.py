@@ -1,16 +1,33 @@
 """Barvinok rank: least k with an exact min-plus factorization n x k times k x m.
 
-Feasibility at a given k is decided by enumerating covering assignments (which
-inner index attains the min at each finite entry, labels canonicalized by
-first occurrence to kill the k! relabeling symmetry) and testing each label
-group of a covering: a_i + b_j = m_ij on its assigned cells, a_i + b_j >= m_ij
-on the rest of its row x column rectangle.
+Feasibility at a given k is decided by a depth-first search over covering
+assignments: which inner index attains the min at each finite entry, labels
+canonicalized by first occurrence to kill the k! relabeling symmetry.  A label
+group is feasible when a_i + b_j = m_ij on its assigned cells and
+a_i + b_j >= m_ij on the rest of its row x column rectangle admit potentials,
+and a covering works when all its groups are.  A cell never joins a group
+whose rectangle would then cover an inf entry.
 
-The test propagates the equalities.  They fix every potential up to one shift
-per connected component of the group's row-column graph, and a cycle whose
-propagated values disagree makes the group infeasible.  Rectangle cells inside
-one component are then checked directly; cells between two components bound
-the difference of their shifts, and those component-level difference
+The search places cells in row-major order, tests only the group that just
+gained a cell, and cuts the branch as soon as that group is infeasible.
+Feasibility is monotone: another cell adds one equality and can only enlarge
+the rectangle, so a group that is infeasible at a node stays infeasible in
+every covering below it.  The first covering in depth-first order whose groups
+all pass is therefore the one a covering-by-covering scan accepts, and it gets
+the same potentials.  `coverings_tested` counts the coverings decided, either
+at a leaf or by a pruned ancestor: a cut branch adds the number of coverings
+below it.  Once no remaining cell can share a label with an inf entry in its
+rectangle (from the start, for an all-finite matrix), r cells left and u labels
+in use give N(r, u) = u N(r-1, u) + [u < k] N(r-1, u+1) coverings, with
+N(0, u) = 1; before that point the branch is walked with the rectangle check
+and no group tests.  A budget stops the search where the scan stops, at its
+(budget+1)-th covering.
+
+The group test propagates the equalities.  They fix every potential up to one
+shift per connected component of the group's row-column graph, and a cycle
+whose propagated values disagree makes the group infeasible.  Rectangle cells
+inside one component are then checked directly; cells between two components
+bound the difference of their shifts, and those component-level difference
 constraints are feasible iff they hold no negative cycle.  Only the covering
 that passes is solved by Bellman-Ford, whose shortest-path potentials give the
 canonical factorization; it is verified entrywise before being returned.
@@ -41,52 +58,6 @@ class BarvinokResult:
     exceeded_kmax: bool
     budget_exhausted: bool
     coverings_tested: int
-
-
-def _coverings(finite_cells, finite_set, k):
-    """Yield canonical label assignments for the finite cells.
-
-    Labels appear in first-occurrence order; a partial assignment is pruned
-    as soon as some label's row x column rectangle would cover an inf entry.
-    """
-    t = len(finite_cells)
-    labels = [0] * t
-    rows_used = [set() for _ in range(k)]
-    cols_used = [set() for _ in range(k)]
-
-    def attempt(pos, s):
-        i, j = finite_cells[pos]
-        for jj in cols_used[s]:
-            if (i, jj) not in finite_set:
-                return False
-        for ii in rows_used[s]:
-            if (ii, j) not in finite_set:
-                return False
-        return True
-
-    def rec(pos, used):
-        if pos == t:
-            yield tuple(labels)
-            return
-        i, j = finite_cells[pos]
-        top = min(used + 1, k)
-        for s in range(top):
-            if not attempt(pos, s):
-                continue
-            new_row = i not in rows_used[s]
-            new_col = j not in cols_used[s]
-            if new_row:
-                rows_used[s].add(i)
-            if new_col:
-                cols_used[s].add(j)
-            labels[pos] = s
-            yield from rec(pos + 1, max(used, s + 1))
-            if new_row:
-                rows_used[s].discard(i)
-            if new_col:
-                cols_used[s].discard(j)
-
-    yield from rec(0, 0)
 
 
 def _group_feasible(cost, cells):
@@ -197,6 +168,179 @@ def _group_solve(cost, rows_s, cols_s, eq_cells):
     return a, b
 
 
+class _CoveringSearch:
+    """The canonical coverings of `cells` (finite, row-major) with at most k labels.
+
+    groups[s] holds the cells labelled s in placement order and masks[s] their
+    positions as a bitmask.  clash[p] is the bitmask of the cells that may not
+    share a label with cell p, because their joint rectangle holds an inf entry;
+    free[p] says that no cell from p on clashes with any cell.  Coverings of a
+    free suffix are counted in closed form.  `budget` caps the coverings that
+    `first` may decide (None: no cap); counts past it need not be exact.
+    """
+
+    def __init__(self, cost, cells, k, budget=None):
+        self.cost = cost
+        self.cells = cells
+        self.k = k
+        self.budget = budget
+        in_row = {}
+        in_col = {}
+        for p, (i, j) in enumerate(cells):
+            in_row[i] = in_row.get(i, 0) | 1 << p
+            in_col[j] = in_col.get(j, 0) | 1 << p
+        row_clash = dict.fromkeys(in_row, 0)
+        col_clash = dict.fromkeys(in_col, 0)
+        for i, in_i in in_row.items():
+            for j, in_j in in_col.items():
+                if cost[i][j] is None:
+                    row_clash[i] |= in_j
+                    col_clash[j] |= in_i
+        self.clash = [row_clash[i] | col_clash[j] for i, j in cells]
+        self.free = [True] * (len(cells) + 1)
+        for p in range(len(cells) - 1, -1, -1):
+            self.free[p] = self.free[p + 1] and not self.clash[p]
+        self.groups = [[] for _ in range(k)]
+        self.masks = [0] * k
+        self.tested = 0
+        self.exhausted = False
+        self._leaf_table = None
+
+    def _leaves(self, r, u):
+        """N(r, u): coverings of r further cells, none clashing, u labels in use."""
+        if self._leaf_table is None:
+            k, cap = self.k, None if self.budget is None else self.budget + 1
+            row = [1] * (k + 1)
+            table = [row]
+            for _ in self.cells:
+                row = [u * row[u] + (row[u + 1] if u < k else 0) for u in range(k + 1)]
+                if cap is not None:
+                    row = [min(n, cap) for n in row]
+                table.append(row)
+            self._leaf_table = table
+        return self._leaf_table[r][u]
+
+    def place(self, pos, s):
+        self.groups[s].append(self.cells[pos])
+        self.masks[s] |= 1 << pos
+
+    def unplace(self, pos, s):
+        self.groups[s].pop()
+        self.masks[s] ^= 1 << pos
+
+    def count(self, start, used, limit=None):
+        """Coverings below the node whose next cell is `start`, with labels
+        0..used-1 in use and the cells before `start` placed.  Exact when below
+        `limit` (None: always), at least `limit` otherwise.  Leaves the
+        placement as it found it."""
+        t, k = len(self.cells), self.k
+        if self.free[start]:
+            return self._leaves(t - start, used)
+        clash, masks, free = self.clash, self.masks, self.free
+        labels = [-1] * t
+        use = [0] * t
+        use[start] = used
+        pos = start
+        total = 0
+        while pos >= start:
+            s = labels[pos]
+            if s >= 0:
+                masks[s] ^= 1 << pos
+            s += 1
+            top = min(use[pos] + 1, k)
+            while s < top and clash[pos] & masks[s]:
+                s += 1
+            if s == top:
+                labels[pos] = -1
+                pos -= 1
+                continue
+            labels[pos] = s
+            masks[s] |= 1 << pos
+            u = max(use[pos], s + 1)
+            if not free[pos + 1]:
+                use[pos + 1] = u
+                pos += 1
+                continue
+            total += self._leaves(t - pos - 1, u)
+            if limit is not None and total >= limit:
+                for p in range(start, pos + 1):
+                    masks[labels[p]] ^= 1 << p
+                break
+        return total
+
+    def first(self):
+        """The groups of the first covering in depth-first order whose groups
+        are all feasible, or None.  Sets `tested` to the coverings decided and
+        `exhausted` when deciding one more would pass the budget."""
+        cost, cells, clash, groups, masks = self.cost, self.cells, self.clash, self.groups, self.masks
+        left = self.budget
+        t, k = len(cells), self.k
+        labels = [-1] * t
+        use = [0] * t
+        pos = 0
+        tested = 0
+        while pos >= 0:
+            s = labels[pos]
+            if s >= 0:
+                self.unplace(pos, s)
+            s += 1
+            top = min(use[pos] + 1, k)
+            while s < top:
+                if not clash[pos] & masks[s]:
+                    self.place(pos, s)
+                    u = max(use[pos], s + 1)
+                    if _group_feasible(cost, groups[s]):
+                        break
+                    below = self.count(pos + 1, u, None if left is None else left - tested + 1)
+                    if left is not None and tested + below > left:
+                        self.tested, self.exhausted = left, True
+                        return None
+                    tested += below
+                    self.unplace(pos, s)
+                s += 1
+            if s == top:
+                labels[pos] = -1
+                pos -= 1
+                continue
+            labels[pos] = s
+            if pos + 1 < t:
+                use[pos + 1] = u
+                pos += 1
+                continue
+            if left is not None and tested >= left:
+                self.tested, self.exhausted = left, True
+                return None
+            self.tested = tested + 1
+            return groups
+        self.tested = tested
+        return None
+
+
+def _factorization(m, cost, scale, groups) -> BarvinokFactorization:
+    """The canonical factorization of an accepted covering, verified entrywise."""
+    k = len(groups)
+    left_rows = [[INF] * k for _ in range(m.rows)]
+    right_rows = [[INF] * m.cols for _ in range(k)]
+    for s, cells in enumerate(groups):
+        if not cells:
+            continue
+        rows_s = sorted({i for i, _ in cells})
+        cols_s = sorted({j for _, j in cells})
+        sol = _group_solve(cost, rows_s, cols_s, cells)
+        if sol is None:
+            raise RuntimeError("Bellman-Ford rejected a group the propagation test accepted")
+        a, b = sol
+        for i in rows_s:
+            left_rows[i][s] = Fraction(a[i], scale)
+        for j in cols_s:
+            right_rows[s][j] = Fraction(b[j], scale)
+    left = TropicalMatrix.from_rows(left_rows)
+    right = TropicalMatrix.from_rows(right_rows)
+    if min_plus_multiply(left, right) != m:
+        raise RuntimeError("feasible covering produced a bad factorization")
+    return BarvinokFactorization(k, left, right)
+
+
 def barvinok_rank(m: TropicalMatrix, kmax: Optional[int] = None, budget: Optional[int] = None) -> BarvinokResult:
     """Least k <= kmax admitting a factorization; verified before returning.
 
@@ -213,7 +357,6 @@ def barvinok_rank(m: TropicalMatrix, kmax: Optional[int] = None, budget: Optiona
         for j in range(m.cols)
         if cost[i][j] is not None
     ]
-    finite_set = set(finite_cells)
     tested = 0
 
     if not finite_cells:
@@ -231,36 +374,12 @@ def barvinok_rank(m: TropicalMatrix, kmax: Optional[int] = None, budget: Optiona
         if k == m.cols:
             fact = BarvinokFactorization(k, m, TropicalMatrix.identity(k))
             return BarvinokResult(k, fact, False, False, tested)
-        for labels in _coverings(finite_cells, finite_set, k):
-            if budget is not None and tested >= budget:
-                return BarvinokResult(None, None, False, True, tested)
-            tested += 1
-            groups = [[] for _ in range(k)]
-            for cell, s in zip(finite_cells, labels):
-                groups[s].append(cell)
-            if not all(_group_feasible(cost, cells) for cells in groups if cells):
-                continue
-            sols = {}
-            for s, cells in enumerate(groups):
-                if not cells:
-                    continue
-                rows_s = sorted({i for i, _ in cells})
-                cols_s = sorted({j for _, j in cells})
-                sol = _group_solve(cost, rows_s, cols_s, cells)
-                if sol is None:
-                    raise RuntimeError("Bellman-Ford rejected a group the propagation test accepted")
-                sols[s] = (rows_s, cols_s, sol)
-            left_rows = [[INF] * k for _ in range(m.rows)]
-            right_rows = [[INF] * m.cols for _ in range(k)]
-            for s, (rows_s, cols_s, (a, b)) in sols.items():
-                for i in rows_s:
-                    left_rows[i][s] = Fraction(a[i], scale)
-                for j in cols_s:
-                    right_rows[s][j] = Fraction(b[j], scale)
-            left = TropicalMatrix.from_rows(left_rows)
-            right = TropicalMatrix.from_rows(right_rows)
-            if min_plus_multiply(left, right) != m:
-                raise RuntimeError("feasible covering produced a bad factorization")
-            return BarvinokResult(k, BarvinokFactorization(k, left, right), False, False, tested)
+        search = _CoveringSearch(cost, finite_cells, k, None if budget is None else budget - tested)
+        groups = search.first()
+        tested += search.tested
+        if search.exhausted:
+            return BarvinokResult(None, None, False, True, tested)
+        if groups is not None:
+            return BarvinokResult(k, _factorization(m, cost, scale, groups), False, False, tested)
 
     return BarvinokResult(None, None, exceeded, False, tested)

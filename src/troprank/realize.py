@@ -688,10 +688,9 @@ def kapranov_bounds(
 
     The factorization search (`barvinok_rank`) is capped at barvinok_budget
     coverings, 200,000 by default; when it runs out, the trivial
-    min(rows, cols) upper bound stands in.  The default is costly on larger
-    patterns: on a 2-vCPU host, unit PG(2,3) takes about 15-17 s and still
-    ends at the trivial upper bound 13, while barvinok_budget=5000 gives the
-    same [3, 13] in 0.2-0.4 s.
+    min(rows, cols) upper bound stands in.  It runs out on unit Fano and unit
+    PG(2,3), which end at [3, 7] and [3, 13]; on a 2-vCPU host each of those
+    calls takes 0.01-0.04 s at the default budget.
     """
     notes = []
     rk = tropical_rank(m, budget=rank_budget)

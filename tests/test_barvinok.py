@@ -1,10 +1,13 @@
 import hashlib
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 from troprank import (
     INF,
+    BarvinokFactorization,
+    BarvinokResult,
     TropicalMatrix,
     barvinok_rank,
     format_matrix,
@@ -13,7 +16,78 @@ from troprank import (
     projective_plane,
     tropical_rank,
 )
-from troprank.barvinok import _coverings, _group_feasible, _group_solve
+from troprank.barvinok import _CoveringSearch, _factorization, _group_feasible, _group_solve
+
+
+def _coverings(cells, k):
+    """Reference enumeration: every canonical label assignment of `cells` in
+    depth-first order, labels in first-occurrence order, no label's row x
+    column rectangle covering an inf entry."""
+    finite = set(cells)
+    labels = [0] * len(cells)
+    rows_used = [set() for _ in range(k)]
+    cols_used = [set() for _ in range(k)]
+
+    def rec(pos, used):
+        if pos == len(cells):
+            yield tuple(labels)
+            return
+        i, j = cells[pos]
+        for s in range(min(used + 1, k)):
+            if any((i, jj) not in finite for jj in cols_used[s]):
+                continue
+            if any((ii, j) not in finite for ii in rows_used[s]):
+                continue
+            new_row = i not in rows_used[s]
+            new_col = j not in cols_used[s]
+            rows_used[s].add(i)
+            cols_used[s].add(j)
+            labels[pos] = s
+            yield from rec(pos + 1, max(used, s + 1))
+            if new_row:
+                rows_used[s].discard(i)
+            if new_col:
+                cols_used[s].discard(j)
+
+    yield from rec(0, 0)
+
+
+def _scan_rank(m, kmax=None, budget=None):
+    """Reference search: test every group of every covering in turn, counting
+    each covering as it is tested."""
+    hard_cap = min(m.rows, m.cols)
+    cap = hard_cap if kmax is None else min(kmax, hard_cap)
+    cost, scale = m.scaled
+    cells = [(i, j) for i in range(m.rows) for j in range(m.cols) if cost[i][j] is not None]
+    if not cells:
+        fact = BarvinokFactorization(1, TropicalMatrix.constant(m.rows, 1, INF), TropicalMatrix.constant(1, m.cols, INF))
+        return BarvinokResult(1, fact, False, False, 0)
+    tested = 0
+    for k in range(1, cap + 1):
+        if k == m.rows:
+            return BarvinokResult(k, BarvinokFactorization(k, TropicalMatrix.identity(k), m), False, False, tested)
+        if k == m.cols:
+            return BarvinokResult(k, BarvinokFactorization(k, m, TropicalMatrix.identity(k)), False, False, tested)
+        for labels in _coverings(cells, k):
+            if budget is not None and tested >= budget:
+                return BarvinokResult(None, None, False, True, tested)
+            tested += 1
+            groups = [[cell for cell, t in zip(cells, labels) if t == s] for s in range(k)]
+            if all(_group_feasible(cost, g) for g in groups if g):
+                return BarvinokResult(k, _factorization(m, cost, scale, groups), False, False, tested)
+    return BarvinokResult(None, None, kmax is not None and kmax < hard_cap, False, tested)
+
+
+def _random_matrix(rng, r, c, inf_rate):
+    return TropicalMatrix.from_rows(
+        [
+            [
+                INF if rng.random() < inf_rate else Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                for _ in range(c)
+            ]
+            for _ in range(r)
+        ]
+    )
 
 
 def test_rank_one_feasible():
@@ -144,7 +218,7 @@ def test_group_feasible_matches_bellman_ford():
         cells = [(i, j) for i in range(r) for j in range(c) if cost[i][j] is not None]
         seen = set()
         for k in (1, 2, 3):
-            for labels in itertools.islice(_coverings(cells, set(cells), k), 3000):
+            for labels in itertools.islice(_coverings(cells, k), 3000):
                 for s in range(k):
                     group = tuple(cell for cell, t in zip(cells, labels) if t == s)
                     if not group or group in seen:
@@ -189,3 +263,81 @@ def test_enumeration_and_certificates_pinned():
     fano = incidence_matrix(projective_plane(2), "unit")
     res = barvinok_rank(fano, budget=5000)
     assert (res.rank, res.budget_exhausted, res.coverings_tested) == (None, True, 5000)
+
+
+def test_pruned_search_matches_scan():
+    # The pruned search decides the same coverings as the scan, in the same
+    # order, so every field of the result agrees, budget stops included.
+    rng = random.Random(4242)
+    finished = stopped = 0
+    for _ in range(60):
+        m = _random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4), 0.25)
+        for budget in (None, 0, 1, 7, 50, 300):
+            res = barvinok_rank(m, budget=budget)
+            assert res == _scan_rank(m, budget=budget), (m, budget)
+            finished += res.rank is not None
+            stopped += res.budget_exhausted
+        assert barvinok_rank(m, kmax=2) == _scan_rank(m, kmax=2), m
+    assert finished and stopped
+    for q in (2, 3):
+        m = incidence_matrix(projective_plane(q), "unit")
+        assert barvinok_rank(m, budget=5000) == _scan_rank(m, budget=5000)
+
+
+def _check_subtree_counts(m, k):
+    # The count below every node of the tree equals the number of reference
+    # coverings that extend the node's labels; a capped count agrees up to
+    # its cap and leaves the placement as it found it.
+    cost, _ = m.scaled
+    cells = [(i, j) for i in range(m.rows) for j in range(m.cols) if cost[i][j] is not None]
+    below = Counter()
+    for labels in _coverings(cells, k):
+        for pos in range(len(labels) + 1):
+            below[labels[:pos]] += 1
+    search = _CoveringSearch(cost, cells, k)
+    nodes = [()]
+    while nodes:
+        prefix = nodes.pop()
+        pos, used = len(prefix), max(prefix, default=-1) + 1
+        for p, s in enumerate(prefix):
+            search.place(p, s)
+        masks = list(search.masks)
+        assert search.count(pos, used) == below[prefix], (m, k, prefix)
+        assert min(search.count(pos, used, limit=3), 3) == min(below[prefix], 3)
+        assert search.masks == masks
+        if pos < len(cells):
+            nodes.extend(
+                prefix + (s,)
+                for s in range(min(used + 1, k))
+                if not search.clash[pos] & search.masks[s]
+            )
+        for p, s in reversed(list(enumerate(prefix))):
+            search.unplace(p, s)
+    return search
+
+
+def test_subtree_counts_all_finite():
+    # Every shape up to 3 x 3 without inf entries: the closed form throughout.
+    for r, c, k in itertools.product((1, 2, 3), (1, 2, 3), (1, 2, 3)):
+        m = TropicalMatrix.constant(r, c, 0)
+        assert _check_subtree_counts(m, k).free[0]
+
+
+def test_subtree_counts_with_inf_entries():
+    # With inf entries the count walks the branch, then switches to the
+    # closed form once the remaining cells clash with none.
+    rng = random.Random(31)
+    walked = switched = 0
+    for _ in range(40):
+        m = _random_matrix(rng, rng.randint(2, 3), rng.randint(2, 4), 0.3)
+        for k in (1, 2, 3):
+            search = _check_subtree_counts(m, k)
+            walked += not search.free[0]
+            switched += not search.free[0] and any(search.free[:-1])
+    assert walked and switched
+
+
+def test_default_budget_stops_on_planes():
+    for q in (2, 3):
+        res = barvinok_rank(incidence_matrix(projective_plane(q), "unit"), budget=200_000)
+        assert (res.rank, res.budget_exhausted, res.coverings_tested) == (None, True, 200_000)

@@ -1,5 +1,6 @@
 import json
 
+from troprank import min_plus_multiply, parse_matrix
 from troprank.cli import main
 
 
@@ -49,6 +50,39 @@ def test_rank_tropical_fano(tmp_path, capsys):
     assert code == 0 and "tropical rank 3" in out
     assert (tmp_path / "r.witness.txt").exists()
     assert (tmp_path / "r.manifest.json").exists()
+
+
+def test_rank_barvinok_budget_stop_exit_3(tmp_path, capsys):
+    code, _, _ = run(
+        ["gen-plane", "--order", "2", "--weights", "unit", "--seed", "1",
+         "--out", str(tmp_path / "fano")],
+        capsys,
+    )
+    assert code == 0
+    code, out, _ = run(
+        ["--json", "rank", str(tmp_path / "fano.tropmat"), "--kind", "barvinok",
+         "--budget", "5000", "--seed", "1"],
+        capsys,
+    )
+    assert code == 3
+    verdict = json.loads(out)["verdict"]
+    assert verdict["rank"] is None
+    assert verdict["budget_exhausted"] is True and verdict["coverings_tested"] == 5000
+
+
+def test_rank_barvinok_factorization_files(tmp_path, capsys):
+    f = write(tmp_path, "m.tropmat", "tropmat 3 3\n0 1 1\n1 0 1\n0 0 1\n")
+    prefix = str(tmp_path / "b")
+    code, out, _ = run(
+        ["--json", "rank", f, "--kind", "barvinok", "--seed", "1", "--out", prefix],
+        capsys,
+    )
+    assert code == 0
+    verdict = json.loads(out)["verdict"]
+    assert (verdict["rank"], verdict["coverings_tested"]) == (2, 28)
+    left = parse_matrix((tmp_path / "b.left.tropmat").read_text())
+    right = parse_matrix((tmp_path / "b.right.tropmat").read_text())
+    assert min_plus_multiply(left, right) == parse_matrix((tmp_path / "m.tropmat").read_text())
 
 
 def test_rank_bounds_all_zeros(tmp_path, capsys):

@@ -211,6 +211,14 @@ def test_bounds_fano_never_claims_three():
     assert any("no rational rank-3 realization" in n for n in res.notes)
 
 
+def test_bounds_pg23_default_budget():
+    # The default 200,000-covering factorization search runs out on unit
+    # PG(2,3), so the upper bound stays the trivial 13.
+    res = kapranov_bounds(incidence_matrix(projective_plane(3), "unit"))
+    assert (res.lower, res.upper, res.tight) == (3, 13, False)
+    assert any("factorization search inconclusive" in n for n in res.notes)
+
+
 def test_bounds_realizable_01_matrix_improves_to_three():
     # 4x4 pattern realizable over Q but with Barvinok rank 4:
     # rows/cols of a quadrilateral with its diagonals' pattern
