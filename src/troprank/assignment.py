@@ -1,11 +1,12 @@
 """Tropical determinant: exact minimum permutation sum with a uniqueness certificate.
 
-The minimum is computed by a Hungarian solver over integer-scaled exact costs
-(forbidden edges for inf entries).  Uniqueness comes from the optimal dual
-potentials of that same solve: the optimal permutations are exactly the
-perfect matchings of the tight subgraph (edges of reduced cost 0), so the
-optimum is unique iff that subgraph has no cycle alternating with the optimal
-matching (Butkovič, *Max-linear Systems*, 2010).  Below size 5 the n!
+The minimum is computed by a Hungarian solver over the matrix's stored form,
+integer costs ``m.cost`` over one denominator ``m.scale`` (None for inf is a
+forbidden edge).  Uniqueness comes from the optimal dual potentials of that
+same solve: the optimal permutations are exactly the perfect matchings of the
+tight subgraph (edges of reduced cost 0), so the optimum is unique iff that
+subgraph has no cycle alternating with the optimal matching (Butkovič,
+*Max-linear Systems*, 2010).  Below size 5 the n!
 permutation sums are enumerated instead, which is faster at those sizes.
 """
 
@@ -33,10 +34,6 @@ class AssignmentCertificate:
     value: object
     witness: Optional[tuple]
     unique: bool
-
-    @property
-    def is_finite(self) -> bool:
-        return self.value is not INF
 
 
 def solve_min_assignment(cost):
@@ -173,18 +170,17 @@ def tropical_determinant(m: TropicalMatrix) -> AssignmentCertificate:
     """Exact min over permutations of sum m[i][perm(i)], with witness and uniqueness."""
     if not m.is_square:
         raise ValueError("tropical determinant requires a square matrix")
-    cost, scale = m.scaled
-    total, perm, unique = min_permutation(cost)
+    total, perm, unique = min_permutation(m.cost)
     if total is None:
         return AssignmentCertificate(INF, None, False)
-    return AssignmentCertificate(Fraction(total, scale), perm, unique)
+    return AssignmentCertificate(Fraction(total, m.scale), perm, unique)
 
 
 def is_nonsingular(m: TropicalMatrix) -> bool:
     """True iff the minimum permutation sum is finite and attained uniquely."""
     if not m.is_square:
         raise ValueError("nonsingularity is defined for square matrices only")
-    return min_permutation(m.scaled[0])[2]
+    return min_permutation(m.cost)[2]
 
 
 def brute_force_determinant(m: TropicalMatrix):
@@ -198,7 +194,7 @@ def brute_force_determinant(m: TropicalMatrix):
         total = Fraction(0)
         dead = False
         for i, j in enumerate(perm):
-            v = m.entries[i * n + j]
+            v = m.entry(i, j)
             if v is INF:
                 dead = True
                 break

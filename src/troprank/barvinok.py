@@ -36,7 +36,6 @@ canonical factorization; it is verified entrywise before being returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .tropical import INF, TropicalMatrix, min_plus_multiply
@@ -316,29 +315,28 @@ class _CoveringSearch:
         return None
 
 
-def _factorization(m, cost, scale, groups) -> BarvinokFactorization:
+def _factorization(m, groups) -> BarvinokFactorization:
     """The canonical factorization of an accepted covering, verified entrywise."""
     k = len(groups)
-    left_rows = [[INF] * k for _ in range(m.rows)]
-    right_rows = [[INF] * m.cols for _ in range(k)]
+    left = [[None] * k for _ in range(m.rows)]
+    right = [[None] * m.cols for _ in range(k)]
     for s, cells in enumerate(groups):
         if not cells:
             continue
         rows_s = sorted({i for i, _ in cells})
         cols_s = sorted({j for _, j in cells})
-        sol = _group_solve(cost, rows_s, cols_s, cells)
+        sol = _group_solve(m.cost, rows_s, cols_s, cells)
         if sol is None:
             raise RuntimeError("Bellman-Ford rejected a group the propagation test accepted")
         a, b = sol
         for i in rows_s:
-            left_rows[i][s] = Fraction(a[i], scale)
+            left[i][s] = a[i]
         for j in cols_s:
-            right_rows[s][j] = Fraction(b[j], scale)
-    left = TropicalMatrix.from_rows(left_rows)
-    right = TropicalMatrix.from_rows(right_rows)
-    if min_plus_multiply(left, right) != m:
+            right[s][j] = b[j]
+    fact = BarvinokFactorization(k, TropicalMatrix(left, m.scale), TropicalMatrix(right, m.scale))
+    if min_plus_multiply(fact.left, fact.right) != m:
         raise RuntimeError("feasible covering produced a bad factorization")
-    return BarvinokFactorization(k, left, right)
+    return fact
 
 
 def barvinok_rank(m: TropicalMatrix, kmax: Optional[int] = None, budget: Optional[int] = None) -> BarvinokResult:
@@ -350,7 +348,7 @@ def barvinok_rank(m: TropicalMatrix, kmax: Optional[int] = None, budget: Optiona
     hard_cap = min(m.rows, m.cols)
     cap = hard_cap if kmax is None else min(kmax, hard_cap)
     exceeded = kmax is not None and kmax < hard_cap
-    cost, scale = m.scaled
+    cost = m.cost
     finite_cells = [
         (i, j)
         for i in range(m.rows)
@@ -380,6 +378,6 @@ def barvinok_rank(m: TropicalMatrix, kmax: Optional[int] = None, budget: Optiona
         if search.exhausted:
             return BarvinokResult(None, None, False, True, tested)
         if groups is not None:
-            return BarvinokResult(k, _factorization(m, cost, scale, groups), False, False, tested)
+            return BarvinokResult(k, _factorization(m, groups), False, False, tested)
 
     return BarvinokResult(None, None, exceeded, False, tested)

@@ -61,14 +61,6 @@ class Poly:
                 seen.add(v)
         return seen
 
-    def degree_in(self, v: int) -> int:
-        best = 0
-        for m in self.terms:
-            for var, e in m:
-                if var == v and e > best:
-                    best = e
-        return best
-
     def total_degree(self) -> int:
         return max((sum(e for _, e in m) for m in self.terms), default=0)
 

@@ -13,14 +13,11 @@ from typing import Optional
 
 import numpy as np
 
-from .galois import make_field
+from .galois import is_prime, make_field
 from .tropical import TropicalMatrix, format_value
 
 INCIDENCE_TOL = 1e-9      # float incidence: |v.w| <= tol * |v||w|
 NONINCIDENCE_MARGIN = 1e-4  # float non-incidence: |v.w| >= margin * |v||w|
-
-
-_ZERO_ONE = (Fraction(0), Fraction(1))  # entries shared by every to_tropical matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,20 +60,12 @@ class IncidencePattern:
     @staticmethod
     def from_matrix(m: TropicalMatrix) -> "IncidencePattern":
         """Read a (0,1)-valued tropical matrix as a pattern (1 = incidence)."""
-        flat = []
-        for v in m.entries:
-            if v == 1:
-                flat.append(True)
-            elif v == 0:
-                flat.append(False)
-            else:
-                raise ValueError("matrix is not (0,1)-valued")
-        return IncidencePattern(np.array(flat, dtype=bool).reshape(m.rows, m.cols))
+        if m.scale != 1 or not set().union(*m.cost) <= {0, 1}:
+            raise ValueError("matrix is not (0,1)-valued")
+        return IncidencePattern(np.array(m.cost, dtype=bool))
 
     def to_tropical(self) -> TropicalMatrix:
-        return TropicalMatrix(
-            self.rows, self.cols, tuple(_ZERO_ONE[b] for b in self.bits.ravel().tolist())
-        )
+        return TropicalMatrix(tuple(map(tuple, self.bits.view(np.uint8).tolist())), 1)
 
     def ones(self) -> list:
         """Incidences (i, j) as Python ints, in row-major order."""
@@ -176,7 +165,10 @@ def parse_field_tag(tag: str):
     if tag == "float":
         return "float"
     if tag.startswith("gf"):
-        return int(tag[2:])
+        p = int(tag[2:])
+        if not is_prime(p):
+            raise ValueError(f"field tag {tag!r} names GF({p}), but {p} is not prime")
+        return p
     raise ValueError(f"unknown field tag {tag!r}")
 
 
@@ -198,7 +190,13 @@ def parse_configuration(text: str) -> Configuration:
             coords = tuple(Fraction(t) for t in toks[2:])
         else:
             coords = tuple(int(t) for t in toks[2:])
-        (pts if toks[0] == "P" else lns)[idx] = coords
+        found = pts if toks[0] == "P" else lns
+        if idx in found:
+            raise ValueError(f"repeated {toks[0]} index {idx}")
+        found[idx] = coords
+    for kind, found in (("P", pts), ("L", lns)):
+        if sorted(found) != list(range(len(found))):
+            raise ValueError(f"{kind} indices must be exactly 0..{len(found) - 1}")
     points = tuple(pts[i] for i in sorted(pts))
     lines_v = tuple(lns[j] for j in sorted(lns))
     return Configuration(field, points, lines_v)

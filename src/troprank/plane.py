@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .galois import GaloisField, make_field
 from .tropical import TropicalMatrix
@@ -34,9 +33,6 @@ class ProjectivePlane:
 
     def incidence_count(self) -> int:
         return sum(len(pts) for pts in self.line_points)
-
-    def is_incident(self, point_idx: int, line_idx: int) -> bool:
-        return line_idx in self.point_lines[point_idx]
 
 
 def _normalized_triples(f: GaloisField):
@@ -96,38 +92,27 @@ def _verify_axioms(plane: ProjectivePlane):
                 raise PlaneAxiomError(f"lines {i},{j} do not meet in a unique point")
 
 
-def incidence_matrix(
-    plane: ProjectivePlane,
-    scheme: str = "unit",
-    seed: int = 0,
-    max_numerator: int = 1000,
-) -> TropicalMatrix:
+_WEIGHT_DENOMINATOR = 1000  # random weights are k/1000 with 1 <= k <= 1000
+
+
+def incidence_matrix(plane: ProjectivePlane, scheme: str = "unit", seed: int = 0) -> TropicalMatrix:
     """Tropical matrix: 0 where point i is off line j, a positive weight on it.
 
     scheme "unit" puts 1 at every incidence; "random" draws weights k/1000
-    (1 <= k <= max_numerator) row-major from the seed, so the zero pattern is
+    (1 <= k <= 1000) row-major from the seed, so the zero pattern is
     identical across schemes.
     """
     if scheme not in ("unit", "random"):
         raise ValueError(f"unknown weight scheme {scheme!r}")
-    if max_numerator < 1:
-        raise ValueError("weights must be strictly positive")
+    unit = scheme == "unit"
     rng = random.Random(seed)
-    n = plane.size
-    rows = []
-    for i in range(n):
-        on = set(plane.point_lines[i])
-        row = []
-        for j in range(n):
-            if j in on:
-                if scheme == "unit":
-                    row.append(Fraction(1))
-                else:
-                    row.append(Fraction(rng.randint(1, max_numerator), 1000))
-            else:
-                row.append(Fraction(0))
-        rows.append(row)
-    return TropicalMatrix.from_rows(rows)
+    cost = []
+    for on in plane.point_lines:
+        row = [0] * plane.size
+        for j in on:
+            row[j] = 1 if unit else rng.randint(1, _WEIGHT_DENOMINATOR)
+        cost.append(tuple(row))
+    return TropicalMatrix(tuple(cost), 1 if unit else _WEIGHT_DENOMINATOR)
 
 
 def format_plane_sidecar(plane: ProjectivePlane) -> str:

@@ -127,7 +127,7 @@ class _Views:
 
 
 def _level_views(cost):
-    """_Views of the integer-scaled cost, or None when an entry is negative."""
+    """_Views of a matrix's integer cost, or None when an entry is negative."""
     finite = [c for row in cost for c in row if c is not None]
     if finite and min(finite) < 0:
         return None
@@ -444,7 +444,7 @@ def tropical_rank(m: TropicalMatrix, limit: Optional[int] = None, budget: Option
     if limit is not None:
         cap = min(cap, limit)
     tracker = _Budget(budget)
-    cost = m.scaled[0]
+    cost = m.cost
     views = _UNSET  # derived at the first classified level
 
     rank = 0
@@ -476,7 +476,7 @@ def sample_level_singular(m: TropicalMatrix, k: int, samples: int, seed: int):
     """
     if not 1 <= k <= min(m.rows, m.cols):
         raise ValueError(f"level {k} outside 1..{min(m.rows, m.cols)}")
-    cost = m.scaled[0]
+    cost = m.cost
     views = _level_views(cost) if k <= _COUNT_MAX_K else None
     rng = np.random.default_rng(seed)
     remaining = samples

@@ -61,11 +61,13 @@ class Unknown:
     report: str
 
 
+_GF_POINTS = 65_536     # max parameter assignments enumerated per GF(p) leaf
+_VALUE_ATTEMPTS = 64    # generic value draws per rational leaf
+
+
 @dataclass(frozen=True)
 class RealizeBudget:
     nodes: int = 200_000
-    gf_points: int = 65_536     # max parameter assignments enumerated per leaf
-    value_attempts: int = 64    # generic value draws per rational leaf
     restarts: int = 100         # float engine restarts
 
 
@@ -493,7 +495,7 @@ class _ExactEngine:
         return points, lines
 
     def _leaf_rational(self, node, groups, free):
-        for attempt in range(self.budget.value_attempts):
+        for attempt in range(_VALUE_ATTEMPTS):
             rng = random.Random(f"{self.seed}:{self.leaves}:{attempt}:leaf")
             span = 4 + 8 * (attempt + 1)
             assignment = {v: Fraction(rng.randint(1, span)) for v in free}
@@ -515,7 +517,7 @@ class _ExactEngine:
     def _leaf_galois(self, node, groups, free):
         p = self.field
         total = p ** len(free)
-        if total > self.budget.gf_points:
+        if total > _GF_POINTS:
             self.unknowns.append(
                 f"parameter space GF({p})^{len(free)} exceeds enumeration budget"
             )
@@ -677,7 +679,6 @@ def kapranov_bounds(
     kmax: Optional[int] = None,
     rank_budget: Optional[int] = None,
     barvinok_budget: Optional[int] = None,
-    realize_budget: Optional[RealizeBudget] = None,
     seed: int = 0,
 ) -> BoundsReport:
     """Sandwich the lift rank: tropical rank below, factorization rank above.
@@ -710,7 +711,7 @@ def kapranov_bounds(
         )
     pattern = _zero_one_pattern(m) if upper > 3 else None
     if pattern is not None and field is None:
-        verdict = realize_rank3(pattern, field=None, seed=seed, budget=realize_budget)
+        verdict = realize_rank3(pattern, field=None, seed=seed)
         if isinstance(verdict, Realized):
             upper = 3 if lower <= 3 else upper
             notes.append("rational rank-3 realization found; upper bound improved to 3")

@@ -3,13 +3,18 @@
 The semiring is (Q ∪ {inf}, min, +): "addition" is minimum, "multiplication"
 is ordinary addition, and ``inf`` is the additive identity.  All finite
 entries are exact rationals; nothing in this module touches floating point.
+
+A ``TropicalMatrix`` is stored once, as canonical integer costs over one
+denominator; the engines read those, and ``Fraction`` values appear only at the
+API edge (``entry``, ``row``, ``to_rows``, ``entries`` and the text format).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from itertools import chain
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 
@@ -93,103 +98,116 @@ def format_value(v: Value) -> str:
     return f"{v.numerator}/{v.denominator}"
 
 
+def _scaled(values) -> tuple:
+    """(ints, scale): each finite value times the lcm of the finite values'
+    denominators, None for inf.  Values are Fractions, ints or INF."""
+    values = list(values)
+    scale = lcm(*{v.denominator for v in values if v is not INF})
+    return [None if v is INF else v.numerator * (scale // v.denominator) for v in values], scale
+
+
 @dataclass(frozen=True)
 class TropicalMatrix:
-    """Immutable rectangular matrix over Q ∪ {inf}, row-major storage."""
+    """Immutable matrix over Q ∪ {inf}: ``cost`` holds row tuples of each finite
+    entry times ``scale`` as an int (None for inf), and ``scale`` is the lcm of
+    the finite entries' denominators.  The constructor divides both by their
+    gcd, so ``==`` and ``hash`` compare values."""
 
-    rows: int
-    cols: int
-    entries: tuple
+    cost: tuple
+    scale: int
 
     def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
+        cost = tuple(map(tuple, self.cost))
+        if not cost or not cost[0]:
             raise ValueError("matrix must have at least one row and one column")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count does not match dimensions")
+        if len(set(map(len, cost))) != 1:
+            raise ValueError("ragged rows")
+        if self.scale < 1:
+            raise ValueError("scale must be a positive integer")
+        g = self.scale
+        for row in cost:
+            if g == 1:
+                break
+            g = gcd(g, *[c for c in row if c is not None])
+        if g > 1:
+            cost = tuple(tuple(None if c is None else c // g for c in row) for row in cost)
+        object.__setattr__(self, "cost", cost)
+        object.__setattr__(self, "scale", self.scale // g)
+
+    @property
+    def rows(self) -> int:
+        return len(self.cost)
+
+    @property
+    def cols(self) -> int:
+        return len(self.cost[0])
 
     @staticmethod
     def from_rows(rows: Iterable[Iterable]) -> "TropicalMatrix":
-        data = [[as_value(x) for x in row] for row in rows]
+        data = [[x if type(x) in (int, Fraction) else as_value(x) for x in row] for row in rows]
         if not data:
             raise ValueError("empty matrix")
-        width = len(data[0])
-        if any(len(r) != width for r in data):
+        if len(set(map(len, data))) != 1:
             raise ValueError("ragged rows")
-        return TropicalMatrix(len(data), width, tuple(v for r in data for v in r))
+        flat, scale = _scaled(chain.from_iterable(data))
+        return TropicalMatrix(tuple(zip(*[iter(flat)] * len(data[0]))), scale)
 
     @staticmethod
     def constant(rows: int, cols: int, value=0) -> "TropicalMatrix":
-        v = as_value(value)
-        return TropicalMatrix(rows, cols, (v,) * (rows * cols))
+        (c,), scale = _scaled([as_value(value)])
+        return TropicalMatrix(((c,) * cols,) * rows, scale)
 
     @staticmethod
     def identity(n: int) -> "TropicalMatrix":
         """Min-plus identity: 0 on the diagonal, inf elsewhere."""
-        ent = [INF] * (n * n)
-        for i in range(n):
-            ent[i * n + i] = Fraction(0)
-        return TropicalMatrix(n, n, tuple(ent))
+        return TropicalMatrix(
+            tuple(tuple(0 if i == j else None for j in range(n)) for i in range(n)), 1
+        )
 
     def entry(self, i: int, j: int) -> Value:
-        return self.entries[i * self.cols + j]
+        c = self.cost[i][j]
+        return INF if c is None else Fraction(c, self.scale)
 
     def row(self, i: int) -> tuple:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        return tuple(INF if c is None else Fraction(c, self.scale) for c in self.cost[i])
 
     def to_rows(self) -> list:
         return [list(self.row(i)) for i in range(self.rows)]
+
+    @property
+    def entries(self) -> tuple:
+        """All entries as Fraction/INF, row-major."""
+        return tuple(v for i in range(self.rows) for v in self.row(i))
 
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def transpose(self) -> "TropicalMatrix":
-        ent = tuple(
-            self.entries[i * self.cols + j]
-            for j in range(self.cols)
-            for i in range(self.rows)
-        )
-        return TropicalMatrix(self.cols, self.rows, ent)
+        return TropicalMatrix(tuple(zip(*self.cost)), self.scale)
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "TropicalMatrix":
-        ent = tuple(
-            self.entries[i * self.cols + j] for i in row_idx for j in col_idx
+        return TropicalMatrix(
+            tuple(tuple(self.cost[i][j] for j in col_idx) for i in row_idx), self.scale
         )
-        return TropicalMatrix(len(row_idx), len(col_idx), ent)
-
-    def finite_count(self) -> int:
-        return sum(1 for v in self.entries if v is not INF)
-
-    @property
-    def scaled(self):
-        """(cost rows, scale): finite entries times the lcm of their
-        denominators as ints, None for inf."""
-        denoms = [v.denominator for v in self.entries if v is not INF]
-        scale = lcm(*denoms) if denoms else 1
-        flat = [None if v is INF else v.numerator * (scale // v.denominator) for v in self.entries]
-        cost = tuple(tuple(flat[i : i + self.cols]) for i in range(0, len(flat), self.cols))
-        return cost, scale
 
 
 def min_plus_multiply(a: TropicalMatrix, b: TropicalMatrix) -> TropicalMatrix:
     """C[i][j] = min over s of (A[i][s] + B[s][j]), with inf absorbing."""
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: {a.rows}x{a.cols} by {b.rows}x{b.cols}")
+    scale = lcm(a.scale, b.scale)
+    fa, fb = scale // a.scale, scale // b.scale
+    left = [[None if x is None else x * fa for x in row] for row in a.cost]
+    right_cols = list(zip(*([None if y is None else y * fb for y in row] for row in b.cost)))
     out = []
-    for i in range(a.rows):
-        arow = a.row(i)
-        for j in range(b.cols):
-            best = INF
-            for s in range(a.cols):
-                x = arow[s]
-                y = b.entries[s * b.cols + j]
-                if x is INF or y is INF:
-                    continue
-                v = x + y
-                if best is INF or v < best:
-                    best = v
-            out.append(best)
-    return TropicalMatrix(a.rows, b.cols, tuple(out))
+    for arow in left:
+        orow = []
+        for bcol in right_cols:
+            sums = [x + y for x, y in zip(arow, bcol) if x is not None and y is not None]
+            orow.append(min(sums) if sums else None)
+        out.append(tuple(orow))
+    return TropicalMatrix(tuple(out), scale)
 
 
 def tropical_scale(m: TropicalMatrix, row_offsets: Sequence, col_offsets: Sequence) -> TropicalMatrix:
@@ -200,19 +218,19 @@ def tropical_scale(m: TropicalMatrix, row_offsets: Sequence, col_offsets: Sequen
         raise ValueError("offset lengths must match matrix dimensions")
     if any(v is INF for v in r) or any(v is INF for v in c):
         raise ValueError("offsets must be finite")
-    ent = []
-    for i in range(m.rows):
-        for j in range(m.cols):
-            v = m.entries[i * m.cols + j]
-            ent.append(INF if v is INF else v + r[i] + c[j])
-    return TropicalMatrix(m.rows, m.cols, tuple(ent))
+    return TropicalMatrix.from_rows(
+        [[v if v is INF else v + r[i] + c[j] for j, v in enumerate(m.row(i))] for i in range(m.rows)]
+    )
 
 
 def format_matrix(m: TropicalMatrix) -> str:
     """Render in the `tropmat` text format (exactly reparseable)."""
+    text = {
+        c: "inf" if c is None else format_value(Fraction(c, m.scale))
+        for c in set().union(*m.cost)
+    }
     lines = [f"tropmat {m.rows} {m.cols}"]
-    for i in range(m.rows):
-        lines.append(" ".join(format_value(v) for v in m.row(i)))
+    lines.extend(" ".join(map(text.__getitem__, row)) for row in m.cost)
     return "\n".join(lines) + "\n"
 
 
@@ -229,15 +247,12 @@ def parse_matrix(text: str) -> TropicalMatrix:
         raise ValueError("bad tropmat dimensions")
     if len(lines) - 1 != rows:
         raise ValueError(f"expected {rows} data rows, found {len(lines) - 1}")
-    entries = []
-    values = {}  # token -> value: a (0,1) pattern has two distinct tokens
-    for ln in lines[1:]:
-        toks = ln.split()
+    tokens = [ln.split() for ln in lines[1:]]
+    for toks in tokens:
         if len(toks) != cols:
             raise ValueError(f"expected {cols} entries per row, found {len(toks)}")
-        for t in toks:
-            v = values.get(t)
-            if v is None:
-                v = values[t] = as_value(t)
-            entries.append(v)
-    return TropicalMatrix(rows, cols, tuple(entries))
+    # One conversion per distinct token: a (0,1) pattern has two.
+    distinct = sorted(set().union(*tokens))
+    ints, scale = _scaled(as_value(t) for t in distinct)
+    cost_of = dict(zip(distinct, ints))
+    return TropicalMatrix(tuple(tuple(map(cost_of.__getitem__, toks)) for toks in tokens), scale)

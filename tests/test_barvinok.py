@@ -57,7 +57,7 @@ def _scan_rank(m, kmax=None, budget=None):
     each covering as it is tested."""
     hard_cap = min(m.rows, m.cols)
     cap = hard_cap if kmax is None else min(kmax, hard_cap)
-    cost, scale = m.scaled
+    cost = m.cost
     cells = [(i, j) for i in range(m.rows) for j in range(m.cols) if cost[i][j] is not None]
     if not cells:
         fact = BarvinokFactorization(1, TropicalMatrix.constant(m.rows, 1, INF), TropicalMatrix.constant(1, m.cols, INF))
@@ -74,7 +74,7 @@ def _scan_rank(m, kmax=None, budget=None):
             tested += 1
             groups = [[cell for cell, t in zip(cells, labels) if t == s] for s in range(k)]
             if all(_group_feasible(cost, g) for g in groups if g):
-                return BarvinokResult(k, _factorization(m, cost, scale, groups), False, False, tested)
+                return BarvinokResult(k, _factorization(m, groups), False, False, tested)
     return BarvinokResult(None, None, kmax is not None and kmax < hard_cap, False, tested)
 
 
@@ -214,7 +214,7 @@ def test_group_feasible_matches_bellman_ford():
                 for _ in range(r)
             ]
         )
-        cost, _ = m.scaled
+        cost = m.cost
         cells = [(i, j) for i in range(r) for j in range(c) if cost[i][j] is not None]
         seen = set()
         for k in (1, 2, 3):
@@ -239,7 +239,7 @@ def test_group_feasible_two_components():
     cells = ((0, 0), (1, 0), (2, 1), (2, 2))
     for m20, feasible in ((3, False), (-5, True)):
         m = TropicalMatrix.from_rows([[0, 2, 2], [1, 3, 5], [m20, 0, 0]])
-        cost, _ = m.scaled
+        cost = m.cost
         # slacks: -4 one way; m00 - m20 = -3 or 5 the other
         assert _group_feasible(cost, cells) is feasible
         assert (_solve_group(cost, cells) is not None) is feasible
@@ -288,7 +288,7 @@ def _check_subtree_counts(m, k):
     # The count below every node of the tree equals the number of reference
     # coverings that extend the node's labels; a capped count agrees up to
     # its cap and leaves the placement as it found it.
-    cost, _ = m.scaled
+    cost = m.cost
     cells = [(i, j) for i in range(m.rows) for j in range(m.cols) if cost[i][j] is not None]
     below = Counter()
     for labels in _coverings(cells, k):

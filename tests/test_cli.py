@@ -212,6 +212,18 @@ def test_verify_lift_rejects_stray_entry_line(tmp_path, capsys):
     assert code == 1 and "outside" in err
 
 
+def test_verify_lift_rejects_composite_field(tmp_path, capsys):
+    # Over Z/4 this lift has rank 1 (2*3 - 1*2 = 4 = 0), but Z/4 is not a field.
+    m = write(tmp_path, "m.tropmat", "tropmat 2 2\n0 0\n0 0\n")
+    lift = write(
+        tmp_path,
+        "L.troplift",
+        "troplift 2 2 gf4 inf\n0 0 : 2*t^0\n0 1 : 1*t^0\n1 0 : 2*t^0\n1 1 : 3*t^0\n",
+    )
+    code, _, err = run(["--json", "verify-lift", "--matrix", m, "--lift", lift, "--rank", "1"], capsys)
+    assert code == 1 and "not prime" in err
+
+
 def test_json_output(tmp_path, capsys):
     f = write(tmp_path, "m.tropmat", "tropmat 1 1\n0\n")
     code, out, _ = run(["--json", "det", f], capsys)

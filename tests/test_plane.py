@@ -87,8 +87,6 @@ def test_bad_weight_scheme():
     plane = projective_plane(2)
     with pytest.raises(ValueError):
         incidence_matrix(plane, "gaussian")
-    with pytest.raises(ValueError):
-        incidence_matrix(plane, "random", max_numerator=0)
 
 
 def test_sidecar_format():

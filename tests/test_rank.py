@@ -178,7 +178,7 @@ def test_classified_scan_returns_generic_witness(monkeypatch):
     for inf_share, top, count in ((0.15, 3, 300), (0.0, 2, 100)):
         for _ in range(count):
             m = _random_nonneg(rng, rng.randint(6, 9), rng.randint(6, 9), inf_share, top)
-            cost = m.scaled[0]
+            cost = m.cost
             views = rank_mod._level_views(cost)
             # dense=None takes the exact fallback used when int64 would overflow.
             python_views = dataclasses.replace(views, dense=None)
@@ -205,7 +205,7 @@ def test_classified_scan_returns_generic_witness(monkeypatch):
                 if status == "weight-free":
                     other = _reweighted(rng, m)
                     assert rank_mod._generic_level_scan(
-                        other, other.scaled[0], k, rank_mod._Budget(None)
+                        other, other.cost, k, rank_mod._Budget(None)
                     ) == ("exhausted", None)
                 if expected[0] == "exhausted":
                     break
@@ -304,7 +304,7 @@ def test_all_positive_matrix_stops_at_first_witness_row_set():
     # which closes once it holds _RESOLVE_CHUNK pairs.
     for (_, _, _, k), entry in rank_mod._CLASSIFY_CACHE.items():
         assert entry.classified * comb(16, k) < rank_mod._RESOLVE_CHUNK + comb(16, k)
-    cost = m.scaled[0]
+    cost = m.cost
     views = rank_mod._level_views(cost)
     for k in (3, 4, 5):
         expected = rank_mod._generic_level_scan(m, cost, k, rank_mod._Budget(None))
@@ -451,7 +451,7 @@ def test_row_set_filter_is_exact():
     SINGULAR block with it (every level-4 row set of PG(2,3) is); k = 5
     skips none."""
     rng = np.random.default_rng(67)
-    plane = incidence_matrix(projective_plane(3), "unit").scaled[0]
+    plane = incidence_matrix(projective_plane(3), "unit").cost
     patterns = [rng.random((11, 12)) < density for density in (0.2, 0.5, 0.8, 0.95)]
     patterns.append(np.array([[c == 0 for c in row] for row in plane]))
     skipped = {}

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from troprank import (
     IncidencePattern,
     ProvedInfeasible,
@@ -101,7 +103,6 @@ def test_exact_verdicts_reverify_on_random_patterns():
 
 
 def test_non_prime_field_rejected():
-    import pytest
 
     p = IncidencePattern.from_rows([[1]])
     with pytest.raises(ValueError):
@@ -128,6 +129,26 @@ def test_configuration_certificate_round_trip():
     textf = format_configuration(vf.configuration)
     backf = parse_configuration(textf)
     assert backf.points == vf.configuration.points  # 17 digits round-trip floats
+
+
+def test_parse_configuration_rejects_composite_field():
+    with pytest.raises(ValueError, match="not prime"):
+        parse_configuration("field gf4\nP 0 1 0 0\nL 0 0 1 0\n")
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        ["P 0 1 0 0", "P 0 0 1 0", "L 0 0 0 1"],  # repeated point index
+        ["P 0 1 0 0", "L 0 0 0 1", "L 0 0 1 0"],  # repeated line index
+        ["P 0 1 0 0", "P 7 0 1 0", "L 0 0 0 1"],  # point indices skip 1..6
+        ["P 0 1 0 0", "L 1 0 0 1"],               # line indices start at 1
+        ["P -1 1 0 0", "L 0 0 0 1"],
+    ],
+)
+def test_parse_configuration_rejects_bad_indices(rows):
+    with pytest.raises(ValueError, match="index|indices"):
+        parse_configuration("field q\n" + "\n".join(rows) + "\n")
 
 
 def _gf_realizable_brute(pattern, p):

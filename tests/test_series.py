@@ -135,6 +135,12 @@ def test_parse_lift_rejects_float_field():
         parse_lift("troplift 1 1 float 3\n0 0 : 1*t^0\n")
 
 
+@pytest.mark.parametrize("tag", ["gf4", "gf6", "gf1", "gf0"])
+def test_parse_lift_rejects_composite_field(tag):
+    with pytest.raises(ValueError, match="not prime"):
+        parse_lift(f"troplift 1 1 {tag} inf\n0 0 : 1*t^0\n")
+
+
 def test_parse_lift_rejects_out_of_range_entry():
     with pytest.raises(ValueError, match="outside"):
         parse_lift("troplift 1 1 q inf\n0 0 : 1*t^0\n5 7 : 3*t^1\n")

@@ -1,9 +1,13 @@
+import random
 from fractions import Fraction
+from math import gcd, lcm
 
+import numpy as np
 import pytest
 
 from troprank import (
     INF,
+    IncidencePattern,
     TropicalMatrix,
     format_matrix,
     min_plus_multiply,
@@ -99,3 +103,111 @@ def test_submatrix_and_transpose():
     assert m.transpose().entry(2, 1) == Fraction(6)
     sub = m.submatrix([1], [0, 2])
     assert sub.to_rows() == [[Fraction(4), Fraction(6)]]
+
+
+# ---- stored form: canonical integer costs over one denominator ---------------
+#
+# The oracles below are the Fraction-per-entry implementations the matrix type
+# had before it stored integer costs; they work on (rows, cols, entries).
+
+
+def _ref_transpose(rows, cols, entries):
+    ent = tuple(entries[i * cols + j] for j in range(cols) for i in range(rows))
+    return cols, rows, ent
+
+
+def _ref_submatrix(rows, cols, entries, row_idx, col_idx):
+    ent = tuple(entries[i * cols + j] for i in row_idx for j in col_idx)
+    return len(row_idx), len(col_idx), ent
+
+
+def _ref_multiply(a, b):
+    (ar, ac, ae), (br, bc, be) = a, b
+    out = []
+    for i in range(ar):
+        arow = ae[i * ac : (i + 1) * ac]
+        for j in range(bc):
+            best = INF
+            for s in range(ac):
+                x = arow[s]
+                y = be[s * bc + j]
+                if x is INF or y is INF:
+                    continue
+                v = x + y
+                if best is INF or v < best:
+                    best = v
+            out.append(best)
+    return ar, bc, tuple(out)
+
+
+def _ref_format(rows, cols, entries):
+    lines = [f"tropmat {rows} {cols}"]
+    for i in range(rows):
+        lines.append(" ".join(format_value(v) for v in entries[i * cols : (i + 1) * cols]))
+    return "\n".join(lines) + "\n"
+
+
+def _flat(m):
+    return m.rows, m.cols, m.entries
+
+
+def _random_matrix(rng, r, c):
+    return TropicalMatrix.from_rows(
+        [
+            [INF if rng.random() < 0.2 else Fraction(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(c)]
+            for _ in range(r)
+        ]
+    )
+
+
+def _random_matrices():
+    rng = random.Random(41)
+    out = [TropicalMatrix.constant(3, 4, INF)]
+    for _ in range(300):
+        out.append(_random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6)))
+    return rng, out
+
+
+def test_stored_form_is_canonical():
+    _, matrices = _random_matrices()
+    for m in matrices:
+        finite = [v for v in m.entries if v is not INF]
+        assert m.scale == lcm(*(v.denominator for v in finite))
+        assert gcd(m.scale, *(c for row in m.cost for c in row if c is not None)) == 1
+        back = TropicalMatrix.from_rows(m.to_rows())
+        assert back == m and hash(back) == hash(m)
+        # Any common factor of cost and scale is divided out on construction.
+        doubled = TropicalMatrix(
+            tuple(tuple(None if c is None else 6 * c for c in row) for row in m.cost), 6 * m.scale
+        )
+        assert doubled == m and hash(doubled) == hash(m) and doubled.scale == m.scale
+    assert TropicalMatrix(((None, None),), 8) == TropicalMatrix.constant(1, 2, INF)
+    assert TropicalMatrix.constant(1, 2, INF).scale == 1
+
+
+def test_stored_form_matches_fraction_oracles():
+    rng, matrices = _random_matrices()
+    for m in matrices:
+        text = format_matrix(m)
+        assert text == _ref_format(*_flat(m))
+        assert parse_matrix(text) == m
+        assert _flat(m.transpose()) == _ref_transpose(*_flat(m))
+        row_idx = sorted(rng.sample(range(m.rows), rng.randint(1, m.rows)))
+        col_idx = sorted(rng.sample(range(m.cols), rng.randint(1, m.cols)))
+        sub = m.submatrix(row_idx, col_idx)
+        assert _flat(sub) == _ref_submatrix(*_flat(m), row_idx, col_idx)
+        assert sub == TropicalMatrix.from_rows(sub.to_rows())  # canonical scale
+        other = _random_matrix(rng, m.cols, rng.randint(1, 6))
+        prod = min_plus_multiply(m, other)
+        assert _flat(prod) == _ref_multiply(_flat(m), _flat(other))
+        assert prod == TropicalMatrix.from_rows(prod.to_rows())
+
+
+def test_format_of_large_01_pattern_matches_oracle():
+    rng = np.random.default_rng(755)
+    pattern = IncidencePattern(rng.random((755, 550)) < 0.3)
+    m = pattern.to_tropical()
+    text = format_matrix(m)
+    assert text == _ref_format(*_flat(m))
+    back = parse_matrix(text)
+    assert back == m and IncidencePattern.from_matrix(back) == pattern
