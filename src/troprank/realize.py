@@ -18,8 +18,10 @@ configuration realizability of the pattern over that field; unlike the
 rational case it is not packaged here as a statement about lift ranks.
 
 Float engine: random-restart least squares on the incidence residuals with a
-hinge pushing non-incidence products above a margin; answers are only ever
-Realized (re-verified against the float tolerances) or Unknown.
+hinge pushing non-incidence products above a margin, minimised by a
+Levenberg-Marquardt loop on the normal equations (assembled from each
+residual's few nonzero partials, never from a dense Jacobian); answers are
+only ever Realized (re-verified against the float tolerances) or Unknown.
 """
 
 from __future__ import annotations
@@ -542,84 +544,155 @@ class _ExactEngine:
 # ---- float engine -----------------------------------------------------------
 
 
+_HINGE_MARGIN = 3e-4   # optimize above the acceptance margin for hysteresis
+_MAX_NFEV = 120        # residual evaluations per restart
+_LM_TOL = 1e-8         # relative cost decrease / step size that ends a restart
+# Damping range.  Rotations leave every residual unchanged, so J^T J is
+# singular along them and the step there is rounding noise / lam: the floor
+# bounds it.
+_LM_LAMBDA = (1e-12, 1e12)
+
+
+class _IncidenceLeastSquares:
+    """The float engine's least-squares model of an incidence pattern.
+
+    x stacks the n points, then the m lines, three coordinates each.  The
+    residuals are the scaled dots p.l / (|p||l|) of the incidences, a hinge
+    max(0, margin - |scaled dot|) on the non-incidences, and the norm
+    residuals (|p|^2 - 1) / 4 and (|l|^2 - 1) / 4.  Every pair residual
+    depends on six coordinates and every norm residual on three, so the
+    normal equations are assembled from those partials without forming J.
+    """
+
+    def __init__(self, pattern: IncidencePattern):
+        self.n, self.m = pattern.rows, pattern.cols
+        oi, oj = np.nonzero(pattern.bits)
+        zi, zj = np.nonzero(~pattern.bits)
+        self.ii = np.concatenate([oi, zi])
+        self.jj = np.concatenate([oj, zj])
+        self.incident = len(oi)
+        self.size = 3 * (self.n + self.m)
+        # columns of the six partials of each pair residual, and the three of
+        # each norm residual
+        offsets = np.arange(3)
+        self.pair_cols = np.hstack([
+            3 * self.ii[:, None] + offsets,
+            3 * (self.n + self.jj)[:, None] + offsets,
+        ])
+        self.norm_cols = 3 * np.arange(self.n + self.m)[:, None] + offsets
+
+    def _scaled_dots(self, x):
+        elems = x.reshape(-1, 3)
+        norms = np.linalg.norm(elems, axis=1) + 1e-12
+        p, l = self.ii, self.n + self.jj
+        s = np.einsum("ik,ik->i", elems[p], elems[l]) / (norms[p] * norms[l])
+        return elems, norms, s
+
+    def _pair_residuals(self, s):
+        """Pair residuals and d(residual)/d(scaled dot): 1 on incidences,
+        -sign(s) on active hinges, 0 on inactive ones."""
+        k = self.incident
+        active = np.abs(s[k:]) < _HINGE_MARGIN
+        res = np.concatenate([s[:k], np.where(active, _HINGE_MARGIN - np.abs(s[k:]), 0.0)])
+        coef = np.concatenate([np.ones(k), np.where(active, -np.sign(s[k:]), 0.0)])
+        return res, coef
+
+    def residuals(self, x):
+        _, norms, s = self._scaled_dots(x)
+        res, _ = self._pair_residuals(s)
+        return np.concatenate([res, 0.25 * (norms * norms - 1.0)])
+
+    def normal_equations(self, x):
+        """(J^T J, J^T f) at x."""
+        elems, norms, s = self._scaled_dots(x)
+        res, coef = self._pair_residuals(s)
+        live = coef != 0.0
+        p, l = self.ii[live], self.n + self.jj[live]
+        u, v, nu, nv, s = elems[p], elems[l], norms[p, None], norms[l, None], s[live, None]
+        # d(scaled dot)/d point and /d line
+        grads = coef[live, None] * np.hstack([v / (nu * nv) - s * u / nu**2, u / (nu * nv) - s * v / nv**2])
+        cols = [self.pair_cols[live], self.norm_cols]
+        partials = [grads, 0.5 * elems]
+        values = [res[live], 0.25 * (norms * norms - 1.0)]
+        N = self.size
+        gram = np.bincount(
+            np.concatenate([(c[:, :, None] * N + c[:, None, :]).ravel() for c in cols]),
+            np.concatenate([(g[:, :, None] * g[:, None, :]).ravel() for g in partials]),
+            minlength=N * N,
+        )
+        grad = np.bincount(
+            np.concatenate([c.ravel() for c in cols]),
+            np.concatenate([(g * f[:, None]).ravel() for g, f in zip(partials, values)]),
+            minlength=N,
+        )
+        return gram.reshape(N, N), grad
+
+
+def _levenberg_marquardt(model: _IncidenceLeastSquares, x):
+    """Minimise |f(x)|^2 / 2 from x by Levenberg-Marquardt steps
+    (J^T J + lam I) step = -J^T f, with lam updated by Nielsen's rule.
+    Returns (x, residual evaluations).
+
+    At most _MAX_NFEV - 1 trial points follow the start.  A trial with a
+    non-finite step, or a cost that is not lower (NaN included), is rejected.
+    The restart ends early when a step's relative size, or an accepted step's
+    relative cost decrease on a step the model predicted well, drops below
+    _LM_TOL.
+    """
+    f = model.residuals(x)
+    nfev = 1
+    cost = 0.5 * float(f @ f)
+    A, g = model.normal_equations(x)
+    lam, growth = max(1e-3 * float(np.diag(A).max()), _LM_LAMBDA[0]), 2.0
+    diagonal = np.diag_indices_from(A)
+    for _ in range(_MAX_NFEV - 1):
+        damped = A.copy()
+        damped[diagonal] += lam
+        step = np.linalg.solve(damped, -g)
+        new_cost = np.inf
+        if np.isfinite(step).all():
+            f = model.residuals(x + step)
+            nfev += 1
+            new_cost = 0.5 * float(f @ f)
+        small_step = np.linalg.norm(step) < _LM_TOL * (_LM_TOL + np.linalg.norm(x))
+        if new_cost < cost:
+            actual = cost - new_cost
+            predicted = 0.5 * float(step @ (lam * step - g))
+            ratio = actual / max(predicted, actual)  # in (0, 1]
+            converged = small_step or (actual < _LM_TOL * cost and ratio > 0.25)
+            x, cost = x + step, new_cost
+            lam = max(lam * max(1 / 3, 1 - (2 * ratio - 1) ** 3), _LM_LAMBDA[0])
+            growth = 2.0
+            if converged:
+                break
+            A, g = model.normal_equations(x)
+        elif small_step:
+            break
+        else:
+            lam, growth = min(lam * growth, _LM_LAMBDA[1]), 2 * growth
+    return x, nfev
+
+
 def _float_realize(pattern, seed, restarts):
-    from scipy.optimize import least_squares
-
-    n, m = pattern.rows, pattern.cols
-    oi, oj = np.nonzero(pattern.bits)
-    zi, zj = np.nonzero(~pattern.bits)
-    margin = 3e-4  # optimize above the acceptance margin for hysteresis
-    nvar = 3 * (n + m)
-    k1, k2 = len(oi), len(zi)
-
-    def _unpack(x):
-        pts = x[: 3 * n].reshape(n, 3)
-        lns = x[3 * n :].reshape(m, 3)
-        pn = np.linalg.norm(pts, axis=1) + 1e-12
-        ln = np.linalg.norm(lns, axis=1) + 1e-12
-        return pts, lns, pn, ln
-
-    def residuals(x):
-        pts, lns, pn, ln = _unpack(x)
-        s = np.einsum("ik,ik->i", pts[oi], lns[oj]) / (pn[oi] * ln[oj]) if k1 else np.zeros(0)
-        sz = np.einsum("ik,ik->i", pts[zi], lns[zj]) / (pn[zi] * ln[zj]) if k2 else np.zeros(0)
-        hinge = np.maximum(0.0, margin - np.abs(sz))
-        return np.concatenate([s, hinge, 0.25 * (pn * pn - 1.0), 0.25 * (ln * ln - 1.0)])
-
-    def _scaled_grads(pts, lns, pn, ln, ii, jj):
-        """d(scaled dot)/d point and /d line for the listed pairs."""
-        u = pts[ii]
-        v = lns[jj]
-        nu = pn[ii][:, None]
-        nv = ln[jj][:, None]
-        d = np.einsum("ik,ik->i", u, v)[:, None]
-        gu = v / (nu * nv) - d * u / (nu**3 * nv)
-        gv = u / (nu * nv) - d * v / (nu * nv**3)
-        return d, gu, gv
-
-    def jacobian(x):
-        pts, lns, pn, ln = _unpack(x)
-        J = np.zeros((k1 + k2 + n + m, nvar))
-        rows = np.arange(k1)
-        if k1:
-            _, gu, gv = _scaled_grads(pts, lns, pn, ln, oi, oj)
-            for c in range(3):
-                J[rows, 3 * oi + c] += gu[:, c]
-                J[rows, 3 * (n + oj) + c] += gv[:, c]
-        if k2:
-            d, gu, gv = _scaled_grads(pts, lns, pn, ln, zi, zj)
-            s = d[:, 0] / (pn[zi] * ln[zj])
-            active = np.abs(s) < margin
-            coef = np.where(active, -np.sign(s), 0.0)
-            rows = k1 + np.arange(k2)
-            for c in range(3):
-                J[rows, 3 * zi + c] += coef * gu[:, c]
-                J[rows, 3 * (n + zj) + c] += coef * gv[:, c]
-        rows = k1 + k2 + np.arange(n)
-        for c in range(3):
-            J[rows, 3 * np.arange(n) + c] = 0.5 * pts[:, c]
-        rows = k1 + k2 + n + np.arange(m)
-        for c in range(3):
-            J[rows, 3 * (n + np.arange(m)) + c] = 0.5 * lns[:, c]
-        return J
-
+    model = _IncidenceLeastSquares(pattern)
+    n = pattern.rows
+    evaluations = 0
     for r in range(restarts):
         rng = np.random.default_rng([seed, r, 77])
-        x0 = rng.normal(size=nvar)
-        try:
-            sol = least_squares(residuals, x0, jac=jacobian, method="trf", max_nfev=120)
-        except Exception:
-            continue
-        pts = sol.x[: 3 * n].reshape(n, 3)
-        lns = sol.x[3 * n :].reshape(m, 3)
+        x, nfev = _levenberg_marquardt(model, rng.normal(size=model.size))
+        evaluations += nfev
+        pts = x[: 3 * n].reshape(n, 3)
+        lns = x[3 * n :].reshape(-1, 3)
         if check_realization_float(pattern, pts.tolist(), lns.tolist()) is None:
             cfg = Configuration(
                 "float",
                 tuple(tuple(float(c) for c in row) for row in pts),
                 tuple(tuple(float(c) for c in row) for row in lns),
             )
-            return Realized(cfg, detail=f"float engine, restart {r}")
-    return Unknown(f"float engine: no realization in {restarts} restarts")
+            return Realized(cfg, detail=f"float engine, restart {r}, {evaluations} evaluations")
+    return Unknown(
+        f"float engine: no realization in {restarts} restarts ({evaluations} residual evaluations)"
+    )
 
 
 def realize_rank3(
