@@ -1,25 +1,38 @@
 """Sparse multivariate polynomials over Q or GF(p) for small constraint systems.
 
 Monomials are sorted tuples of (variable, exponent) pairs; coefficients are
-Fractions over Q (field None) or canonical ints mod p.  The only nonstandard
-operation is the denominator-clearing substitution used by the realization
-engine: substituting x = num/den into P multiplies through by den^deg_x(P),
-which preserves vanishing as long as den is nonzero.
+Python ints: integers over Q (field None), canonical residues mod p over
+GF(p).  The engines only ever need a polynomial over Q up to a nonzero
+constant factor, so a rational never enters one: a rational value x = num/den
+is substituted with the denominator-clearing substitution, which multiplies
+through by den^deg_x(P) and preserves vanishing as long as den is nonzero.
+Rationals appear only as values: the roots univariate_roots returns and the
+results of evaluate at rational points.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 
 
 def as_coeff(field, c):
-    """c as a Fraction over Q (field None), or as an int mod p (num * den^-1 for a Fraction)."""
+    """c (an int or a Fraction) as a coefficient: an int over Q (field None),
+    where c must be integral, or the int num * den^-1 mod p over GF(p)."""
+    num, den = int(c.numerator), int(c.denominator)
+    if den == 1:
+        return num if field is None else num % field
     if field is None:
-        return c if isinstance(c, Fraction) else Fraction(c)
-    if isinstance(c, Fraction):
-        return (c.numerator * pow(c.denominator, -1, field)) % field
-    return int(c) % field
+        raise ValueError(f"polynomials over Q take integer coefficients, got {c}")
+    return num * pow(den, -1, field) % field
+
+
+def _value(field, x):
+    """An assigned value in the form evaluate computes with: an int when it is
+    integral (over GF(p), always), else the Fraction itself."""
+    if field is not None:
+        return as_coeff(field, x)
+    return x.numerator if x.denominator == 1 else x
 
 
 def _mono_mul(a, b):
@@ -29,12 +42,18 @@ def _mono_mul(a, b):
     return tuple(sorted(out.items()))
 
 
+def _content(coeffs, lead):
+    """The integer content of nonzero coefficients, signed like lead."""
+    g = gcd(*coeffs)
+    return -g if lead < 0 else g
+
+
 class Poly:
     __slots__ = ("field", "terms")
 
     def __init__(self, field, terms):
         self.field = field
-        self.terms = terms  # dict monomial -> nonzero coeff
+        self.terms = terms  # dict monomial -> nonzero int coeff
 
     @staticmethod
     def const(c, field=None) -> "Poly":
@@ -43,7 +62,7 @@ class Poly:
 
     @staticmethod
     def var(v: int, field=None) -> "Poly":
-        return Poly(field, {((v, 1),): as_coeff(field, 1)})
+        return Poly(field, {((v, 1),): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -52,7 +71,7 @@ class Poly:
         return all(m == () for m in self.terms)
 
     def constant_value(self):
-        return self.terms.get((), as_coeff(self.field, 0))
+        return self.terms.get((), 0)
 
     def variables(self):
         seen = set()
@@ -69,6 +88,12 @@ class Poly:
             terms = {m: c % self.field for m, c in terms.items()}
         return Poly(self.field, {m: c for m, c in terms.items() if c != 0})
 
+    def _scale(self, k):
+        """k * self for a nonzero int k (a unit mod p over GF(p))."""
+        if self.field is None:
+            return Poly(None, {m: c * k for m, c in self.terms.items()})
+        return Poly(self.field, {m: c * k % self.field for m, c in self.terms.items()})
+
     def __add__(self, other):
         other = self._lift(other)
         out = dict(self.terms)
@@ -84,13 +109,20 @@ class Poly:
         return self._make(out)
 
     def __neg__(self):
-        return self._make({m: -c for m, c in self.terms.items()})
+        return self._scale(-1)
 
     def __mul__(self, other):
         other = self._lift(other)
+        a, b = self.terms, other.terms
+        if not a or not b:
+            return Poly(self.field, {})
+        if len(b) == 1 and () in b:
+            return self._scale(b[()])
+        if len(a) == 1 and () in a:
+            return other._scale(a[()])
         out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
                 m = _mono_mul(m1, m2)
                 out[m] = out.get(m, 0) + c1 * c2
         return self._make(out)
@@ -124,6 +156,9 @@ class Poly:
     def __hash__(self):
         return hash((self.field, tuple(sorted(self.terms.items()))))
 
+    def degree_in(self, v: int) -> int:
+        return max((e for m in self.terms for var, e in m if var == v), default=0)
+
     def coeffs_in(self, v: int) -> dict:
         """Exponent of v -> Poly coefficient in the remaining variables."""
         out = {}
@@ -148,26 +183,36 @@ class Poly:
             acc = acc + coef * (replacement**e)
         return acc
 
-    def subs_clear(self, v: int, num: "Poly", den: "Poly") -> "Poly":
-        """den^deg * P with x := num/den: vanishing-equivalent when den != 0."""
+    def subs_clear(self, v: int, num: "Poly", den: "Poly", degree=None) -> "Poly":
+        """den^d * P with x := num/den: vanishing-equivalent when den != 0.
+
+        d is deg_v(P) unless degree (at least that) is given; callers that
+        substitute into the coordinates of one projective point pass the
+        largest degree among them, so every coordinate gets the same factor.
+        """
         buckets = self.coeffs_in(v)
-        d = max(buckets) if buckets else 0
+        d = max(buckets, default=0) if degree is None else degree
         acc = Poly.const(0, self.field)
         for e, coef in buckets.items():
             acc = acc + coef * (num**e) * (den ** (d - e))
         return acc
 
     def evaluate(self, assignment: dict):
-        """Full evaluation; assignment must cover every variable present."""
-        acc = as_coeff(self.field, 0)
+        """Full evaluation; assignment must cover every variable present.
+
+        Over Q the values may be ints or Fractions; the result is an int when
+        every value read is integral, else a Fraction."""
+        field = self.field
+        vals = {}
+        acc = 0
         for m, c in self.terms.items():
-            term = c
             for var, e in m:
-                x = as_coeff(self.field, assignment[var])
-                for _ in range(e):
-                    term = term * x
-            acc = acc + term
-        return acc if self.field is None else acc % self.field
+                x = vals.get(var)
+                if x is None:
+                    x = vals[var] = _value(field, assignment[var])
+                c = c * x**e
+            acc = acc + c
+        return acc if field is None else acc % field
 
     def primitive(self) -> "Poly":
         """Canonical scalar multiple: content 1 and positive leading sign over
@@ -175,19 +220,11 @@ class Poly:
         greatest monomial."""
         if not self.terms:
             return self
-        lead = max(self.terms)
+        lead = self.terms[max(self.terms)]
         if self.field is None:
-            den = lcm(*[c.denominator for c in self.terms.values()])
-            nums = [c.numerator * (den // c.denominator) for c in self.terms.values()]
-            g = 0
-            for x in nums:
-                g = gcd(g, x)
-            scale = Fraction(den, g)
-            if self.terms[lead] < 0:
-                scale = -scale
-            return Poly(None, {m: c * scale for m, c in self.terms.items()})
-        inv = pow(self.terms[lead], -1, self.field)
-        return Poly(self.field, {m: (c * inv) % self.field for m, c in self.terms.items()})
+            g = _content(self.terms.values(), lead)
+            return self if g == 1 else Poly(None, {m: c // g for m, c in self.terms.items()})
+        return self._scale(pow(lead, -1, self.field))
 
     def render(self, names=None) -> str:
         if not self.terms:
@@ -220,69 +257,61 @@ def primitive_triple(coords, field=None):
     """Scale a triple of Polys by one nonzero constant to a canonical form.
 
     The lead coefficient is that of the first sorted monomial of the first
-    nonzero entry.  Over Q the result has integer coefficients with content 1
-    and a positive lead; over GF(p) the lead is 1.  An all-zero triple comes
-    back unchanged.
+    nonzero entry.  Over Q the result has content 1 and a positive lead; over
+    GF(p) the lead is 1.  An all-zero triple comes back unchanged.
     """
     lead = next((p.terms[min(p.terms)] for p in coords if p.terms), None)
     if lead is None:
         return coords
     if field is not None:
         inv = pow(lead, -1, field)
-        return tuple(
-            Poly(field, {m: (c * inv) % field for m, c in p.terms.items()}) for p in coords
-        )
-    coeffs = [c for p in coords for c in p.terms.values()]
-    den = lcm(*(c.denominator for c in coeffs))
-    g = 0
-    for c in coeffs:
-        g = gcd(g, c.numerator * (den // c.denominator))
-    scale = Fraction(den, g) if lead > 0 else Fraction(-den, g)
-    return tuple(Poly(None, {m: c * scale for m, c in p.terms.items()}) for p in coords)
+        return tuple(p._scale(inv) for p in coords)
+    g = _content([c for p in coords for c in p.terms.values()], lead)
+    if g == 1:
+        return tuple(coords)
+    return tuple(Poly(None, {m: c // g for m, c in p.terms.items()}) for p in coords)
 
 
 def univariate_roots(poly: Poly, v: int):
     """All roots of a univariate polynomial in v over its field.
 
-    Returns a complete list, or None when completeness cannot be certified
-    (large-coefficient rational root search).  GF(p) enumerates the field.
+    Returns a complete list (Fractions over Q, ints over GF(p)), or None when
+    completeness cannot be certified (large-coefficient rational root
+    search).  GF(p) enumerates the field.
     """
     buckets = poly.coeffs_in(v)
     if any(not c.is_constant() for c in buckets.values()):
         raise ValueError("polynomial is not univariate in the given variable")
     deg = max(buckets)
-    coeffs = [buckets.get(e, Poly.const(0, poly.field)).constant_value() for e in range(deg + 1)]
+    coeffs = [buckets[e].constant_value() if e in buckets else 0 for e in range(deg + 1)]
     if poly.field is not None:
         p = poly.field
         return [x for x in range(p) if _eval_univ(coeffs, x, p) == 0]
+    return _rational_roots(coeffs)
+
+
+def _rational_roots(coeffs):
+    """Rational roots of sum coeffs[e] x^e (ints, nonzero lead), or None."""
+    deg = len(coeffs) - 1
     if deg == 1:
-        return [-coeffs[0] / coeffs[1]]
+        return [Fraction(-coeffs[0], coeffs[1])]
     if deg == 2:
         a, b, c = coeffs[2], coeffs[1], coeffs[0]
         disc = b * b - 4 * a * c
         if disc < 0:
             return []
-        root = _fraction_sqrt(disc)
-        if root is None:
+        root = isqrt(disc)
+        if root * root != disc:
             return []
-        out = [(-b + root) / (2 * a), (-b - root) / (2 * a)]
-        return sorted(set(out))
-    # Rational root theorem; complete when both ends factor quickly.
-    lead = coeffs[-1]
-    const = coeffs[0]
-    if const == 0:
-        shifted = {e - 1: c for e, c in enumerate(coeffs) if e > 0}
-        rest = [shifted.get(e, Fraction(0)) for e in range(deg)]
-        sub = univariate_roots(_poly_from_univ(rest, v), v)
+        return sorted({Fraction(-b + root, 2 * a), Fraction(-b - root, 2 * a)})
+    if coeffs[0] == 0:
+        sub = _rational_roots(coeffs[1:])
         if sub is None:
             return None
         return sorted(set([Fraction(0)] + sub))
-    # Clear all denominators first: any rational root p/q of the integer
-    # polynomial satisfies p | A_0 and q | A_n.
-    scale = lcm(*[c.denominator for c in coeffs])
-    ints = [c.numerator * (scale // c.denominator) for c in coeffs]
-    num_divs = _divisors(abs(ints[0]))
-    den_divs = _divisors(abs(ints[-1]))
+    # Rational root theorem: any root p/q satisfies p | A_0 and q | A_n.
+    num_divs = _divisors(abs(coeffs[0]))
+    den_divs = _divisors(abs(coeffs[-1]))
     if num_divs is None or den_divs is None:
         return None
     roots = set()
@@ -294,14 +323,6 @@ def univariate_roots(poly: Poly, v: int):
     return sorted(roots)
 
 
-def _poly_from_univ(coeffs, v):
-    terms = {}
-    for e, c in enumerate(coeffs):
-        if c != 0:
-            terms[((v, e),) if e else ()] = Fraction(c)
-    return Poly(None, terms)
-
-
 def _eval_univ(coeffs, x, p):
     acc = 0
     for c in reversed(coeffs):
@@ -309,15 +330,6 @@ def _eval_univ(coeffs, x, p):
         if p is not None:
             acc %= p
     return acc
-
-
-def _fraction_sqrt(f: Fraction):
-    """Exact square root of a nonnegative rational, or None."""
-    n, d = f.numerator, f.denominator
-    rn, rd = isqrt(n), isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return Fraction(rn, rd)
-    return None
 
 
 def _divisors(n: int, limit: int = 10**12):

@@ -163,6 +163,15 @@ class _ExactEngine:
                 poly = poly.subs_clear(var, num, den)
         return poly
 
+    def _reduce_triple(self, coords, subs):
+        """Reduce the coordinates of one projective point: each substitution
+        clears denominators with one common power of den for all three."""
+        for var, num, den in subs:
+            d = max(p.degree_in(var) for p in coords)
+            if d:
+                coords = tuple(p.subs_clear(var, num, den, d) for p in coords)
+        return coords
+
     def _dot(self, u, x):
         return u[0] * x[0] + u[1] * x[1] + u[2] * x[2]
 
@@ -266,7 +275,7 @@ class _ExactEngine:
             children = []
             for r in roots:
                 child = self._clone(node, f"p{v}={r}")
-                child.subs.append((v, self._c(r), self._c(1)))
+                child.subs.append((v, self._c(r.numerator), self._c(r.denominator)))
                 children.append(child)
             return children
         # 4) common monomial factor: var = 0 or cofactor = 0
@@ -317,13 +326,14 @@ class _ExactEngine:
             if other[0] == kind:
                 continue
             i, j = (idx, other[1]) if kind == "P" else (other[1], idx)
-            u = primitive_triple(
-                tuple(self._reduce(p, node.subs) for p in node.coords[other]), self.field
-            )
+            u = primitive_triple(self._reduce_triple(node.coords[other], node.subs), self.field)
             if self.pattern.bits[i, j]:
                 partners.append(u)
             else:
                 avoids.append((u, other))
+        # The partners are reduced by node.subs and no child adds a
+        # substitution before finish(), so nothing built from them below
+        # needs reducing again.
         children = []
         name = f"{kind}{idx}"
 
@@ -332,12 +342,11 @@ class _ExactEngine:
             child.coords[elem] = coords
             child.queue.extend(extra_eqs)
             for u, other in avoids:
-                group = (self._dot(u, coords),)
-                reduced = self._reduce(group[0], child.subs)
-                if reduced.is_zero():
+                dot = self._dot(u, coords)
+                if dot.is_zero():
                     self._close(child, f"{name} cannot avoid {other[0]}{other[1]}")
                     return
-                child.diseqs.append(group)
+                child.diseqs.append((dot,))
             children.append(child)
 
         if node.next_elem < self.n_gauge and node.gauge is not None and node.gauge < 4:
@@ -355,9 +364,7 @@ class _ExactEngine:
         else:
             u1, u2 = partners[0], partners[1]
             extras = partners[2:]
-            cross = primitive_triple(
-                tuple(self._reduce(p, node.subs) for p in self._cross(u1, u2)), self.field
-            )
+            cross = primitive_triple(self._cross(u1, u2), self.field)
             if not all(p.is_zero() for p in cross):
                 child = self._clone(node, f"{name}:meet")
                 child.diseqs.append(cross)
@@ -430,15 +437,15 @@ class _ExactEngine:
 
         Chart k assumes u[k] is the first nonzero coordinate of u; within a
         chart the orthogonal plane is spanned by v1, v2 and the new element is
-        v1 + t*v2 or v2 (two cases, covering the projective line).
+        v1 + t*v2 or v2 (two cases, covering the projective line).  u is a
+        partner vector, already reduced by the node's substitutions.
         """
         out = []
-        ured = [self._reduce(p, node.subs) for p in u]
         for k in range(3):
-            if ured[k].is_zero():
+            if u[k].is_zero():
                 continue
-            prefix_eqs = [u[m] for m in range(k) if not ured[m].is_zero()]
-            if any(ured[m].is_constant() and not ured[m].is_zero() for m in range(k)):
+            prefix_eqs = [u[m] for m in range(k) if not u[m].is_zero()]
+            if any(u[m].is_constant() and not u[m].is_zero() for m in range(k)):
                 continue  # an earlier coordinate is a nonzero constant
             others = [m for m in range(3) if m != k]
             j1, j2 = others
@@ -484,7 +491,7 @@ class _ExactEngine:
                 return None
             nv = num.evaluate(vals)
             if self.field is None:
-                vals[var] = nv / dv
+                vals[var] = Fraction(nv, dv)
             else:
                 vals[var] = (nv * pow(dv, -1, self.field)) % self.field
         pts = {}
@@ -500,7 +507,7 @@ class _ExactEngine:
         for attempt in range(_VALUE_ATTEMPTS):
             rng = random.Random(f"{self.seed}:{self.leaves}:{attempt}:leaf")
             span = 4 + 8 * (attempt + 1)
-            assignment = {v: Fraction(rng.randint(1, span)) for v in free}
+            assignment = {v: rng.randint(1, span) for v in free}
             if any(all(p.evaluate(assignment) == 0 for p in g) for g in groups):
                 continue
             got = self._evaluate_all(node, assignment)
@@ -509,6 +516,8 @@ class _ExactEngine:
             points, lines = got
             problem = check_realization_exact(self.pattern, points, lines)
             if problem is None:
+                points = tuple(tuple(map(Fraction, pt)) for pt in points)
+                lines = tuple(tuple(map(Fraction, ln)) for ln in lines)
                 return Realized(
                     Configuration(None, points, lines),
                     detail=f"exact engine, {self.nodes} nodes",

@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .multipoly import Poly, primitive_triple
+from .multipoly import Poly, as_coeff, primitive_triple
 from .patterns import IncidencePattern
 
 WITNESS_PRIME = 2_147_483_647  # 2^31 - 1
@@ -49,9 +49,8 @@ class PolySystem:
 
     def __post_init__(self):
         for eq in self.equations:
-            for mono, c in eq.terms.items():
-                if isinstance(c, Fraction) and c.denominator != 1:
-                    raise ValueError("system coefficients must be integers")
+            if any(type(c) is not int for c in eq.terms.values()):
+                raise ValueError("system coefficients must be integers")
 
     def max_degree(self) -> int:
         return max((eq.total_degree() for eq in self.equations), default=0)
@@ -59,7 +58,7 @@ class PolySystem:
 
 def poly_from_terms(terms: dict) -> Poly:
     """{monomial: int} -> Poly over Q with integer coefficients."""
-    return Poly(None, {m: Fraction(c) for m, c in terms.items() if c != 0})
+    return Poly(None, {m: as_coeff(None, c) for m, c in terms.items() if c != 0})
 
 
 # ---- CNF front end ----------------------------------------------------------
@@ -233,7 +232,7 @@ class HardenInfo:
             out[name] = Fraction(assignment[name]) + off
         vals = {i: out[n] for i, n in enumerate(sys_before.variables)}
         for name, q in zip(self.extra_variables, self.mix_polys):
-            out[name] = q.evaluate(vals)
+            out[name] = Fraction(q.evaluate(vals))
         return out
 
 
@@ -540,9 +539,7 @@ def _eval_triple_mod(coords, assignment):
 def _eval_mod(p: Poly, assignment) -> int:
     acc = 0
     for mono, c in p.terms.items():
-        if c.denominator != 1:
-            raise CompileError("non-integer coefficient in element coordinates")
-        term = c.numerator % WITNESS_PRIME
+        term = c % WITNESS_PRIME
         for v, e in mono:
             term = (term * pow(assignment[v], e, WITNESS_PRIME)) % WITNESS_PRIME
         acc = (acc + term) % WITNESS_PRIME
@@ -670,6 +667,8 @@ def verify_reduction(sys: PolySystem, assignment: dict, compiled: CompiledPatter
         }
     except KeyError as missing:
         return ReductionVerdict(False, f"assignment missing variable {missing}")
+    # Integral values as ints keep the evaluations below in integer arithmetic.
+    vals = {i: x.numerator if x.denominator == 1 else x for i, x in vals.items()}
     for k, eq in enumerate(sys.equations):
         got = eq.evaluate(vals)
         if got != 0:

@@ -81,9 +81,9 @@ class TruncatedSeries:
         trunc = _trunc_min(self.trunc, other.trunc)
         acc = {}
         for e, c in self.terms:
-            acc[e] = acc.get(e, as_coeff(self.field, 0)) + c
+            acc[e] = acc.get(e, 0) + c
         for e, c in other.terms:
-            acc[e] = acc.get(e, as_coeff(self.field, 0)) + c
+            acc[e] = acc.get(e, 0) + c
         return series(acc, field=self.field, trunc=trunc)
 
     def __sub__(self, other):
@@ -99,11 +99,11 @@ class TruncatedSeries:
         for e1, c1 in self.terms:
             for e2, c2 in other.terms:
                 e = e1 + e2
-                acc[e] = acc.get(e, as_coeff(self.field, 0)) + c1 * c2
+                acc[e] = acc.get(e, 0) + c1 * c2
         return series(acc, field=self.field, trunc=trunc)
 
     def scale(self, c):
-        c = as_coeff(self.field, c)
+        c = _coeff(self.field, c)
         return series({e: c * k for e, k in self.terms}, field=self.field, trunc=self.trunc)
 
     def render(self) -> str:
@@ -115,6 +115,11 @@ class TruncatedSeries:
     def __repr__(self):
         t = "inf" if self.is_exact else str(self.trunc)
         return f"TruncatedSeries({self.render()}; O={t})"
+
+
+def _coeff(field, c):
+    """A series coefficient: a Fraction over Q, an int mod p over GF(p)."""
+    return Fraction(c) if field is None else as_coeff(field, c)
 
 
 def _check_fields(a, b):
@@ -147,12 +152,12 @@ def series(terms, field=None, trunc=INF) -> TruncatedSeries:
         e = Fraction(e)
         if e < 0:
             raise ValueError("negative exponents are not allowed")
-        c = as_coeff(field, c)
+        c = _coeff(field, c)
         if c == 0:
             continue
         if trunc is not INF and e >= trunc:
             continue
-        norm[e] = norm.get(e, as_coeff(field, 0)) + c
+        norm[e] = norm.get(e, 0) + c
     cleaned = tuple(sorted((e, c) for e, c in norm.items() if c != 0))
     return TruncatedSeries(field, cleaned, trunc)
 

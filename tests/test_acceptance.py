@@ -8,7 +8,10 @@ criterion 10 (identical seeds must reproduce identical bytes).
 import hashlib
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -41,6 +44,21 @@ def _report(num, name, ok, detail=""):
 
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+# Full sha256 of the criterion 2, 5 and 7 certificates.  A change that moves
+# one of them changes a verdict, a configuration or a compiled pattern, and
+# must say so.
+PINNED_CERTIFICATES = {
+    2: "1ff1d14619e23ddfd4ae1ff2e2166c4721ccfde0085a5b47a6d6df12f4103449",
+    5: "e016e275b40ce37eedaeb8b225b025dd79f36fa46c989771163b76d3bc57491e",
+    7: "e004476400ff3490a8b020e2a13bbf1bece742fc565f960e0b71d57ac59e31d6",
+}
+
+
+def _assert_pinned(num, certificate):
+    got = hashlib.sha256(certificate.encode()).hexdigest()
+    assert got == PINNED_CERTIFICATES[num], f"criterion {num} certificate moved: {got}"
 
 
 # -- criterion 1 ---------------------------------------------------------------
@@ -96,6 +114,7 @@ def test_criterion_02_weighted_plane_rank():
     t0 = time.time()
     cert = _criterion2_certificate()
     q4_time = time.time() - t0
+    _assert_pinned(2, cert)
     plane5 = tr.projective_plane(5)
     m5 = tr.incidence_matrix(plane5, "random", seed=505)
     # Exhaustive and weight-free: level 4 is refuted for every positive
@@ -183,6 +202,7 @@ def _criterion5_certificate():
 def test_criterion_05_lift_round_trip():
     t0 = time.time()
     cert, realized = _criterion5_certificate()
+    _assert_pinned(5, cert)
     _report(
         5,
         "lift round-trip accepts every rational realization",
@@ -264,6 +284,7 @@ def _criterion7_certificate():
 def test_criterion_07_reduction_soundness():
     t0 = time.time()
     cert = _criterion7_certificate()
+    _assert_pinned(7, cert)
     _report(
         7,
         "reduction accepts every brute-force solution (hardened and not)",
@@ -341,3 +362,51 @@ def test_criterion_10_determinism():
         )
     ok = runs[0] == runs[1]
     _report(10, "criteria 2, 5, 7 re-run byte-identically", ok)
+
+
+_PROCESS_OUTPUTS = r"""
+import random
+
+import troprank as tr
+from troprank import IncidencePattern, Realized, Unknown
+from troprank.reduction import compile_system, parse_poly_system
+
+
+def verdict_text(v):
+    if isinstance(v, Realized):
+        return tr.format_configuration(v.configuration)
+    if isinstance(v, Unknown):
+        return v.report
+    return "\n".join(v.trace)
+
+
+out = []
+fano = IncidencePattern.from_matrix(tr.incidence_matrix(tr.projective_plane(2), "unit"))
+for field in (None, 2):
+    out.append(verdict_text(tr.realize_rank3(fano, field=field, seed=1)))
+rng = random.Random(20240505)
+for trial in range(20):
+    r, c = rng.randint(2, 5), rng.randint(2, 5)
+    p = IncidencePattern.from_rows([[int(rng.random() < 0.4) for _ in range(c)] for _ in range(r)])
+    out.append(verdict_text(tr.realize_rank3(p, field=None, seed=trial)))
+comp = compile_system(parse_poly_system("x1^2 - x1\nx1*x2 - 2*x2 + 1"), seed=7)
+out.append(tr.format_matrix(comp.pattern.to_tropical()))
+print("\n--\n".join(out))
+"""
+
+
+def test_outputs_identical_across_processes():
+    """Realize verdicts and a compiled pattern are the same bytes in two
+    processes with different string-hash seeds."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tr.__file__)))
+    outputs = []
+    for hash_seed in ("0", "1"):
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
+        run = subprocess.run(
+            [sys.executable, "-c", _PROCESS_OUTPUTS], env=env, capture_output=True, timeout=300
+        )
+        assert run.returncode == 0, run.stderr.decode()
+        outputs.append(run.stdout)
+    assert outputs[0].count(b"\n--\n") == 22
+    assert outputs[0] == outputs[1]

@@ -70,6 +70,22 @@ def test_fano_over_q_infeasible():
                or "avoid" in line or "vanishes" in line for line in v.trace)
 
 
+def test_placed_vectors_reduce_as_projective_points():
+    """P2 = L1 meet L2 = P0 lies on L0, so no field realizes this pattern.
+
+    The engine only closes every branch when each placed vector is reduced
+    with one common power of the substitution denominator; reducing its
+    coordinates one at a time left a consistent-looking leaf and Unknown.
+    """
+    p = IncidencePattern.from_rows(
+        [[1, 1, 1], [1, 0, 0], [0, 1, 1], [0, 0, 1], [1, 1, 1], [1, 1, 1], [0, 0, 0]]
+    )
+    for seed in (0, 1, 2, 3, 266):
+        assert isinstance(realize_rank3(p, field=None, seed=seed), ProvedInfeasible), seed
+    for field in (2, 3, 5):
+        assert isinstance(realize_rank3(p, field=field, seed=0), ProvedInfeasible), field
+
+
 def test_fano_minus_point_realizable_over_q():
     p = fano_pattern()
     sub = IncidencePattern.from_rows(p.bits[:6])
