@@ -157,20 +157,15 @@ class _ExactEngine:
     def _c(self, x):
         return Poly.const(x, self.field)
 
-    def _reduce(self, poly, subs):
+    def _reduce(self, polys, subs):
+        """Reduce a tuple of polynomials read together (a queue equation, a
+        projective point, a non-incidence group): each substitution clears
+        denominators with one common power of den for all of them."""
         for var, num, den in subs:
-            if var in poly.variables():
-                poly = poly.subs_clear(var, num, den)
-        return poly
-
-    def _reduce_triple(self, coords, subs):
-        """Reduce the coordinates of one projective point: each substitution
-        clears denominators with one common power of den for all three."""
-        for var, num, den in subs:
-            d = max(p.degree_in(var) for p in coords)
+            d = max(p.degree_in(var) for p in polys)
             if d:
-                coords = tuple(p.subs_clear(var, num, den, d) for p in coords)
-        return coords
+                polys = tuple(p.subs_clear(var, num, den, d) for p in polys)
+        return polys
 
     def _dot(self, u, x):
         return u[0] * x[0] + u[1] * x[1] + u[2] * x[2]
@@ -217,7 +212,7 @@ class _ExactEngine:
     def _process(self, node):
         """Returns Realized, None (branch closed/unknown), or a child list."""
         while node.queue:
-            eq = self._reduce(node.queue.pop(0), node.subs).primitive()
+            eq = self._reduce((node.queue.pop(0),), node.subs)[0].primitive()
             if eq.is_zero():
                 continue
             if eq.is_constant():
@@ -234,7 +229,7 @@ class _ExactEngine:
         # eager prune on recorded non-incidences
         groups = []
         for group in node.diseqs:
-            reduced = [self._reduce(p, node.subs) for p in group]
+            reduced = self._reduce(group, node.subs)
             if all(p.is_zero() for p in reduced):
                 return self._close(node, "required non-incidence vanishes identically")
             groups.append(reduced)
@@ -326,7 +321,7 @@ class _ExactEngine:
             if other[0] == kind:
                 continue
             i, j = (idx, other[1]) if kind == "P" else (other[1], idx)
-            u = primitive_triple(self._reduce_triple(node.coords[other], node.subs), self.field)
+            u = primitive_triple(self._reduce(node.coords[other], node.subs), self.field)
             if self.pattern.bits[i, j]:
                 partners.append(u)
             else:

@@ -667,8 +667,6 @@ def verify_reduction(sys: PolySystem, assignment: dict, compiled: CompiledPatter
         }
     except KeyError as missing:
         return ReductionVerdict(False, f"assignment missing variable {missing}")
-    # Integral values as ints keep the evaluations below in integer arithmetic.
-    vals = {i: x.numerator if x.denominator == 1 else x for i, x in vals.items()}
     for k, eq in enumerate(sys.equations):
         got = eq.evaluate(vals)
         if got != 0:
