@@ -175,14 +175,6 @@ class Poly:
             bucket[key] = bucket.get(key, 0) + c
         return {e: Poly(self.field, {m: c for m, c in t.items() if c != 0}) for e, t in out.items()}
 
-    def subs_poly(self, v: int, replacement: "Poly") -> "Poly":
-        """Substitute a polynomial for variable v."""
-        buckets = self.coeffs_in(v)
-        acc = Poly.const(0, self.field)
-        for e, coef in buckets.items():
-            acc = acc + coef * (replacement**e)
-        return acc
-
     def subs_clear(self, v: int, num: "Poly", den: "Poly", degree=None) -> "Poly":
         """den^d * P with x := num/den: vanishing-equivalent when den != 0.
 

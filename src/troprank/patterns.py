@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .galois import is_prime, make_field
+from .galois import is_prime
 from .tropical import TropicalMatrix, format_value
 
 INCIDENCE_TOL = 1e-9      # float incidence: |v.w| <= tol * |v||w|
@@ -92,11 +92,16 @@ def check_realization_exact(pattern: IncidencePattern, points, lines, field=None
     """None when the configuration realizes the pattern; else the first problem."""
     if len(points) != pattern.rows or len(lines) != pattern.cols:
         return "configuration size does not match pattern"
-    if field is None:
-        def dot(u, v):
-            return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
-    else:
-        dot = make_field(field).dot
+    if field is not None:
+        for kind, vectors in (("point", points), ("line", lines)):
+            for i, vec in enumerate(vectors):
+                if not all(isinstance(c, int) and 0 <= c < field for c in vec):
+                    return f"{kind} {i} has a coordinate outside GF({field}) residues 0..{field - 1}"
+
+    def dot(u, v):
+        d = u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+        return d if field is None else d % field
+
     for i, pt in enumerate(points):
         if all(c == 0 for c in pt):
             return f"point {i} is the zero vector"

@@ -8,10 +8,14 @@ coefficients, complete root sets).  ProvedInfeasible is reported only when
 every branch closed with a contradiction; any stuck or budget-cut branch
 degrades the verdict to Unknown, never to a false negative.
 
-Over GF(p) the leftover free parameters are enumerated exhaustively, so both
-positive and negative leaf verdicts are exact.  Over Q a leaf with consistent
-constraints picks generic parameter values (finitely many bad hypersurfaces),
-and the produced configuration is re-verified against the pattern.
+Every polynomial a node holds (queued equations, non-incidence groups,
+placed coordinates) is kept reduced: a substitution is applied to all of
+them once, when it is made, so none mentions an eliminated parameter.  A
+leaf evaluates its placed coordinates directly at values of the parameters
+left free: over GF(p) all of them (so both positive and negative leaf
+verdicts are exact), over Q seeded generic draws (finitely many bad
+hypersurfaces).  Every produced configuration is re-verified against the
+pattern.
 
 A note on finite fields: a Realized verdict over GF(p) certifies
 configuration realizability of the pattern over that field; unlike the
@@ -133,7 +137,7 @@ class _Node:
     coords: dict
     queue: list
     diseqs: list      # groups: tuple of Polys, "not all zero"
-    subs: list        # (var, num, den) in creation order
+    solved: set       # eliminated parameters; no held polynomial mentions one
     nparams: int
     gauge: object     # 0..4 rungs of the frame ladder, or None once stopped
     path: tuple
@@ -157,15 +161,21 @@ class _ExactEngine:
     def _c(self, x):
         return Poly.const(x, self.field)
 
-    def _reduce(self, polys, subs):
-        """Reduce a tuple of polynomials read together (a queue equation, a
-        projective point, a non-incidence group): each substitution clears
-        denominators with one common power of den for all of them."""
-        for var, num, den in subs:
+    def _substitute(self, node, var, num, den):
+        """Eliminate var := num / den from every polynomial the node holds.
+
+        Polynomials read together clear the denominator with one common
+        power of den: each queued equation on its own, each non-incidence
+        group and each placed coordinate triple (a projective point).
+        """
+        def clear(polys):
             d = max(p.degree_in(var) for p in polys)
-            if d:
-                polys = tuple(p.subs_clear(var, num, den, d) for p in polys)
-        return polys
+            return tuple(p.subs_clear(var, num, den, d) for p in polys) if d else polys
+
+        node.queue = [clear((eq,))[0] for eq in node.queue]
+        node.diseqs = [clear(group) for group in node.diseqs]
+        node.coords = {elem: clear(triple) for elem, triple in node.coords.items()}
+        node.solved.add(var)
 
     def _dot(self, u, x):
         return u[0] * x[0] + u[1] * x[1] + u[2] * x[2]
@@ -180,7 +190,7 @@ class _ExactEngine:
     # ---- search -------------------------------------------------------------
 
     def run(self):
-        root = _Node(0, {}, [], [], [], 0, 0, ())
+        root = _Node(0, {}, [], [], set(), 0, 0, ())
         stack = [root]
         while stack:
             node = stack.pop()
@@ -212,7 +222,7 @@ class _ExactEngine:
     def _process(self, node):
         """Returns Realized, None (branch closed/unknown), or a child list."""
         while node.queue:
-            eq = self._reduce((node.queue.pop(0),), node.subs)[0].primitive()
+            eq = node.queue.pop(0).primitive()
             if eq.is_zero():
                 continue
             if eq.is_constant():
@@ -227,15 +237,11 @@ class _ExactEngine:
                 return step
             # step was a direct substitution; keep draining the queue
         # eager prune on recorded non-incidences
-        groups = []
-        for group in node.diseqs:
-            reduced = self._reduce(group, node.subs)
-            if all(p.is_zero() for p in reduced):
-                return self._close(node, "required non-incidence vanishes identically")
-            groups.append(reduced)
+        if any(all(p.is_zero() for p in group) for group in node.diseqs):
+            return self._close(node, "required non-incidence vanishes identically")
         if node.next_elem < len(self.order):
             return self._place(node)
-        return self._leaf(node, groups)
+        return self._leaf(node)
 
     def _solve_equation(self, node, eq):
         """Apply a substitution in place, return child specs, or classify."""
@@ -245,7 +251,7 @@ class _ExactEngine:
             buckets = eq.coeffs_in(v)
             if max(buckets) == 1 and buckets[1].is_constant():
                 b = buckets.get(0, self._c(0))
-                node.subs.append((v, -b, buckets[1]))
+                self._substitute(node, v, -b, buckets[1])
                 return "sub"
         # 2) linear with a polynomial coefficient: two branches
         for v in variables:
@@ -255,7 +261,7 @@ class _ExactEngine:
                 b = buckets.get(0, self._c(0))
                 child1 = self._clone(node, f"coeff[{a.render()}]!=0")
                 child1.diseqs.append((a,))
-                child1.subs.append((v, -b, a))
+                self._substitute(child1, v, -b, a)
                 child2 = self._clone(node, f"coeff[{a.render()}]=0")
                 child2.queue = [a, b] + child2.queue
                 return [child1, child2]
@@ -270,7 +276,7 @@ class _ExactEngine:
             children = []
             for r in roots:
                 child = self._clone(node, f"p{v}={r}")
-                child.subs.append((v, self._c(r.numerator), self._c(r.denominator)))
+                self._substitute(child, v, self._c(r.numerator), self._c(r.denominator))
                 children.append(child)
             return children
         # 4) common monomial factor: var = 0 or cofactor = 0
@@ -281,7 +287,7 @@ class _ExactEngine:
                 break
         if common is not None:
             child1 = self._clone(node, f"p{common}=0")
-            child1.subs.append((common, self._c(0), self._c(1)))
+            self._substitute(child1, common, self._c(0), self._c(1))
             cofactor = Poly(
                 eq.field,
                 {
@@ -301,7 +307,7 @@ class _ExactEngine:
             dict(node.coords),
             list(node.queue),
             list(node.diseqs),
-            list(node.subs),
+            set(node.solved),
             node.nparams,
             node.gauge,
             node.path + (label,),
@@ -321,14 +327,11 @@ class _ExactEngine:
             if other[0] == kind:
                 continue
             i, j = (idx, other[1]) if kind == "P" else (other[1], idx)
-            u = primitive_triple(self._reduce(node.coords[other], node.subs), self.field)
+            u = primitive_triple(node.coords[other], self.field)
             if self.pattern.bits[i, j]:
                 partners.append(u)
             else:
                 avoids.append((u, other))
-        # The partners are reduced by node.subs and no child adds a
-        # substitution before finish(), so nothing built from them below
-        # needs reducing again.
         children = []
         name = f"{kind}{idx}"
 
@@ -432,8 +435,7 @@ class _ExactEngine:
 
         Chart k assumes u[k] is the first nonzero coordinate of u; within a
         chart the orthogonal plane is spanned by v1, v2 and the new element is
-        v1 + t*v2 or v2 (two cases, covering the projective line).  u is a
-        partner vector, already reduced by the node's substitutions.
+        v1 + t*v2 or v2 (two cases, covering the projective line).
         """
         out = []
         for k in range(3):
@@ -451,7 +453,7 @@ class _ExactEngine:
             v2[j2] = u[k]
             v2[k] = -u[j2]
             v1, v2 = tuple(v1), tuple(v2)
-            for tag, make in (("span", None), ("edge", None)):
+            for tag in ("span", "edge"):
                 child = self._clone(node, f"{name}:perp{k}:{tag}")
                 child.queue = prefix_eqs + child.queue
                 child.diseqs.append((u[k],))
@@ -466,82 +468,40 @@ class _ExactEngine:
 
     # ---- leaves -------------------------------------------------------------
 
-    def _leaf(self, node, groups):
-        """groups: the node's non-incidence groups, reduced by its substitutions."""
+    def _leaf(self, node):
+        """Try parameter values at a consistent leaf: seeded generic draws over
+        Q, every assignment over GF(p).  An assignment that zeroes a
+        non-incidence group is skipped; otherwise the placed coordinates are
+        evaluated and the configuration checked against the pattern."""
         self.leaves += 1
-        free = sorted(
-            set(range(node.nparams)) - {v for v, _, _ in node.subs}
-        )
-        if self.field is None:
-            return self._leaf_rational(node, groups, free)
-        return self._leaf_galois(node, groups, free)
-
-    def _evaluate_all(self, node, assignment):
-        """Back-substitute and evaluate every placed coordinate.  None when a
-        substitution denominator vanishes at this assignment."""
-        vals = dict(assignment)
-        for var, num, den in reversed(node.subs):
-            dv = den.evaluate(vals)
-            if dv == 0:
-                return None
-            nv = num.evaluate(vals)
-            if self.field is None:
-                vals[var] = Fraction(nv, dv)
-            else:
-                vals[var] = (nv * pow(dv, -1, self.field)) % self.field
-        pts = {}
-        lns = {}
-        for (kind, idx), triple in node.coords.items():
-            vec = tuple(p.evaluate(vals) for p in triple)
-            (pts if kind == "P" else lns)[idx] = vec
-        points = tuple(pts[i] for i in range(self.pattern.rows))
-        lines = tuple(lns[j] for j in range(self.pattern.cols))
-        return points, lines
-
-    def _leaf_rational(self, node, groups, free):
-        for attempt in range(_VALUE_ATTEMPTS):
-            rng = random.Random(f"{self.seed}:{self.leaves}:{attempt}:leaf")
-            span = 4 + 8 * (attempt + 1)
-            assignment = {v: rng.randint(1, span) for v in free}
-            if any(all(p.evaluate(assignment) == 0 for p in g) for g in groups):
-                continue
-            got = self._evaluate_all(node, assignment)
-            if got is None:
-                continue
-            points, lines = got
-            problem = check_realization_exact(self.pattern, points, lines)
-            if problem is None:
-                points = tuple(tuple(map(Fraction, pt)) for pt in points)
-                lines = tuple(tuple(map(Fraction, ln)) for ln in lines)
-                return Realized(
-                    Configuration(None, points, lines),
-                    detail=f"exact engine, {self.nodes} nodes",
-                )
-        self.unknowns.append("no generic parameter values found at a consistent leaf")
-        return None
-
-    def _leaf_galois(self, node, groups, free):
         p = self.field
-        total = p ** len(free)
-        if total > _GF_POINTS:
-            self.unknowns.append(
-                f"parameter space GF({p})^{len(free)} exceeds enumeration budget"
-            )
+        free = sorted(set(range(node.nparams)) - node.solved)
+        if p is None:
+            def draws():
+                for attempt in range(_VALUE_ATTEMPTS):
+                    rng = random.Random(f"{self.seed}:{self.leaves}:{attempt}:leaf")
+                    span = 4 + 8 * (attempt + 1)
+                    yield {v: rng.randint(1, span) for v in free}
+
+            assignments = draws()
+        elif p ** len(free) > _GF_POINTS:
+            self.unknowns.append(f"parameter space GF({p})^{len(free)} exceeds enumeration budget")
             return None
-        for values in itertools.product(range(p), repeat=len(free)):
-            assignment = dict(zip(free, values))
-            if any(all(q.evaluate(assignment) == 0 for q in g) for g in groups):
+        else:
+            assignments = (dict(zip(free, values)) for values in itertools.product(range(p), repeat=len(free)))
+        for assignment in assignments:
+            if any(all(q.evaluate(assignment) == 0 for q in g) for g in node.diseqs):
                 continue
-            got = self._evaluate_all(node, assignment)
-            if got is None:
-                continue
-            points, lines = got
-            problem = check_realization_exact(self.pattern, points, lines, field=p)
-            if problem is None:
-                return Realized(
-                    Configuration(p, points, lines),
-                    detail=f"exact engine, {self.nodes} nodes",
-                )
+            vectors = {elem: tuple(q.evaluate(assignment) for q in triple) for elem, triple in node.coords.items()}
+            points = tuple(vectors["P", i] for i in range(self.pattern.rows))
+            lines = tuple(vectors["L", j] for j in range(self.pattern.cols))
+            if check_realization_exact(self.pattern, points, lines, field=p) is None:
+                if p is None:
+                    points, lines = (tuple(tuple(map(Fraction, v)) for v in vs) for vs in (points, lines))
+                return Realized(Configuration(p, points, lines), detail=f"exact engine, {self.nodes} nodes")
+        if p is None:
+            self.unknowns.append("no generic parameter values found at a consistent leaf")
+            return None
         return self._close(node, f"all GF({p}) parameter assignments fail")
 
 

@@ -253,7 +253,7 @@ def harden(sys: PolySystem, seed: int, stand_in_bits: int = 64) -> tuple:
     for eq in sys.equations:
         cur = eq
         for v in range(nv):
-            cur = cur.subs_poly(v, Poly.var(v) - Poly.const(offsets[v]))
+            cur = cur.subs_clear(v, Poly.var(v) - Poly.const(offsets[v]), Poly.const(1))
         shifted.append(cur)
 
     names = tuple(sys.variables) + (f"x{nv + 1}", f"x{nv + 2}")

@@ -33,7 +33,6 @@ from .patterns import (
 )
 from .tropical import INF, TropicalMatrix, format_value
 
-DEFAULT_TRUNCATION = Fraction(3)
 _LIFT_RETRIES = 64  # perturbation draws before lift_from_configuration gives up
 
 

@@ -185,6 +185,18 @@ def test_realize_fano_exits(tmp_path, capsys):
     assert (tmp_path / "fg.cert.txt").exists()
 
 
+def test_realize_prime_outside_field_tables_exit_0(tmp_path, capsys):
+    """GF(17) has no arithmetic tables; the certificate is still written and
+    re-checked."""
+    f = write(tmp_path, "id.tropmat", "tropmat 2 2\n1 0\n0 1\n")
+    code, _, err = run(
+        ["realize", "--pattern", f, "--field", "gf17", "--seed", "1", "--out", str(tmp_path / "g17")],
+        capsys,
+    )
+    assert code == 0, err
+    assert (tmp_path / "g17.cert.txt").read_text().startswith("field gf17\n")
+
+
 def test_verify_lift_cli(tmp_path, capsys):
     m = write(tmp_path, "m.tropmat", "tropmat 2 2\n0 1\n1 0\n")
     lift = write(

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import re
@@ -22,7 +23,7 @@ from troprank import (
     projective_plane,
     realize_rank3,
 )
-from troprank.realize import _IncidenceLeastSquares
+from troprank.realize import _ExactEngine, _IncidenceLeastSquares
 from troprank.reduction import compile_system, parse_poly_system
 
 
@@ -84,6 +85,67 @@ def test_placed_vectors_reduce_as_projective_points():
         assert isinstance(realize_rank3(p, field=None, seed=seed), ProvedInfeasible), seed
     for field in (2, 3, 5):
         assert isinstance(realize_rank3(p, field=field, seed=0), ProvedInfeasible), field
+
+
+def _random_patterns(rng, count, lo, hi):
+    for _ in range(count):
+        r, c = rng.randint(lo, hi), rng.randint(lo, hi)
+        yield IncidencePattern.from_rows([[int(rng.random() < 0.4) for _ in range(c)] for _ in range(r)])
+
+
+def _verdict_text(v):
+    if isinstance(v, Realized):
+        return format_configuration(v.configuration)
+    if isinstance(v, Unknown):
+        return v.report
+    return "\n".join(v.trace)
+
+
+def test_exact_verdicts_pinned_on_random_corpus():
+    """Configurations, closed-branch traces and reports of 400 exact calls
+    (200 random 3-7 x 3-7 patterns over Q and GF(3)) are pinned byte for
+    byte: a change to the engine that moves any of them has to say so."""
+    texts = []
+    for trial, p in enumerate(_random_patterns(random.Random(77), 200, 3, 7)):
+        for field in (None, 3):
+            v = realize_rank3(p, field=field, seed=trial, budget=RealizeBudget(nodes=20_000))
+            texts.append(_verdict_text(v))
+    digest = hashlib.sha256("\n--\n".join(texts).encode()).hexdigest()
+    assert digest == "e9017da720c5f835f3696c7445e703803041e56a7454fe8f27dba5f41ce7e189"
+
+
+def test_nodes_hold_only_reduced_polynomials(monkeypatch):
+    """No polynomial a node holds mentions an eliminated parameter: not when
+    the node is processed, not after its own substitutions, not in a child."""
+    checked = []
+
+    def assert_reduced(node):
+        held = list(node.queue)
+        held += [q for group in node.diseqs for q in group]
+        held += [q for triple in node.coords.values() for q in triple]
+        for q in held:
+            assert not (q.variables() & node.solved), (node.path, q.render(), node.solved)
+        checked.append(bool(node.solved))
+
+    process = _ExactEngine._process
+
+    def checked_process(self, node):
+        assert_reduced(node)
+        outcome = process(self, node)
+        assert_reduced(node)
+        if isinstance(outcome, list):
+            for child in outcome:
+                assert_reduced(child)
+        return outcome
+
+    monkeypatch.setattr(_ExactEngine, "_process", checked_process)
+    # criterion 5's patterns, then larger ones: only these substitute into a
+    # non-incidence group
+    for trial, p in enumerate(_random_patterns(random.Random(20240505), 200, 2, 5)):
+        realize_rank3(p, field=None, seed=trial)
+    for trial, p in enumerate(_random_patterns(random.Random(77), 50, 3, 7)):
+        realize_rank3(p, field=None, seed=trial, budget=RealizeBudget(nodes=20_000))
+    assert sum(checked) > 300  # nodes with eliminated parameters
 
 
 def test_fano_minus_point_realizable_over_q():
@@ -275,6 +337,28 @@ def test_gf3_realization():
     assert check_realization_exact(
         p, v.configuration.points, v.configuration.lines, field=3
     ) is None
+
+
+@pytest.mark.parametrize("p", [17, 19])
+def test_realizations_over_primes_outside_field_tables(p):
+    pattern = IncidencePattern.from_rows([[1, 0], [0, 1]])
+    v = realize_rank3(pattern, field=p, seed=0)
+    assert isinstance(v, Realized)
+    cfg = v.configuration
+    assert cfg.field == p
+    assert check_realization_exact(pattern, cfg.points, cfg.lines, field=p) is None
+    assert parse_configuration(format_configuration(cfg)) == cfg
+
+
+@pytest.mark.parametrize("bad", [4, -1])
+def test_gf_check_rejects_coordinates_outside_the_residues(bad):
+    pattern = IncidencePattern.from_rows([[1, 0], [0, 1]])
+    lines = ((0, 1, 0), (1, 0, 0))
+    assert check_realization_exact(pattern, ((1, 0, 0), (0, 1, 0)), lines, field=3) is None
+    problem = check_realization_exact(pattern, ((1, 0, bad), (0, 1, 0)), lines, field=3)
+    assert problem == "point 0 has a coordinate outside GF(3) residues 0..2"
+    cfg = parse_configuration(f"field gf3\nP 0 1 0 {bad}\nP 1 0 1 0\nL 0 0 1 0\nL 1 1 0 0\n")
+    assert check_realization_exact(pattern, cfg.points, cfg.lines, field=3) == problem
 
 
 def test_configuration_certificate_round_trip():
