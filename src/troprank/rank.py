@@ -13,9 +13,9 @@ every column set within a row set.  A level's witness is its first
 nonsingular pair in this order, whichever scan finds it.
 
 For matrices whose finite entries are all >= 0 with a zero/positive split
-(weighted incidence matrices), large levels are classified by the zero
-pattern of each submatrix alone, treating every nonzero entry (inf too) as
-an unknown positive weight:
+(weighted incidence matrices), levels k <= 5 of more than _GENERIC_CUTOFF
+(1,000) pairs are classified by the zero pattern of each submatrix alone,
+treating every nonzero entry (inf too) as an unknown positive weight:
 
   SINGULAR     singular for every positive weighting;
   NONSINGULAR  exactly one all-zero permutation, so nonsingular for every
@@ -43,10 +43,17 @@ non-SINGULAR multiset of k codes fits in the codes of its columns.
 The classification streams row sets in witness order, resolving their
 WEIGHTED pairs with the weights in batches, and stops at the first row set
 holding a nonsingular pair of either class; its first such pair is the
-witness.  Only WEIGHTED pairs need arithmetic.  For the PG(2,q) incidence
-matrices, q <= 5, every level-4 pair is SINGULAR (every row set is
-skipped), so their refutation holds for every positive weighting of the
-pattern (``RankResult.weight_free``).
+witness.  Only WEIGHTED pairs need arithmetic.  The first batch closes at
+one row set's pairs and each later one may hold twice as many, up to
+_RESOLVE_CHUNK, so a witness in an early row set costs little; row sets
+are filtered in steps growing the same way.  For the PG(2,q) incidence
+matrices, q <= 5 (Fano included), every level-4 pair is SINGULAR (every
+row set is skipped), so their refutation holds for every positive
+weighting of the pattern (``RankResult.weight_free``).
+
+Levels of at most _GENERIC_CUTOFF pairs go pair by pair through the exact
+assignment check: there a witness among the first pairs is cheaper than
+setting up a classification (a few tenths of a millisecond per level).
 """
 
 from __future__ import annotations
@@ -62,8 +69,8 @@ import numpy as np
 from .assignment import min_permutation
 from .tropical import TropicalMatrix
 
-# Generic per-pair testing is used below this many (row-set, col-set) pairs.
-_GENERIC_CUTOFF = 60_000
+# Levels of at most this many (row-set, col-set) pairs are tested pair by pair.
+_GENERIC_CUTOFF = 1_000
 # Largest level the zero-pattern classification handles.
 _CLASSIFY_MAX_K = 5
 # inf in the int64 cost view; _CLASSIFY_MAX_K of these sum below 2**63.
@@ -71,8 +78,10 @@ _DENSE_INF = 2**60
 _UNSET = object()  # tropical_rank's views before the first classified level
 
 # Permutations of the classified levels: they build the count and class
-# tables (k <= 4) and sum the weighted pairs' permutation costs.
+# tables (k <= 4) and _PERM_CELLS, which sums the weighted pairs' costs.
 _PERMS = {k: tuple(itertools.permutations(range(k))) for k in range(1, _CLASSIFY_MAX_K + 1)}
+# (k!, k) flat cells i * k + perm[i] of each permutation in a k x k block.
+_PERM_CELLS = {k: np.array([[i * k + c for i, c in enumerate(p)] for p in perms]) for k, perms in _PERMS.items()}
 # Largest block _zero_perm_counts handles; the sampler filters its draws up to it.
 _COUNT_MAX_K = 6
 # Block classes, ordered so that min(all-zero permutation count, 2) is the
@@ -144,10 +153,14 @@ def _is_nonsingular_cost(cost, rows, cols) -> bool:
     return min_permutation([[cost[i][j] for j in cols] for i in rows])[2]
 
 
+def _witness_order(finite_per_axis, n):
+    """Indices by decreasing finite-entry count, ties by index."""
+    return sorted(range(n), key=lambda i: (-finite_per_axis[i], i))
+
+
 def _ordered_combos(finite_per_axis, n, k):
     """Index combinations in witness order, preferring indices with many finite entries."""
-    order = sorted(range(n), key=lambda i: (-finite_per_axis[i], i))
-    for combo in itertools.combinations(order, k):
+    for combo in itertools.combinations(_witness_order(finite_per_axis, n), k):
         yield tuple(sorted(combo))
 
 
@@ -284,9 +297,9 @@ def _block_classes(codes: np.ndarray) -> np.ndarray:
 # _CLASSIFY_CACHE_SIZE levels are kept; the oldest is dropped first.
 _CLASSIFY_CACHE: dict = {}
 _CLASSIFY_CACHE_SIZE = 8
-# WEIGHTED pairs gathered before they are resolved with weights.
+# Most WEIGHTED pairs gathered before they are resolved with weights.
 _RESOLVE_CHUNK = 1 << 14
-# Row sets whose column codes are filtered in one step.
+# Most row sets whose column codes are filtered in one step.
 _FILTER_CHUNK = 64
 
 
@@ -305,10 +318,10 @@ class _LevelEntry:
     _Marks among them.  A walk over the classified prefix visits only these."""
 
     def __init__(self, views: _Views, k: int):
-        # Column-major, so each row set's (NC, k) code gather is read column by column.
-        self.col_combos = np.array(
-            list(_ordered_combos(views.finite.sum(axis=0).tolist(), views.zero.shape[1], k)), order="F"
-        )
+        # _ordered_combos as one array, column-major, so each row set's
+        # (NC, k) code gather is read column by column.
+        order = _witness_order(views.finite.sum(axis=0).tolist(), views.zero.shape[1])
+        self.col_combos = np.asfortranarray(np.sort(np.array(list(itertools.combinations(order, k))), axis=1))
         self.classified = 0
         self.marked = []
 
@@ -337,10 +350,11 @@ def _classify_row_set(code: np.ndarray, col_combos):
 def _marked_row_sets(views: _Views, k, entry: _LevelEntry, room):
     """The entry's marked row sets with index below `room`, in order,
     classifying row sets past its prefix as the walk reaches them.  Their
-    codes are filtered _FILTER_CHUNK at a time; a row set is classified
-    only when the walk gets to it and it may hold a non-SINGULAR pair."""
+    codes are filtered in steps of 1, 2, 4, ... up to _FILTER_CHUNK row sets;
+    a row set is classified only when the walk gets to it and it may hold a
+    non-SINGULAR pair."""
     unseen = None  # row sets past the classified prefix, made on first use
-    i = 0
+    i, step = 0, 1
     while i < len(entry.marked) or entry.classified < room:
         if i < len(entry.marked):
             if entry.marked[i].index >= room:
@@ -351,7 +365,8 @@ def _marked_row_sets(views: _Views, k, entry: _LevelEntry, room):
         if unseen is None:
             order = _ordered_combos(views.finite.sum(axis=1).tolist(), views.zero.shape[0], k)
             unseen = itertools.islice(order, entry.classified, None)
-        rows = list(itertools.islice(unseen, min(_FILTER_CHUNK, room - entry.classified)))
+        rows = list(itertools.islice(unseen, min(step, room - entry.classified)))
+        step = min(2 * step, _FILTER_CHUNK)
         codes = _column_codes(views.zero[np.array(rows)])  # (rows, cols)
         for rc, code, may_hold_open in zip(rows, codes, _may_hold_open(codes, k)):
             mark = None
@@ -377,11 +392,14 @@ def _first_weighted_nonsingular(cost, views: _Views, col_combos, batch):
     if views.dense is None:
         candidates = range(len(zeros_r))  # every pair, checked exactly
     else:
-        sub = views.dense[zeros_r[:, :, None], zeros_c[:, None, :]]  # (P, k, k)
-        perms = _PERMS[sub.shape[1]]
-        sums = np.empty((len(sub), len(perms)), dtype=np.int64)
-        for j, perm in enumerate(perms):
-            sums[:, j] = sum(sub[:, i, c] for i, c in enumerate(perm))
+        k = zeros_r.shape[1]
+        sub = views.dense[zeros_r[:, :, None], zeros_c[:, None, :]].reshape(-1, k * k)
+        cells = _PERM_CELLS[k]
+        # Column by column, so no temporary outgrows sums: a (P, 120, 5)
+        # gather would be 78 MB at k = 5 and P = _RESOLVE_CHUNK.
+        sums = sub[:, cells[:, 0]]  # (P, k!)
+        for i in range(1, k):
+            sums += sub[:, cells[:, i]]
         best = sums.min(axis=1)
         ties = (sums == best[:, None]).sum(axis=1)
         candidates = np.nonzero((best < _DENSE_INF) & (ties == 1))[0][:1]
@@ -409,12 +427,15 @@ def _structured_level_scan(cost, views: _Views, k, budget):
     if budget.limit is not None:
         room = min(total, (budget.limit - budget.used) // len(col_combos))
     batch, held = [], 0  # marks awaiting resolution, their WEIGHTED pairs
+    # The first batch closes at one row set's pairs, so an early witness
+    # costs little; each later one may hold twice as many, up to _RESOLVE_CHUNK.
+    limit = min(len(col_combos), _RESOLVE_CHUNK)
     # A final None resolves what is left of the batch.
     for mark in itertools.chain(_marked_row_sets(views, k, entry, room), [None]):
         if mark is not None:
             batch.append(mark)
             held += len(mark.weighted)
-            if mark.one is None and held < _RESOLVE_CHUNK:
+            if mark.one is None and held < limit:
                 continue
         hit = _first_weighted_nonsingular(cost, views, col_combos, batch)
         if hit is None and mark is not None and mark.one is not None:
@@ -425,7 +446,7 @@ def _structured_level_scan(cost, views: _Views, k, budget):
         if hit is not None:
             budget.spend((hit[0] + 1) * len(col_combos))
             return "witness", hit[1]
-        batch, held = [], 0
+        batch, held, limit = [], 0, min(2 * limit, _RESOLVE_CHUNK)
     if room < total:
         return "budget", None
     budget.spend(total * len(col_combos))
@@ -472,7 +493,10 @@ def sample_level_singular(m: TropicalMatrix, k: int, samples: int, seed: int):
     (all_singular, counterexample or None).  Sampling only; not a certificate.
 
     Draws that are not SINGULAR by their zero pattern are checked exactly;
-    every draw is when an entry is negative or k > _COUNT_MAX_K.
+    every draw is when an entry is negative or k > _COUNT_MAX_K.  The draws
+    are a function of (seed, shape, k, samples) alone: the same generator
+    calls, in the same order and 200,000-draw chunks, whatever sorts,
+    filters or classifies them.
     """
     if not 1 <= k <= min(m.rows, m.cols):
         raise ValueError(f"level {k} outside 1..{min(m.rows, m.cols)}")
@@ -489,13 +513,51 @@ def sample_level_singular(m: TropicalMatrix, k: int, samples: int, seed: int):
         if views is None:
             suspicious = range(batch)
         else:
-            codes = _column_codes(views.zero[rc[:, :, None], cc[:, None, :]])  # (B, k)
-            suspicious = np.nonzero(_block_classes(codes) != _SINGULAR)[0]
+            suspicious = np.nonzero(_block_classes(_drawn_codes(views.zero, rc, cc)) != _SINGULAR)[0]
         for b in suspicious:
             rows, cols = tuple(rc[b].tolist()), tuple(cc[b].tolist())
             if _is_nonsingular_cost(cost, rows, cols):
                 return False, (rows, cols)
     return True, None
+
+
+def _drawn_codes(zero: np.ndarray, rc: np.ndarray, cc: np.ndarray) -> np.ndarray:
+    """(B, k) column codes of the blocks zero[rc[b]][:, cc[b]]: the
+    _column_codes of that (B, k, k) gather, built cell by cell with flat-index
+    takes into buffers allocated once."""
+    batch, k = rc.shape
+    codes = np.zeros((batch, k), dtype=np.uint8, order="F")
+    row_at = np.empty(batch, dtype=np.intp)
+    at = np.empty(batch, dtype=np.intp)
+    bit = np.empty(batch, dtype=np.uint8)
+    for i in range(k):
+        row_bit = zero.view(np.uint8).ravel() << i  # cell (r, c) at r * cols + c
+        np.multiply(rc[:, i], zero.shape[1], out=row_at)
+        for t in range(k):
+            np.add(row_at, cc[:, t], out=at)
+            codes[:, t] |= row_bit.take(at, out=bit)
+    return codes
+
+
+def _sort_rows(draws: np.ndarray) -> np.ndarray:
+    """Sort each row of a (B, k) array in place: a bubble network of
+    compare-exchanges on its column views, as _class_table sorts its keys."""
+    cols = [draws[:, t] for t in range(draws.shape[1])]
+    low = np.empty(len(draws), dtype=draws.dtype)
+    for last in range(len(cols) - 1, 0, -1):
+        for t in range(last):
+            np.minimum(cols[t], cols[t + 1], out=low)
+            np.maximum(cols[t], cols[t + 1], out=cols[t + 1])
+            cols[t][...] = low
+    return draws
+
+
+def _has_repeat(draws: np.ndarray) -> np.ndarray:
+    """Per row of a (B, k) array with sorted rows: True where a value repeats."""
+    repeat = np.zeros(len(draws), dtype=bool)
+    for t in range(1, draws.shape[1]):
+        repeat |= draws[:, t] == draws[:, t - 1]
+    return repeat
 
 
 def _sample_subsets(rng, batch, n, k):
@@ -506,10 +568,11 @@ def _sample_subsets(rng, batch, n, k):
         keep = np.ones((batch, n), dtype=bool)
         keep[np.arange(batch)[:, None], _sample_subsets(rng, batch, n, n - k)] = False
         return np.nonzero(keep)[1].reshape(batch, k).astype(np.int32)
-    out = np.sort(rng.integers(0, n, size=(batch, k), dtype=np.int32), axis=1)
-    idx = np.nonzero((out[:, 1:] == out[:, :-1]).any(axis=1))[0]
+    # Column-major, so the sort, the repeat test and _drawn_codes read whole columns.
+    out = _sort_rows(np.asfortranarray(rng.integers(0, n, size=(batch, k), dtype=np.int32)))
+    idx = np.nonzero(_has_repeat(out))[0]
     while idx.size:
-        redrawn = np.sort(rng.integers(0, n, size=(idx.size, k), dtype=np.int32), axis=1)
+        redrawn = _sort_rows(rng.integers(0, n, size=(idx.size, k), dtype=np.int32))
         out[idx] = redrawn
-        idx = idx[(redrawn[:, 1:] == redrawn[:, :-1]).any(axis=1)]
+        idx = idx[_has_repeat(redrawn)]
     return out

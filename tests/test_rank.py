@@ -290,7 +290,7 @@ def test_rank_result_same_cold_and_warm(monkeypatch, chunk):
 
 def test_all_positive_matrix_stops_at_first_witness_row_set():
     """No zero entries: every pair needs the weighted check.  Each classified
-    level (3-5 on 16x16) must stop at the row set holding its witness rather
+    level (2-5 on 16x16) must stop at the row set holding its witness rather
     than classify the whole level (C(16, 5)^2 = 19.1M pairs at k = 5)."""
     rng = random.Random(31)
     m = TropicalMatrix.from_rows(
@@ -299,11 +299,14 @@ def test_all_positive_matrix_stops_at_first_witness_row_set():
     rank_mod._CLASSIFY_CACHE.clear()
     res = tropical_rank(m, limit=5)
     assert res.rank == 5 and res.certified
-    assert res.pairs_examined <= 2 * (comb(16, 3) + comb(16, 4) + comb(16, 5))
-    # Row sets classified per level: those of the first weighted batch,
-    # which closes once it holds _RESOLVE_CHUNK pairs.
-    for (_, _, _, k), entry in rank_mod._CLASSIFY_CACHE.items():
-        assert entry.classified * comb(16, k) < rank_mod._RESOLVE_CHUNK + comb(16, k)
+    # Level 1 (256 pairs) goes pair by pair and its first pair is a witness;
+    # every classified level finds its witness in its first row set.
+    assert res.pairs_examined == 1 + sum(comb(16, k) for k in range(2, 6))
+    # The first weighted batch closes at one row set's pairs, so exactly
+    # that row set is classified.
+    assert sorted(k for (_, _, _, k) in rank_mod._CLASSIFY_CACHE) == [2, 3, 4, 5]
+    for entry in rank_mod._CLASSIFY_CACHE.values():
+        assert entry.classified == 1
     cost = m.cost
     views = rank_mod._level_views(cost)
     for k in (3, 4, 5):
@@ -525,7 +528,11 @@ def test_weight_free_refutation(monkeypatch):
     assert not tropical_rank(m, budget=res.pairs_examined - 1).weight_free
     assert not tropical_rank(m, limit=3).weight_free
     fano = incidence_matrix(projective_plane(2), "random", seed=3)
+    assert tropical_rank(fano).refuted_level == 4 and tropical_rank(fano).weight_free
+    # Above 1,225 the cutoff sends Fano's level 4 through the pair-by-pair scan.
+    monkeypatch.setattr(rank_mod, "_GENERIC_CUTOFF", 60_000)
     assert tropical_rank(fano).refuted_level == 4 and not tropical_rank(fano).weight_free
+    monkeypatch.undo()
     # Tropical rank one: every 2 x 2 minor ties, and no entry is zero.
     a, b = (1, 4, 2, 7, 3, 5), (2, 1, 6, 3, 8, 4)
     rank_one = TropicalMatrix.from_rows([[Fraction(x + y) for y in b] for x in a])
@@ -559,3 +566,109 @@ def test_sample_subsets_match_retest_all_loop():
         assert np.array_equal(got, _sample_subsets_retest_all(ref, 4000, n, k)), (n, k)
         assert (got[:, 1:] > got[:, :-1]).all()
         assert rng.integers(1 << 30) == ref.integers(1 << 30)
+
+
+def _sample_level_singular_reference(m, k, samples, seed):
+    """The sampler before its draws were sorted by a compare-exchange network
+    and its codes gathered cell by cell: np.sort draws (through the loop
+    above) and one broadcast (B, k, k) gather of the zero pattern."""
+    if not 1 <= k <= min(m.rows, m.cols):
+        raise ValueError(f"level {k} outside 1..{min(m.rows, m.cols)}")
+    cost = m.cost
+    views = rank_mod._level_views(cost) if k <= rank_mod._COUNT_MAX_K else None
+    rng = np.random.default_rng(seed)
+    remaining = samples
+    chunk = 200_000
+    while remaining > 0:
+        batch = min(chunk, remaining)
+        remaining -= batch
+        rc = _sample_subsets_retest_all(rng, batch, m.rows, k)
+        cc = _sample_subsets_retest_all(rng, batch, m.cols, k)
+        if views is None:
+            suspicious = range(batch)
+        else:
+            codes = rank_mod._column_codes(views.zero[rc[:, :, None], cc[:, None, :]])  # (B, k)
+            suspicious = np.nonzero(rank_mod._block_classes(codes) != rank_mod._SINGULAR)[0]
+        for b in suspicious:
+            rows, cols = tuple(rc[b].tolist()), tuple(cc[b].tolist())
+            if rank_mod._is_nonsingular_cost(cost, rows, cols):
+                return False, (rows, cols)
+    return True, None
+
+
+def test_sample_level_singular_matches_reference():
+    """Same verdict and counterexample as the reference sampler on seeded
+    matrices at k = 1..6: square and non-square shapes, the complement path
+    (2k > n, and k = n), a negative entry (every draw checked exactly) and
+    mostly singular patterns, whose counterexamples lie deep in a batch."""
+    rng = random.Random(71)
+    matrices = [_random_nonneg(rng, r, c) for r, c in ((6, 6), (5, 9), (9, 5), (7, 12), (12, 7), (4, 4))]
+    matrices.append(TropicalMatrix.from_rows(
+        [[Fraction(-1) if i == j else Fraction(i * j % 5) for j in range(8)] for i in range(6)]
+    ))
+    matrices += [incidence_matrix(projective_plane(q), "random", seed=q) for q in (2, 3)]
+    # One nonzero cell in an all-zero pattern: few draws avoid being SINGULAR.
+    matrices.append(TropicalMatrix.from_rows(
+        [[Fraction(3) if (i, j) == (2, 5) else Fraction(0) for j in range(9)] for i in range(8)]
+    ))
+    outcomes = set()
+    for index, m in enumerate(matrices):
+        for k in range(1, min(m.rows, m.cols, 6) + 1):
+            for seed in (index, 100 + k):
+                got = sample_level_singular(m, k, 3000, seed=seed)
+                assert got == _sample_level_singular_reference(m, k, 3000, seed=seed), (index, k, seed)
+                outcomes.add(got[0])
+    assert outcomes == {True, False}
+    # Three 200,000-draw chunks, all SINGULAR by their zero pattern.
+    pg3 = incidence_matrix(projective_plane(3), "random", seed=9)
+    assert sample_level_singular(pg3, 4, 450_000, seed=5) == _sample_level_singular_reference(
+        pg3, 4, 450_000, seed=5) == (True, None)
+
+
+def test_drawn_codes_match_broadcast_gather():
+    """The cell-by-cell code gather equals the column codes of the (B, k, k)
+    broadcast gather, for k = 1..8 on square and non-square patterns."""
+    rng = np.random.default_rng(73)
+    for rows, cols in ((6, 6), (9, 13), (13, 9), (8, 8)):
+        zero = rng.random((rows, cols)) < 0.4
+        for k in range(1, min(rows, cols) + 1):
+            rc = rank_mod._sample_subsets(rng, 500, rows, k)
+            cc = rank_mod._sample_subsets(rng, 500, cols, k)
+            expected = rank_mod._column_codes(zero[rc[:, :, None], cc[:, None, :]])
+            got = rank_mod._drawn_codes(zero, rc, cc)
+            assert got.dtype == np.uint8 and np.array_equal(got, expected), (rows, cols, k)
+
+
+def test_classified_levels_keep_the_pair_by_pair_result(monkeypatch):
+    """Fano under 20 weightings, full and budgeted: the same RankResult with
+    the 1,225-pair levels 3 and 4 pair by pair (cutoff 60,000) or classified
+    (cutoff 1,000), but for weight_free and pairs_examined.  A classified
+    level is charged in whole row sets, so it costs at least as much as the
+    pair-by-pair scan of it; the budgets avoid the windows where only the
+    pair-by-pair scan affords the level-3 witness or the level-4 refutation."""
+    def without_counts(res):
+        return dataclasses.replace(res, pairs_examined=0, weight_free=False)
+
+    weight_free = 0
+    for seed in range(20):
+        fano = incidence_matrix(projective_plane(2), "random", seed=seed)
+        rank_mod._CLASSIFY_CACHE.clear()
+        pairs = {}
+        for cutoff in (60_000, 1_000):
+            monkeypatch.setattr(rank_mod, "_GENERIC_CUTOFF", cutoff)
+            pairs[cutoff] = [tropical_rank(fano, limit=k).pairs_examined for k in (2, 3, 4)]
+            monkeypatch.undo()
+        (two, plain_three, plain_four), (_, three, four) = pairs[60_000], pairs[1_000]
+        assert two < plain_three <= three < plain_four <= four
+        budgets = (None, two - 1, two, plain_three - 1, three, three + 600, plain_four - 1, four)
+        results = {}
+        for cutoff in (60_000, 1_000):
+            monkeypatch.setattr(rank_mod, "_GENERIC_CUTOFF", cutoff)
+            results[cutoff] = [tropical_rank(fano, budget=b) for b in budgets]
+            monkeypatch.undo()
+        assert [without_counts(r) for r in results[60_000]] == [without_counts(r) for r in results[1_000]], seed
+        assert results[1_000][0].refuted_level == 4 and results[1_000][-2].budget_exhausted
+        assert results[1_000][-1] == results[1_000][0]
+        assert not any(r.weight_free for r in results[60_000])
+        weight_free += results[1_000][0].weight_free
+    assert weight_free == 20
