@@ -38,7 +38,9 @@ are built at import, the classes from them on first use.  For k = 5 and 6
 the count is expanded along the last column into (k-1)-counts, and the
 class is read from the count (0 is WEIGHTED).  The class does not depend on
 the column order, so for k <= 4 a row set is skipped outright when no
-non-SINGULAR multiset of k codes fits in the codes of its columns.
+non-SINGULAR multiset of k codes fits in the codes of its columns.  That
+verdict depends only on the row set's code histogram capped at k, so it is
+computed once per distinct capped histogram and mapped back to the row sets.
 
 The classification streams row sets in witness order, resolving their
 WEIGHTED pairs with the weights in batches, and stops at the first row set
@@ -47,9 +49,11 @@ witness.  Only WEIGHTED pairs need arithmetic.  The first batch closes at
 one row set's pairs and each later one may hold twice as many, up to
 _RESOLVE_CHUNK, so a witness in an early row set costs little; row sets
 are filtered in steps growing the same way.  For the PG(2,q) incidence
-matrices, q <= 5 (Fano included), every level-4 pair is SINGULAR (every
+matrices, q <= 7 (Fano included), every level-4 pair is SINGULAR (every
 row set is skipped), so their refutation holds for every positive
-weighting of the pattern (``RankResult.weight_free``).
+weighting of the pattern (``RankResult.weight_free``); their level-4 row
+sets have only 5 or 6 distinct capped histograms, so the filter's cost is
+the histograms themselves.
 
 Levels of at most _GENERIC_CUTOFF pairs go pair by pair through the exact
 assignment check: there a witness among the first pairs is cheaper than
@@ -249,14 +253,24 @@ def _open_multisets(k: int):
 def _may_hold_open(codes: np.ndarray, k: int) -> np.ndarray:
     """Per row set of a (row sets, cols) array of column codes: False when
     every k of its columns form a SINGULAR block, which for k <= 4 is when no
-    non-SINGULAR multiset fits in the codes it holds.  True for k = 5."""
+    non-SINGULAR multiset fits in the codes it holds.  True for k = 5.
+
+    That depends only on the histogram of its codes capped at k, so each row
+    set gets one key (3 bits per code) and only the distinct keys are tested,
+    _FILTER_CHUNK at a time."""
     if k > 4:
         return np.ones(len(codes), dtype=bool)
     masks, bits = _open_multisets(k)
     n = 1 << k
     hist = np.bincount((codes + n * np.arange(len(codes))[:, None]).ravel(), minlength=n * len(codes))
-    held = (bits * (hist.reshape(-1, n, 1) > np.arange(k))).sum(axis=(1, 2))
-    return ((masks & ~held[:, None]) == 0).any(axis=1)
+    hist = hist.reshape(-1, n)
+    # Counts capped at k <= 4 fit 3 bits: the key is the capped histogram in base 8.
+    keys, first, inverse = np.unique(np.minimum(hist, k) @ (8 ** np.arange(n)), return_index=True, return_inverse=True)
+    verdicts = np.empty(len(keys), dtype=bool)
+    for at in range(0, len(keys), _FILTER_CHUNK):
+        held = (bits * (hist[first[at:at + _FILTER_CHUNK], :, None] > np.arange(k))).sum(axis=(1, 2))
+        verdicts[at:at + _FILTER_CHUNK] = ((masks & ~held[:, None]) == 0).any(axis=1)
+    return verdicts[inverse.ravel()]
 
 
 def _block_keys(codes: np.ndarray) -> np.ndarray:
@@ -299,8 +313,11 @@ _CLASSIFY_CACHE: dict = {}
 _CLASSIFY_CACHE_SIZE = 8
 # Most WEIGHTED pairs gathered before they are resolved with weights.
 _RESOLVE_CHUNK = 1 << 14
-# Most row sets whose column codes are filtered in one step.
+# Most row sets whose column codes are filtered in one step, and most
+# distinct row-set keys _may_hold_open tests at once.
 _FILTER_CHUNK = 64
+# Most row sets sample_level_singular's proof pass filters at once.
+_PROOF_CHUNK = 4096
 
 
 class _Mark(NamedTuple):
@@ -490,18 +507,34 @@ def tropical_rank(m: TropicalMatrix, limit: Optional[int] = None, budget: Option
 
 def sample_level_singular(m: TropicalMatrix, k: int, samples: int, seed: int):
     """Smoke check: draw `samples` random k x k submatrices, return
-    (all_singular, counterexample or None).  Sampling only; not a certificate.
+    (all_singular, counterexample or None).
 
     Draws that are not SINGULAR by their zero pattern are checked exactly;
     every draw is when an entry is negative or k > _COUNT_MAX_K.  The draws
     are a function of (seed, shape, k, samples) alone: the same generator
     calls, in the same order and 200,000-draw chunks, whatever sorts,
     filters or classifies them.
+
+    When k <= 4, no entry is negative and C(rows, k) <= samples, every k-row
+    set first goes through the row-set filter.  If none can hold a
+    non-SINGULAR block, every draw would be skipped, so (True, None) is
+    returned without drawing, and it is then a certificate: every k x k
+    submatrix is singular for every positive weighting of the zero pattern.
+    Otherwise the answer comes from sampling only and is not a certificate.
     """
     if not 1 <= k <= min(m.rows, m.cols):
         raise ValueError(f"level {k} outside 1..{min(m.rows, m.cols)}")
+    if samples < 0:
+        raise ValueError(f"negative sample count {samples}")
     cost = m.cost
     views = _level_views(cost) if k <= _COUNT_MAX_K else None
+    # Every draw skipped as SINGULAR is one the proof pass rules out, so the
+    # pass gives the sampler's answer; it runs when it visits no more row
+    # sets than there are draws.
+    if views is not None and k <= 4 and comb(m.rows, k) <= samples and not any(
+        _may_hold_open(_column_codes(views.zero[rows]), k).any() for rows in _combination_blocks(m.rows, k)
+    ):
+        return True, None
     rng = np.random.default_rng(seed)
     remaining = samples
     chunk = 200_000
@@ -519,6 +552,24 @@ def sample_level_singular(m: TropicalMatrix, k: int, samples: int, seed: int):
             if _is_nonsingular_cost(cost, rows, cols):
                 return False, (rows, cols)
     return True, None
+
+
+def _combination_blocks(n, k, start=0, prefix=()):
+    """The k-combinations of range(start, n), each after `prefix`, in
+    lexicographic order: (rows, len(prefix) + k) intp arrays of at most
+    _PROOF_CHUNK rows (larger sets are split by their first element)."""
+    if comb(n - start, k) > _PROOF_CHUNK:
+        for first in range(start, n - k + 1):
+            yield from _combination_blocks(n, k - 1, first + 1, prefix + (first,))
+        return
+    combos = np.array([prefix], dtype=np.intp)
+    for t in range(k):  # extend each combination by every next element that leaves room
+        low = combos[:, -1] + 1 if combos.shape[1] else np.full(1, start, dtype=np.intp)
+        counts = np.maximum(n - (k - 1 - t) - low, 0)
+        at = np.repeat(np.arange(len(combos)), counts)
+        nxt = np.arange(len(at)) - np.repeat(np.cumsum(counts) - counts, counts) + low[at]
+        combos = np.column_stack([combos[at], nxt])
+    yield combos
 
 
 def _drawn_codes(zero: np.ndarray, rc: np.ndarray, cc: np.ndarray) -> np.ndarray:

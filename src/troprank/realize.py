@@ -721,13 +721,16 @@ def kapranov_bounds(
     """Sandwich the lift rank: tropical rank below, factorization rank above.
 
     For a (0,1) matrix over the rationals a successful rank-3 realization
-    improves the upper bound to 3 (the realization lifts).  Realizations over
-    finite fields are deliberately not used this way.
+    improves the upper bound to 3 (the realization lifts).  A proof that none
+    exists raises the lower bound to 4 when every row and every column holds
+    a 0 entry (the residue-field argument: the t^0 coefficients of a rank-3
+    lift would form such a realization).  Realizations over finite fields are
+    deliberately not used either way.
 
     The factorization search (`barvinok_rank`) is capped at barvinok_budget
     coverings, 200,000 by default; when it runs out, the trivial
     min(rows, cols) upper bound stands in.  It runs out on unit Fano and unit
-    PG(2,3), which end at [3, 7] and [3, 13]; on a 2-vCPU host each of those
+    PG(2,3), which end at [4, 7] and [4, 13]; on a 2-vCPU host each of those
     calls takes 0.01-0.04 s at the default budget.
     """
     notes = []
@@ -754,6 +757,17 @@ def kapranov_bounds(
             notes.append("rational rank-3 realization found; upper bound improved to 3")
         elif isinstance(verdict, ProvedInfeasible):
             notes.append("no rational rank-3 realization exists")
+            zeros = ~pattern.bits
+            if zeros.any(axis=0).all() and zeros.any(axis=1).all():
+                # Residue field: the t^0 coefficients of a rank-3 lift would be
+                # nonzero 3-vectors (each row and column has a 0 entry, whose
+                # coefficient is nonzero) with P_i . L_j = 0 exactly at the
+                # 1-entries, a rational rank-3 realization.
+                lower = max(lower, 4)
+                notes.append("residue-field argument: a rank-3 lift would give a rational "
+                             "rank-3 realization, so the lower bound is 4")
+                if upper < lower:  # Barvinok rank >= Kapranov rank
+                    raise RuntimeError(f"factorization rank {upper} below the Kapranov lower bound {lower}")
         else:
             notes.append("rank-3 realization search inconclusive")
     elif pattern is not None:

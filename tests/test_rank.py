@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -320,6 +321,9 @@ def test_sample_level_range():
     for k in (0, 8, -1):
         with pytest.raises(ValueError):
             sample_level_singular(fano, k, 10, seed=1)
+    # A negative count is an error, not an "all singular" claim from no draws.
+    with pytest.raises(ValueError):
+        sample_level_singular(fano, 4, -1, seed=1)
     for k in range(1, 8):
         ok, ce = sample_level_singular(fano, k, 300, seed=k)
         assert ok == (k > 3), k
@@ -447,6 +451,42 @@ def test_class_table_matches_minimal_support_rule():
     for block, got in zip(blocks, rank_mod._block_classes(rank_mod._column_codes(blocks))):
         if got != rank_mod._WEIGHTED:
             assert got == _minimal_support_class(block.tolist())
+
+
+def _may_hold_open_reference(codes, k):
+    """The row-set filter as one held mask per row set, each tested against
+    every open multiset: (row sets, open multisets) at once."""
+    masks, bits = rank_mod._open_multisets(k)
+    n = 1 << k
+    hist = np.bincount((codes + n * np.arange(len(codes))[:, None]).ravel(), minlength=n * len(codes))
+    held = (bits * (hist.reshape(-1, n, 1) > np.arange(k))).sum(axis=(1, 2))
+    return ((masks & ~held[:, None]) == 0).any(axis=1)
+
+
+def test_may_hold_open_matches_per_row_set_reference():
+    """One verdict per distinct capped code histogram gives each row set the
+    per-row-set verdict, also when a call holds more distinct keys than one
+    batch and repeats keys among row sets of both verdicts."""
+    rng = np.random.default_rng(79)
+    for k in range(1, 5):
+        for cols, density in ((k, 0.5), (9, 0.3), (12, 0.7), (20, 0.9)):
+            if cols < k:
+                continue
+            codes = rank_mod._column_codes(rng.random((300, k, cols)) < density)
+            assert rank_mod._may_hold_open(codes, k).tolist() == _may_hold_open_reference(codes, k).tolist(), (k, cols)
+    # PG(2,3)'s level-4 row sets (all closed, few distinct keys) interleaved
+    # with random 13-column row sets (mostly open, many distinct keys).
+    zero = np.array([[c == 0 for c in row] for row in incidence_matrix(projective_plane(3), "unit").cost])
+    plane = rank_mod._column_codes(zero[np.array(list(itertools.combinations(range(13), 4)))])
+    noise = rank_mod._column_codes(rng.random((400, 4, 13)) < rng.uniform(0.5, 0.95, (400, 1, 1)))
+    codes = np.concatenate([plane, noise, plane[::-1]])[rng.permutation(2 * len(plane) + len(noise))]
+    expected = _may_hold_open_reference(codes, 4)
+    got = rank_mod._may_hold_open(codes, 4)
+    assert got.tolist() == expected.tolist()
+    assert expected.any() and not expected.all()
+    capped = np.minimum(np.stack([(codes == c).sum(axis=1) for c in range(16)], axis=1), 4)
+    keys, counts = np.unique(capped, axis=0, return_counts=True)
+    assert len(keys) > rank_mod._FILTER_CHUNK and counts.max() > 1
 
 
 def test_row_set_filter_is_exact():
@@ -619,10 +659,72 @@ def test_sample_level_singular_matches_reference():
                 assert got == _sample_level_singular_reference(m, k, 3000, seed=seed), (index, k, seed)
                 outcomes.add(got[0])
     assert outcomes == {True, False}
-    # Three 200,000-draw chunks, all SINGULAR by their zero pattern.
-    pg3 = incidence_matrix(projective_plane(3), "random", seed=9)
-    assert sample_level_singular(pg3, 4, 450_000, seed=5) == _sample_level_singular_reference(
-        pg3, 4, 450_000, seed=5) == (True, None)
+    # Three 200,000-draw chunks, all SINGULAR by their zero pattern.  PG(2,3)
+    # is answered by the proof pass (C(13, 4) <= 450,000); PG(2,8) is drawn
+    # (C(73, 4) > 450,000).
+    for q in (3, 8):
+        plane = incidence_matrix(projective_plane(q), "random", seed=9)
+        assert sample_level_singular(plane, 4, 450_000, seed=5) == _sample_level_singular_reference(
+            plane, 4, 450_000, seed=5) == (True, None)
+
+
+def _with_entry(m, i, j, value):
+    """m with its integer cost at (i, j) replaced."""
+    cost = [list(row) for row in m.cost]
+    cost[i][j] = value
+    return TropicalMatrix(tuple(map(tuple, cost)), m.scale)
+
+
+def test_sample_level_singular_proof_pass(monkeypatch):
+    """With k <= 4, no negative entry and at least C(rows, k) samples, every
+    row set goes through the row-set filter first.  When none may hold a
+    non-SINGULAR block the sampler answers without drawing; otherwise it
+    draws as before.  Either way the answer is the reference sampler's."""
+    planes = [incidence_matrix(projective_plane(q), "random", seed=q) for q in (4, 5)]
+    expected = [_sample_level_singular_reference(m, 4, comb(m.rows, 4), seed=1) for m in planes]
+
+    def no_draws(*args):
+        raise AssertionError("the sampler drew")
+
+    monkeypatch.setattr(rank_mod, "_sample_subsets", no_draws)
+    for m, want in zip(planes, expected):
+        assert sample_level_singular(m, 4, comb(m.rows, 4), seed=1) == want == (True, None)
+        with pytest.raises(AssertionError, match="the sampler drew"):  # one sample short of the pass
+            sample_level_singular(m, 4, comb(m.rows, 4) - 1, seed=1)
+    # A zero of weighted PG(2,3) made positive.  Restricted to four rows
+    # there is exactly one row set, and it holds NONSINGULAR blocks; on the
+    # whole plane 104 of the 715 row sets may hold a non-SINGULAR block, and
+    # the pass walks the row sets in blocks of 5.
+    pg3 = incidence_matrix(projective_plane(3), "random", seed=3)
+    assert pg3.cost[0][0] == 0
+    opened = _with_entry(pg3, 0, 0, 500)
+    one_open = opened.submatrix((0, 1, 2, 4), range(13))
+    codes = rank_mod._column_codes(np.array([[c == 0 for c in row] for row in one_open.cost])[None])
+    assert rank_mod._may_hold_open(codes, 4).tolist() == [True]
+    monkeypatch.setattr(rank_mod, "_PROOF_CHUNK", 5)
+    for m in (one_open, opened):
+        with pytest.raises(AssertionError, match="the sampler drew"):
+            sample_level_singular(m, 4, 2000, seed=2)
+    monkeypatch.undo()
+    monkeypatch.setattr(rank_mod, "_PROOF_CHUNK", 5)
+    for m in (one_open, opened):
+        got = sample_level_singular(m, 4, 2000, seed=2)
+        assert got == _sample_level_singular_reference(m, 4, 2000, seed=2)
+        assert not got[0]
+
+
+def test_sample_level_proof_pass_memory():
+    """The proof pass holds one block of row sets at a time: PG(2,5) at
+    500,000 samples peaks well below the 12.8 MB its draws needed."""
+    m = incidence_matrix(projective_plane(5), "random", seed=5)
+    sample_level_singular(m, 4, 500_000, seed=5)  # tables built on first use
+    tracemalloc.start()
+    try:
+        assert sample_level_singular(m, 4, 500_000, seed=5) == (True, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
 
 
 def test_drawn_codes_match_broadcast_gather():

@@ -22,6 +22,7 @@ from troprank import (
     parse_configuration,
     projective_plane,
     realize_rank3,
+    tropical_rank,
 )
 from troprank.realize import _ExactEngine, _IncidenceLeastSquares
 from troprank.reduction import compile_system, parse_poly_system
@@ -468,17 +469,24 @@ def test_bounds_diagonal():
 def test_bounds_fano_never_claims_three():
     m = incidence_matrix(projective_plane(2), "unit")
     res = kapranov_bounds(m, barvinok_budget=2000)
-    assert res.lower == 3
+    assert res.lower == 4  # the residue-field argument
     assert res.upper >= 4  # the rational infeasibility forbids upper bound 3
     assert not res.tight
     assert any("no rational rank-3 realization" in n for n in res.notes)
+    assert any("residue-field argument" in n for n in res.notes)
+    # A row of 1s only: a lift's t^0 row may vanish, so the argument is silent.
+    with_full_row = TropicalMatrix(m.cost + ((1,) * 7,), 1)
+    res = kapranov_bounds(with_full_row, barvinok_budget=2000)
+    assert any("no rational rank-3 realization" in n for n in res.notes)
+    assert res.lower == tropical_rank(with_full_row).rank
+    assert not any("residue-field argument" in n for n in res.notes)
 
 
 def test_bounds_pg23_default_budget():
     # The default 200,000-covering factorization search runs out on unit
     # PG(2,3), so the upper bound stays the trivial 13.
     res = kapranov_bounds(incidence_matrix(projective_plane(3), "unit"))
-    assert (res.lower, res.upper, res.tight) == (3, 13, False)
+    assert (res.lower, res.upper, res.tight) == (4, 13, False)
     assert any("factorization search inconclusive" in n for n in res.notes)
 
 
