@@ -23,6 +23,16 @@ N(0, u) = 1; before that point the branch is walked with the rectangle check
 and no group tests.  A budget stops the search where the scan stops, at its
 (budget+1)-th covering.
 
+Two kinds of level are settled without the walk.  Tropical rank is at most
+Barvinok rank (Develin-Santos-Sturmfels, *On the rank of a tropical matrix*),
+so a tropically nonsingular n x n matrix, certified by one assignment solve,
+has Barvinok rank n and every level below n is infeasible.  At k = 1 with no
+clash the level has exactly one covering, all finite cells in one group, and
+by monotonicity one group test on all of them decides it.  A settled level is
+charged what the walk would charge, so `coverings_tested` keeps its meaning:
+every covering of an infeasible level (the closed form N(t, 0) when no cell
+clashes), one at k = 1, and at the budget it stops where the scan stops.
+
 The group test propagates the equalities.  They fix every potential up to one
 shift per connected component of the group's row-column graph, and a cycle
 whose propagated values disagree makes the group infeasible.  Rectangle cells
@@ -38,6 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .assignment import min_permutation
 from .tropical import INF, TropicalMatrix, min_plus_multiply
 
 
@@ -267,6 +278,28 @@ class _CoveringSearch:
                 break
         return total
 
+    def settle(self, infeasible):
+        """What `first` returns, with `tested` and `exhausted` set as it sets
+        them, without the walk when the level is settled by a certificate:
+        `infeasible` (the level lies below a certified lower bound) charges
+        every covering, and a level of one covering (k = 1, no clash) takes
+        one group test on all the cells, which decides it by monotonicity.
+        Either stops at the budget where the walk stops."""
+        if infeasible:
+            n = self.count(0, 0, None if self.budget is None else self.budget + 1)
+        elif self.k == 1 and self.free[0]:
+            n = 1
+        else:
+            return self.first()
+        if self.budget is not None and n > self.budget:
+            self.tested, self.exhausted = self.budget, True
+            return None
+        self.tested = n
+        if infeasible or not _group_feasible(self.cost, self.cells):
+            return None
+        self.groups[0].extend(self.cells)
+        return self.groups
+
     def first(self):
         """The groups of the first covering in depth-first order whose groups
         are all feasible, or None.  Sets `tested` to the coverings decided and
@@ -344,7 +377,14 @@ def barvinok_rank(m: TropicalMatrix, kmax: Optional[int] = None, budget: Optiona
 
     The rank never exceeds min(rows, cols): the min-plus identity gives a
     trivial factorization there, which short-circuits the covering search.
+    It is at least the tropical rank (DSS), so a tropically nonsingular
+    square matrix skips the search below n; each level skipped that way is
+    charged its full covering count, as the search would charge it, and a
+    budget stop lands on the same covering.  A negative budget raises
+    ValueError.
     """
+    if budget is not None and budget < 0:
+        raise ValueError(f"negative covering budget {budget}")
     hard_cap = min(m.rows, m.cols)
     cap = hard_cap if kmax is None else min(kmax, hard_cap)
     exceeded = kmax is not None and kmax < hard_cap
@@ -365,6 +405,8 @@ def barvinok_rank(m: TropicalMatrix, kmax: Optional[int] = None, budget: Optiona
         assert min_plus_multiply(left, right) == m
         return BarvinokResult(1, fact, False, False, 0)
 
+    # Certified lower bound: a tropically nonsingular square has tropical rank n.
+    lower = m.rows if m.rows == m.cols > 1 and min_permutation(cost)[2] else 1
     for k in range(1, cap + 1):
         if k == m.rows:
             fact = BarvinokFactorization(k, TropicalMatrix.identity(k), m)
@@ -373,7 +415,7 @@ def barvinok_rank(m: TropicalMatrix, kmax: Optional[int] = None, budget: Optiona
             fact = BarvinokFactorization(k, m, TropicalMatrix.identity(k))
             return BarvinokResult(k, fact, False, False, tested)
         search = _CoveringSearch(cost, finite_cells, k, None if budget is None else budget - tested)
-        groups = search.first()
+        groups = search.settle(k < lower)
         tested += search.tested
         if search.exhausted:
             return BarvinokResult(None, None, False, True, tested)

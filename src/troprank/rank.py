@@ -476,8 +476,11 @@ def tropical_rank(m: TropicalMatrix, limit: Optional[int] = None, budget: Option
 
     The refutation at level rank+1 is exhaustive whenever the budget allows.
     It counts submatrix pairs tested, or classified in whole row sets; a
-    budget stop is reported distinctly via ``certified = False``.
+    budget stop is reported distinctly via ``certified = False``.  A negative
+    budget raises ValueError.
     """
+    if budget is not None and budget < 0:
+        raise ValueError(f"negative pair budget {budget}")
     cap = min(m.rows, m.cols)
     if limit is not None:
         cap = min(cap, limit)

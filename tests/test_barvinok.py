@@ -4,6 +4,8 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import pytest
+
 from troprank import (
     INF,
     BarvinokFactorization,
@@ -16,6 +18,7 @@ from troprank import (
     projective_plane,
     tropical_rank,
 )
+from troprank.assignment import min_permutation
 from troprank.barvinok import _CoveringSearch, _factorization, _group_feasible, _group_solve
 
 
@@ -341,3 +344,75 @@ def test_default_budget_stops_on_planes():
     for q in (2, 3):
         res = barvinok_rank(incidence_matrix(projective_plane(q), "unit"), budget=200_000)
         assert (res.rank, res.budget_exhausted, res.coverings_tested) == (None, True, 200_000)
+
+
+def _nonsingular_square(rng, n, inf_rate):
+    while True:
+        m = _random_matrix(rng, n, n, inf_rate)
+        if min_permutation(m.cost)[2]:
+            return m
+
+
+def test_settled_levels_match_scan():
+    # Tropically nonsingular squares skip every level below n; each skipped
+    # level is charged its covering count and a budget stop lands where the
+    # scan's does.  A 4 x 4 without a kmax of 1 is run at finite budgets only:
+    # the scan would walk millions of coverings at level 3.
+    rng = random.Random(1717)
+    stopped = finished = with_inf = 0
+    for n in (2, 3, 4):
+        for inf_rate in (0.0, 0.25):
+            for _ in range(8):
+                m = _nonsingular_square(rng, n, inf_rate)
+                with_inf += any(c is None for row in m.cost for c in row)
+                for budget in (None, 0, 1, 7, 50, 300):
+                    for kmax in (None, 1, n - 1):
+                        if budget is None and n == 4 and kmax != 1:
+                            continue
+                        res = barvinok_rank(m, kmax=kmax, budget=budget)
+                        assert res == _scan_rank(m, kmax=kmax, budget=budget), (m, kmax, budget)
+                        stopped += res.budget_exhausted
+                        finished += res.rank == n
+    assert stopped and finished and with_inf
+
+
+def test_level_one_settled_matches_scan():
+    # All-finite matrices, rank one among them: level 1 is one covering,
+    # decided by one group test, and budget 0 stops before it either way.
+    rng = random.Random(606)
+    ranked_one = 0
+    for _ in range(40):
+        r, c = rng.randint(1, 4), rng.randint(1, 4)
+        if rng.random() < 0.5:
+            a = [rng.randint(-3, 3) for _ in range(r)]
+            b = [rng.randint(-3, 3) for _ in range(c)]
+            m = TropicalMatrix.from_rows([[ai + bj for bj in b] for ai in a])
+        else:
+            m = _random_matrix(rng, r, c, 0.0)
+        for budget in (0, 1):
+            res = barvinok_rank(m, budget=budget)
+            assert res == _scan_rank(m, budget=budget), (m, budget)
+            ranked_one += res.rank == 1 and min(r, c) > 1
+    assert ranked_one
+
+
+def test_settled_levels_skip_the_walk(monkeypatch):
+    def walk(self):
+        raise AssertionError("covering walk called")
+
+    monkeypatch.setattr(_CoveringSearch, "first", walk)
+    m = TropicalMatrix.from_rows([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+    assert min_permutation(m.cost)[2]
+    res = barvinok_rank(m)
+    # One covering at k = 1; S(9, 1) + S(9, 2) = 256 at k = 2.
+    assert (res.rank, res.coverings_tested) == (3, 1 + 256)
+    rank_one = TropicalMatrix.from_rows([[0, 1, 3, 2], [2, 3, 5, 4], [-1, 0, 2, 1]])
+    assert barvinok_rank(rank_one).rank == 1
+    with pytest.raises(AssertionError, match="covering walk"):
+        # Singular (two equal rows), so level 2 is walked.
+        barvinok_rank(TropicalMatrix.from_rows([[0, 1, 1], [1, 0, 0], [1, 0, 0]]))
+
+
+def test_negative_budget_raises():
+    with pytest.raises(ValueError):
+        barvinok_rank(TropicalMatrix.identity(3), budget=-1)

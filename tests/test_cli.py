@@ -106,6 +106,14 @@ def test_rank_budget_partial_exit_3(tmp_path, capsys):
     assert code == 3
 
 
+def test_rank_negative_budget_exit_1(tmp_path, capsys):
+    f = write(tmp_path, "m.tropmat", "tropmat 2 2\n0 1\n1 0\n")
+    for kind in ("tropical", "barvinok", "bounds"):
+        code, _, err = run(["rank", f, "--kind", kind, "--budget", "-1", "--seed", "1"], capsys)
+        assert code == 1, kind
+        assert err.startswith("error: ") and "negative" in err, kind
+
+
 def test_gen_plane_deterministic(tmp_path, capsys):
     a = str(tmp_path / "a")
     b = str(tmp_path / "b")

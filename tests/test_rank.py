@@ -316,6 +316,12 @@ def test_all_positive_matrix_stops_at_first_witness_row_set():
         assert got == expected
 
 
+def test_negative_budget_raises():
+    # A negative budget is an error, not a budget stop at rank 0.
+    with pytest.raises(ValueError, match="negative"):
+        tropical_rank(TropicalMatrix.identity(3), budget=-1)
+
+
 def test_sample_level_range():
     fano = incidence_matrix(projective_plane(2), "random", seed=3)
     for k in (0, 8, -1):

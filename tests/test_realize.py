@@ -466,6 +466,13 @@ def test_bounds_diagonal():
     assert (res.lower, res.upper, res.tight) == (3, 3, True)
 
 
+def test_bounds_negative_budget_raises():
+    m = TropicalMatrix.identity(3)
+    for budgets in ({"rank_budget": -1}, {"barvinok_budget": -1}):
+        with pytest.raises(ValueError, match="negative"):
+            kapranov_bounds(m, **budgets)
+
+
 def test_bounds_fano_never_claims_three():
     m = incidence_matrix(projective_plane(2), "unit")
     res = kapranov_bounds(m, barvinok_budget=2000)
