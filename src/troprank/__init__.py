@@ -65,14 +65,11 @@ from .series import (
     LiftMatrix,
     LiftVerdict,
     SeriesRankResult,
-    TruncatedSeries,
     format_lift,
     lift_from_configuration,
     parse_lift,
-    series,
     series_rank,
     verify_lift,
-    zero_series,
 )
 from .tropical import (
     INF,

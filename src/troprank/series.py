@@ -1,26 +1,29 @@
-"""Truncated power series in t with rational exponents, and lift certificates.
+"""Lift certificates: matrices of power series in t with rational exponents.
 
-A series is known exactly below its truncation order; order INF means the
-series is an exact polynomial.  The valuation (degree map) of an entry is the
-least exponent carrying a nonzero coefficient; tropicalization applies it
-entrywise, which is what verify_lift checks against a tropical matrix.
+Each entry of a lift is known exactly below the lift's truncation order; a
+lift without one (INF) holds exact polynomials.  The valuation (degree map) of
+an entry is its least exponent with a nonzero coefficient; tropicalization
+applies it entrywise, which is what verify_lift checks against a tropical
+matrix.
 
-`TruncatedSeries` is the public value type, with `+`, `-` and `*`.  The rank
-of a lift (`series_rank`) is not computed on those objects: the lift is
-converted once into integer-exponent, integer-coefficient polynomials and the
-elimination runs on those.  Multiplying every exponent and truncation by one
-common denominator D preserves their order and commutes with the sums and
-minima the elimination takes of them.  Multiplying a row by a nonzero
-rational preserves every coefficient's vanishing, so it changes no rank, no
-valuation and no truncation.
+A ``LiftMatrix`` is stored once, as ``TropicalMatrix`` is: every exponent and
+the truncation are ints over one denominator ``scale``, and every coefficient
+is an int over one denominator ``den`` (over GF(p) a residue, with ``den``
+1).  ``Fraction``s appear only at the API edge (``from_rows``, ``valuation``
+and the text format).  ``series_rank`` eliminates on the stored ints: scaling
+every exponent and truncation by one positive number keeps their order and
+commutes with the sums and minima the elimination takes of them, and scaling
+every coefficient by one nonzero number keeps each one's vanishing, so
+neither changes a rank, a valuation or a truncation.
 """
 
 from __future__ import annotations
 
-import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
 from typing import Optional
 
 from .multipoly import as_coeff
@@ -31,7 +34,7 @@ from .patterns import (
     field_tag,
     parse_field_tag,
 )
-from .tropical import INF, TropicalMatrix, format_value
+from .tropical import INF, TropicalMatrix, format_value, parse_fraction
 
 _LIFT_RETRIES = 64  # perturbation draws before lift_from_configuration gives up
 
@@ -41,162 +44,82 @@ class IndeterminateAtTruncation(Exception):
 
 
 @dataclass(frozen=True)
-class TruncatedSeries:
-    """terms: sorted ((exponent, coefficient), ...) with 0 <= exponent < trunc."""
-
-    field: object          # None for Q, int p for GF(p)
-    terms: tuple
-    trunc: object          # Fraction, or INF for an exact polynomial
-
-    @property
-    def is_exact(self) -> bool:
-        return self.trunc is INF
-
-    @property
-    def provably_zero(self) -> bool:
-        return not self.terms and self.is_exact
-
-    @property
-    def truncated_zero(self) -> bool:
-        """No visible terms but possibly nonzero beyond the truncation."""
-        return not self.terms and not self.is_exact
-
-    def valuation(self):
-        """Least exponent with nonzero coefficient.
-
-        Returns a Fraction, INF for a provably zero series, or None when the
-        series is truncated-zero (valuation only known to be >= trunc).
-        """
-        if self.terms:
-            return self.terms[0][0]
-        return INF if self.is_exact else None
-
-    def lower_bound(self):
-        """A sound lower bound for the valuation (trunc when no terms show)."""
-        return self.terms[0][0] if self.terms else self.trunc
-
-    def __add__(self, other):
-        _check_fields(self, other)
-        trunc = _trunc_min(self.trunc, other.trunc)
-        acc = {}
-        for e, c in self.terms:
-            acc[e] = acc.get(e, 0) + c
-        for e, c in other.terms:
-            acc[e] = acc.get(e, 0) + c
-        return series(acc, field=self.field, trunc=trunc)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def __mul__(self, other):
-        _check_fields(self, other)
-        trunc = _trunc_min(
-            _trunc_add(self.trunc, other.lower_bound()),
-            _trunc_add(other.trunc, self.lower_bound()),
-        )
-        acc = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = e1 + e2
-                acc[e] = acc.get(e, 0) + c1 * c2
-        return series(acc, field=self.field, trunc=trunc)
-
-    def scale(self, c):
-        c = _coeff(self.field, c)
-        return series({e: c * k for e, k in self.terms}, field=self.field, trunc=self.trunc)
-
-    def render(self) -> str:
-        if not self.terms:
-            return "0"
-        body = " + ".join(f"{format_value(c)}*t^{format_value(e)}" for e, c in self.terms)
-        return body.replace("+ -", "- ")
-
-    def __repr__(self):
-        t = "inf" if self.is_exact else str(self.trunc)
-        return f"TruncatedSeries({self.render()}; O={t})"
-
-
-def _coeff(field, c):
-    """A series coefficient: a Fraction over Q, an int mod p over GF(p)."""
-    return Fraction(c) if field is None else as_coeff(field, c)
-
-
-def _check_fields(a, b):
-    if a.field != b.field:
-        raise ValueError("base-field mismatch between series")
-
-
-def _trunc_min(a, b):
-    if a is INF:
-        return b
-    if b is INF:
-        return a
-    return min(a, b)
-
-
-def _trunc_add(a, b):
-    if a is INF or b is INF:
-        return INF
-    return a + b
-
-
-def series(terms, field=None, trunc=INF) -> TruncatedSeries:
-    """Normalize a {exponent: coefficient} map into a TruncatedSeries."""
-    if not (trunc is INF or isinstance(trunc, (Fraction, int))):
-        raise ValueError("truncation must be a rational or INF")
-    if trunc is not INF:
-        trunc = Fraction(trunc)
-    norm = {}
-    for e, c in terms.items():
-        e = Fraction(e)
-        if e < 0:
-            raise ValueError("negative exponents are not allowed")
-        c = _coeff(field, c)
-        if c == 0:
-            continue
-        if trunc is not INF and e >= trunc:
-            continue
-        norm[e] = norm.get(e, 0) + c
-    cleaned = tuple(sorted((e, c) for e, c in norm.items() if c != 0))
-    return TruncatedSeries(field, cleaned, trunc)
-
-
-def zero_series(field=None, trunc=INF) -> TruncatedSeries:
-    return series({}, field=field, trunc=trunc)
-
-
-@dataclass(frozen=True)
 class LiftMatrix:
+    """Immutable lift over Q (``field`` None) or GF(p) (``field`` p).
+
+    ``cells`` holds, row-major, one tuple of (exponent, coefficient) int pairs
+    per entry: exponents ascend and lie below ``trunc``, coefficients are
+    nonzero.  An exponent or ``trunc`` means itself over ``scale``, a
+    coefficient itself over ``den``; ``trunc`` is None for an exact lift.  The
+    constructor divides ``scale`` and ``den`` by their gcd with what they
+    divide, so ``==`` and ``hash`` compare values."""
+
     rows: int
     cols: int
-    entries: tuple  # row-major TruncatedSeries with one field and truncation
+    field: object
+    cells: tuple
+    trunc: Optional[int]
+    scale: int
+    den: int
 
     def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
+        cells = tuple(map(tuple, self.cells))
+        if len(cells) != self.rows * self.cols:
             raise ValueError("entry count does not match dimensions")
-        fields = {s.field for s in self.entries}
-        truncs = {s.trunc for s in self.entries}
-        if len(fields) > 1 or len(truncs) > 1:
-            raise ValueError("lift entries must share base field and truncation")
+        if self.scale < 1 or self.den < 1 or (self.field is not None and self.den != 1):
+            raise ValueError("bad lift denominators")
+        g, d = gcd(self.scale, self.trunc or 0), self.den
+        for cell in cells:
+            if g == 1 and d == 1:
+                break
+            g, d = gcd(g, *[e for e, _ in cell]), gcd(d, *[k for _, k in cell])
+        if g > 1 or d > 1:
+            cells = tuple(tuple((e // g, k // d) for e, k in cell) for cell in cells)
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "trunc", None if self.trunc is None else self.trunc // g)
+        object.__setattr__(self, "scale", self.scale // g)
+        object.__setattr__(self, "den", self.den // d)
 
     @staticmethod
-    def from_rows(rows) -> "LiftMatrix":
+    def from_rows(rows, field=None, trunc=INF) -> "LiftMatrix":
+        """A lift from rows of {exponent: coefficient} maps (ints or Fractions).
+
+        Zero coefficients and terms at or above ``trunc`` are dropped; a
+        negative exponent raises ValueError."""
         data = [list(r) for r in rows]
-        return LiftMatrix(len(data), len(data[0]), tuple(s for r in data for s in r))
+        cols = len(data[0]) if data else 0
+        if any(len(r) != cols for r in data):
+            raise ValueError("ragged rows")
+        trunc = trunc if trunc is INF else Fraction(trunc)
+        entries = []
+        for cell in chain.from_iterable(data):
+            acc = {}
+            for e, c in cell.items():
+                e = e if type(e) is Fraction else Fraction(e)
+                if e < 0:
+                    raise ValueError("negative exponents are not allowed")
+                if trunc is INF or e < trunc:
+                    acc[e] = acc.get(e, 0) + c
+            if field is not None:
+                acc = {e: as_coeff(field, c) for e, c in acc.items()}
+            entries.append(sorted((e, c) for e, c in acc.items() if c))
+        scale = lcm(*(e.denominator for cell in entries for e, _ in cell), 1 if trunc is INF else trunc.denominator)
+        den = lcm(*(c.denominator for cell in entries for _, c in cell))
+        cells = tuple(
+            tuple((e.numerator * (scale // e.denominator), c.numerator * (den // c.denominator)) for e, c in cell)
+            for cell in entries
+        )
+        top = None if trunc is INF else trunc.numerator * (scale // trunc.denominator)
+        return LiftMatrix(len(data), cols, field, cells, top, scale, den)
 
-    def entry(self, i, j) -> TruncatedSeries:
-        return self.entries[i * self.cols + j]
-
-    def row(self, i):
-        return list(self.entries[i * self.cols : (i + 1) * self.cols])
-
-    @property
-    def field(self):
-        return self.entries[0].field
-
-    @property
-    def trunc(self):
-        return self.entries[0].trunc
+    def valuation(self, i: int, j: int):
+        """Least exponent of entry (i, j) with a nonzero coefficient: a
+        Fraction, INF for an exactly zero entry, or None for a truncated zero
+        (whose valuation is only known to be at least the truncation)."""
+        cell = self.cells[i * self.cols + j]
+        if cell:
+            return Fraction(cell[0][0], self.scale)
+        return INF if self.trunc is None else None
 
 
 @dataclass(frozen=True)
@@ -215,17 +138,11 @@ def series_rank(lift: LiftMatrix) -> SeriesRankResult:
     are dropped.  A column whose active entries are all truncated-zero without
     being provably zero raises IndeterminateAtTruncation; valuation_loss
     reports that some truncated-zero entry was carried through a pivot step
-    (the rank itself is still exact).
-
-    The elimination runs on `_integer_rows(lift)`: exponents and truncations
-    scaled by the lcm of their denominators, and over Q each row scaled by the
-    lcm of its coefficient denominators.  Both scales keep the order of
-    exponents and the vanishing of every coefficient, so the pivots, the
-    truncations, the rank and the errors are those of the same elimination
-    run on the series themselves.
+    (the rank itself is still exact).  It runs on the stored ints, which give
+    the same pivots, truncations, rank and errors (see the module docstring).
     """
-    p = lift.field if lift.entries else None
-    rows = _integer_rows(lift)
+    p, n = lift.field, lift.cols
+    rows = [[(dict(cell), lift.trunc) for cell in lift.cells[i * n : (i + 1) * n]] for i in range(lift.rows)]
     active = list(range(lift.rows))
     loss = False
     rank = 0
@@ -268,33 +185,6 @@ def series_rank(lift: LiftMatrix) -> SeriesRankResult:
     return SeriesRankResult(rank, loss)
 
 
-def _integer_rows(lift: LiftMatrix):
-    """The lift as rows of (terms {int exponent: int coefficient}, trunc) pairs.
-
-    trunc is an int, or None for an exact entry.  Exponents and truncations
-    are multiplied by the lcm of their denominators, and each row by the lcm
-    of its coefficient denominators (1 over GF(p), whose coefficients already
-    are ints mod p).
-    """
-    entries = lift.entries
-    d = math.lcm(
-        *(e.denominator for s in entries for e, _ in s.terms),
-        *(s.trunc.denominator for s in entries if s.trunc is not INF),
-    )
-    rows = []
-    for i in range(lift.rows):
-        row = entries[i * lift.cols : (i + 1) * lift.cols]
-        m = math.lcm(*(k.denominator for s in row for _, k in s.terms))
-        rows.append([
-            (
-                {e.numerator * (d // e.denominator): k.numerator * (m // k.denominator) for e, k in s.terms},
-                None if s.trunc is INF else s.trunc.numerator * (d // s.trunc.denominator),
-            )
-            for s in row
-        ])
-    return rows
-
-
 def _combine(pterms, ptrunc, pval, a, rterms, rtrunc, rval, b, p):
     """pivot*a - entry*b on integer polynomials, truncated as series_rank says.
 
@@ -334,43 +224,37 @@ def verify_lift(m: TropicalMatrix, lift: LiftMatrix, r: int) -> LiftVerdict:
     """Accept iff rank(lift) <= r and the entrywise valuations equal m.
 
     An inf entry of m needs a truncated-zero lift entry; if the lift cannot
-    prove exact vanishing the acceptance is flagged truncation-limited.
+    prove exact vanishing the acceptance is flagged truncation-limited.  A
+    negative r raises ValueError.
     """
+    if r < 0:
+        raise ValueError(f"negative rank {r}")
     if (m.rows, m.cols) != (lift.rows, lift.cols):
         return LiftVerdict(False, "dimension mismatch", False)
     limited = False
-    for i in range(m.rows):
-        for j in range(m.cols):
-            want = m.entry(i, j)
-            s = lift.entry(i, j)
-            val = s.valuation()
-            if want is INF:
-                if val is INF:
-                    continue
-                if val is None:
-                    limited = True
-                    continue
-                return LiftVerdict(
-                    False, f"entry ({i},{j}): valuation {val}, required inf", False
-                )
-            if want < 0:
+    top = lift.trunc
+    for i, row in enumerate(m.cost):
+        for j, w in enumerate(row):
+            cell = lift.cells[i * lift.cols + j]
+            if w is None:
+                if cell:
+                    val = lift.valuation(i, j)
+                    return LiftVerdict(False, f"entry ({i},{j}): valuation {val}, required inf", False)
+                limited = limited or top is not None
+                continue
+            if w < 0:
                 return LiftVerdict(False, f"entry ({i},{j}): negative target", False)
-            if val is None:
-                if s.trunc is not INF and s.trunc > want:
-                    return LiftVerdict(
-                        False,
-                        f"entry ({i},{j}): valuation >= {s.trunc}, required {want}",
-                        False,
-                    )
-                return LiftVerdict(
-                    False,
-                    f"entry ({i},{j}): valuation indeterminate at truncation {s.trunc}",
-                    False,
-                )
-            if val is INF or val != want:
-                return LiftVerdict(
-                    False, f"entry ({i},{j}): valuation {val}, required {want}", False
-                )
+            # Compare w / m.scale with the valuation over lift.scale as ints.
+            if cell and cell[0][0] * m.scale == w * lift.scale:
+                continue
+            want = m.entry(i, j)
+            if cell or top is None:
+                reason = f"valuation {lift.valuation(i, j)}, required {want}"
+            elif top * m.scale > w * lift.scale:
+                reason = f"valuation >= {Fraction(top, lift.scale)}, required {want}"
+            else:
+                reason = f"valuation indeterminate at truncation {Fraction(top, lift.scale)}"
+            return LiftVerdict(False, f"entry ({i},{j}): {reason}", False)
     try:
         rk = series_rank(lift)
     except IndeterminateAtTruncation as exc:
@@ -405,14 +289,11 @@ def lift_from_configuration(
             for i, j in pattern.ones()
         ):
             continue  # some incidence entry would lose its valuation-1 term
-        entries = []
-        for i in range(pattern.rows):
-            for j in range(pattern.cols):
-                c0 = _dot(config.points[i], config.lines[j])
-                c1 = _dot(config.points[i], h[j]) + _dot(g[i], config.lines[j])
-                c2 = _dot(g[i], h[j])
-                entries.append(series({0: c0, 1: c1, 2: c2}, field=None, trunc=INF))
-        lift = LiftMatrix(pattern.rows, pattern.cols, tuple(entries))
+        v, w = config.points, config.lines
+        lift = LiftMatrix.from_rows(
+            [{0: _dot(v[i], w[j]), 1: _dot(v[i], h[j]) + _dot(g[i], w[j]), 2: _dot(g[i], h[j])} for j in range(len(w))]
+            for i in range(len(v))
+        )
         verdict = verify_lift(pattern.to_tropical(), lift, 3)
         if not verdict.accepted:
             raise RuntimeError(f"constructed lift failed verification: {verdict.reason}")
@@ -426,12 +307,17 @@ def _dot(u, v):
 
 def format_lift(lift: LiftMatrix) -> str:
     """`troplift` text format: header then one `i j : terms` line per entry."""
-    trunc = "inf" if lift.trunc is INF else str(lift.trunc)
+    trunc = "inf" if lift.trunc is None else _ratio(lift.trunc, lift.scale)
     out = [f"troplift {lift.rows} {lift.cols} {field_tag(lift.field)} {trunc}"]
-    for i in range(lift.rows):
-        for j in range(lift.cols):
-            out.append(f"{i} {j} : {lift.entry(i, j).render()}")
+    for k, cell in enumerate(lift.cells):
+        body = " + ".join(f"{_ratio(c, lift.den)}*t^{_ratio(e, lift.scale)}" for e, c in cell)
+        out.append(f"{k // lift.cols} {k % lift.cols} : {body.replace('+ -', '- ') or '0'}")
     return "\n".join(out) + "\n"
+
+
+def _ratio(n: int, d: int) -> str:
+    """format_value(Fraction(n, d)), building no Fraction when d is 1."""
+    return str(n) if d == 1 else format_value(Fraction(n, d))
 
 
 def parse_lift(text: str) -> LiftMatrix:
@@ -442,10 +328,12 @@ def parse_lift(text: str) -> LiftMatrix:
     if len(head) != 5 or head[0] != "troplift":
         raise ValueError("bad troplift header")
     rows, cols = int(head[1]), int(head[2])
+    if rows < 0 or cols < 0:
+        raise ValueError("bad troplift dimensions")
     field = parse_field_tag(head[3])
     if field == "float":
         raise ValueError("lift certificates need an exact field, not float")
-    trunc = INF if head[4].lower() == "inf" else Fraction(head[4])
+    trunc = INF if head[4].lower() == "inf" else parse_fraction(head[4])
     cells = {}
     for ln in lines[1:]:
         left, _, body = ln.partition(":")
@@ -457,20 +345,22 @@ def parse_lift(text: str) -> LiftMatrix:
             raise ValueError(f"entry ({i},{j}) outside a {rows}x{cols} lift")
         if (i, j) in cells:
             raise ValueError(f"repeated entry ({i},{j})")
-        cells[(i, j)] = _parse_series_body(body.strip(), field, trunc)
-    entries = []
+        cells[(i, j)] = _parse_terms(body.strip())
     for i in range(rows):
         for j in range(cols):
             if (i, j) not in cells:
                 raise ValueError(f"missing entry ({i},{j})")
-            entries.append(cells[(i, j)])
-    return LiftMatrix(rows, cols, tuple(entries))
+    lift = LiftMatrix.from_rows(
+        [[cells[(i, j)] for j in range(cols)] for i in range(rows)], field=field, trunc=trunc
+    )
+    return lift if rows else replace(lift, cols=cols)  # no row to count columns by
 
 
-def _parse_series_body(body: str, field, trunc) -> TruncatedSeries:
-    if body in ("0", ""):
-        return zero_series(field=field, trunc=trunc)
+def _parse_terms(body: str) -> dict:
+    """An entry's `c*t^e + ...` text as an {exponent: coefficient} map."""
     terms = {}
+    if body in ("0", ""):
+        return terms
     for chunk in body.replace("- ", "+ -").split("+"):
         chunk = chunk.strip()
         if not chunk:
@@ -481,10 +371,10 @@ def _parse_series_body(body: str, field, trunc) -> TruncatedSeries:
                 # bare "t" or "c*t"
                 coeff_s = chunk.replace("*t", "").replace("t", "") or "1"
                 exp_s = "1"
-            coeff = Fraction(coeff_s.strip() or "1")
-            exp = Fraction(exp_s.strip())
+            coeff = parse_fraction(coeff_s.strip() or "1")
+            exp = parse_fraction(exp_s.strip())
         else:
-            coeff = Fraction(chunk)
+            coeff = parse_fraction(chunk)
             exp = Fraction(0)
-        terms[exp] = terms.get(exp, Fraction(0)) + coeff
-    return series(terms, field=field, trunc=trunc)
+        terms[exp] = terms.get(exp, 0) + coeff
+    return terms

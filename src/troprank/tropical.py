@@ -84,10 +84,18 @@ def as_value(x) -> Value:
         tok = x.strip().lower()
         if tok in ("inf", "infinity", "oo"):
             return INF
-        return Fraction(tok)
+        return parse_fraction(tok)
     if isinstance(x, float):
         raise TypeError("floating-point entries are not allowed; use Fraction or str")
     raise TypeError(f"cannot interpret {x!r} as a tropical value")
+
+
+def parse_fraction(tok: str) -> Fraction:
+    """Fraction(tok), with a zero denominator reported as a ValueError."""
+    try:
+        return Fraction(tok)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {tok!r}") from None
 
 
 def format_value(v: Value) -> str:

@@ -35,6 +35,13 @@ def test_det_parse_error(tmp_path, capsys):
     assert code == 1
 
 
+def test_det_zero_denominator_is_a_parse_error(tmp_path, capsys):
+    f = write(tmp_path, "m.tropmat", "tropmat 2 2\n0 1/0\n0 0\n")
+    code, out, err = run(["det", f], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: zero denominator in '1/0'\n"
+
+
 def test_rank_tropical_fano(tmp_path, capsys):
     code, out, _ = run(
         ["gen-plane", "--order", "2", "--weights", "unit", "--seed", "1",
@@ -242,6 +249,26 @@ def test_verify_lift_rejects_composite_field(tmp_path, capsys):
     )
     code, _, err = run(["--json", "verify-lift", "--matrix", m, "--lift", lift, "--rank", "1"], capsys)
     assert code == 1 and "not prime" in err
+
+
+def test_verify_lift_zero_denominator_is_a_parse_error(tmp_path, capsys):
+    m = write(tmp_path, "m.tropmat", "tropmat 1 1\n0\n")
+    for name, text in (
+        ("trunc", "troplift 1 1 q 3/0\n0 0 : 1*t^0\n"),
+        ("coeff", "troplift 1 1 q inf\n0 0 : 2/0*t^0\n"),
+        ("exp", "troplift 1 1 q inf\n0 0 : 1*t^1/0\n"),
+    ):
+        lift = write(tmp_path, f"{name}.troplift", text)
+        code, _, err = run(["verify-lift", "--matrix", m, "--lift", lift, "--rank", "1"], capsys)
+        assert code == 1 and err.startswith("error: zero denominator in '"), (name, err)
+
+
+def test_verify_lift_negative_rank_exit_1(tmp_path, capsys):
+    m = write(tmp_path, "m.tropmat", "tropmat 1 1\n0\n")
+    lift = write(tmp_path, "L.troplift", "troplift 1 1 q inf\n0 0 : 1*t^0\n")
+    code, out, err = run(["verify-lift", "--matrix", m, "--lift", lift, "--rank", "-1"], capsys)
+    assert code == 1 and "reject" not in out
+    assert err == "error: negative rank -1\n"
 
 
 def test_json_output(tmp_path, capsys):

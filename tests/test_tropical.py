@@ -92,6 +92,13 @@ def test_parse_rejects_bad_shapes():
         parse_matrix("nope 1 1\n0\n")
 
 
+def test_zero_denominator_is_a_value_error():
+    with pytest.raises(ValueError, match="zero denominator in '1/0'"):
+        parse_matrix("tropmat 1 2\n0 1/0\n")
+    with pytest.raises(ValueError, match="zero denominator"):
+        as_value("-3/0")
+
+
 def test_format_value():
     assert format_value(INF) == "inf"
     assert format_value(Fraction(-3, 4)) == "-3/4"
