@@ -38,9 +38,9 @@ shift per connected component of the group's row-column graph, and a cycle
 whose propagated values disagree makes the group infeasible.  Rectangle cells
 inside one component are then checked directly; cells between two components
 bound the difference of their shifts, and those component-level difference
-constraints are feasible iff they hold no negative cycle.  Only the covering
-that passes is solved by Bellman-Ford, whose shortest-path potentials give the
-canonical factorization; it is verified entrywise before being returned.
+constraints are feasible iff they hold no negative cycle.  The covering that
+passes gets canonical potentials, each component's greatest shift keeping every
+a_i <= 0 and b_j >= 0, and its factorization is verified entrywise.
 """
 
 from __future__ import annotations
@@ -71,8 +71,9 @@ class BarvinokResult:
 
 
 def _group_feasible(cost, cells):
-    """Whether one label group admits potentials: a_i + b_j = m_ij on `cells`,
-    a_i + b_j >= m_ij on every other cell of their row x column rectangle.
+    """The propagated state of one label group that admits potentials
+    (a_i + b_j = m_ij on `cells`, a_i + b_j >= m_ij on every other cell of
+    their row x column rectangle), or None when it admits none.
 
     Propagating the equalities from one row per component of the row-column
     graph fixes the potentials up to a shift t_C per component C (rows get
@@ -80,7 +81,9 @@ def _group_feasible(cost, cells):
     (i, j) with slack s = a_i + b_j - m_ij then needs s >= 0 inside one
     component and t_D - t_C <= s between row component C and column
     component D.  Those shift constraints are feasible iff the complete
-    component graph has no negative cycle (Floyd-Warshall).
+    component graph has no negative cycle (Floyd-Warshall).  The state is
+    (a, b, row_comp, col_comp, bound): the propagated potentials, each row's
+    and column's component, and the shortest path bound[C][D] from C to D.
     """
     row_adj = {}
     col_adj = {}
@@ -114,7 +117,7 @@ def _group_feasible(cost, cells):
                         row_comp[ii] = ncomp
                         stack.append(ii)
                     elif a[ii] != aii:
-                        return False
+                        return None
         ncomp += 1
     # bound[C][D]: least slack of a cell with row in C, column in D.  Every
     # component has a row and a column, so every pair C != D gets a bound.
@@ -128,7 +131,7 @@ def _group_feasible(cost, cells):
             d = col_comp[j]
             if c == d:
                 if slack < 0:
-                    return False
+                    return None
             elif out[d] is None or slack < out[d]:
                 out[d] = slack
     for via in range(ncomp):
@@ -140,42 +143,28 @@ def _group_feasible(cost, cells):
                 cand = to_via + through[d]
                 if cand < out[d]:
                     out[d] = cand
-    return all(bound[c][c] >= 0 for c in range(ncomp))
+    return (a, b, row_comp, col_comp, bound) if all(bound[c][c] >= 0 for c in range(ncomp)) else None
 
 
-def _group_solve(cost, rows_s, cols_s, eq_cells):
-    """Canonical potentials of one feasible label group; None when infeasible.
-
-    Variables a_i (i in rows_s) and y_j = -b_j (j in cols_s); constraints
-    y_j - a_i <= -m_ij for every rectangle cell, plus a_i - y_j <= m_ij on
-    assigned cells.  Bellman-Ford from a virtual source (all distances 0).
-    The search decides feasibility with `_group_feasible` and calls this only
-    on the groups of the covering it accepts, for their potentials.
-    """
-    nodes = [("a", i) for i in rows_s] + [("y", j) for j in cols_s]
-    index = {v: t for t, v in enumerate(nodes)}
-    edges = []
-    for i in rows_s:
-        for j in cols_s:
-            m = cost[i][j]
-            edges.append((index[("a", i)], index[("y", j)], -m))
-    for (i, j) in eq_cells:
-        edges.append((index[("y", j)], index[("a", i)], cost[i][j]))
-    dist = [0] * len(nodes)
-    for it in range(len(nodes) + 1):
-        changed = False
-        for u, v, w in edges:
-            cand = dist[u] + w
-            if cand < dist[v]:
-                dist[v] = cand
-                changed = True
-        if not changed:
-            break
-    else:
-        return None  # still relaxing after |V|+1 passes: negative cycle
-    a = {i: dist[index[("a", i)]] for i in rows_s}
-    b = {j: -dist[index[("y", j)]] for j in cols_s}
-    return a, b
+def _potentials(state):
+    """The greatest potentials (a, b) with every a_i <= 0 and b_j >= 0 of a
+    group, from its _group_feasible state.  Shift t_C may rise to top_C, the
+    least -a_i and b_j over C, and t_D <= t_C + bound[C][D], so t_D is the
+    least top_C + bound[C][D] (bound[D][D] = 0): Bellman-Ford's shortest
+    paths from a virtual source on the same constraints."""
+    a, b, row_comp, col_comp, bound = state
+    top = [0] * len(bound)  # each component's root row has a = 0
+    for i, ai in a.items():
+        if -ai < top[row_comp[i]]:
+            top[row_comp[i]] = -ai
+    for j, bj in b.items():
+        if bj < top[col_comp[j]]:
+            top[col_comp[j]] = bj
+    shift = [min([t + out[d] for t, out in zip(top, bound)]) for d in range(len(bound))]
+    return (
+        {i: ai + shift[row_comp[i]] for i, ai in a.items()},
+        {j: bj - shift[col_comp[j]] for j, bj in b.items()},
+    )
 
 
 class _CoveringSearch:
@@ -295,7 +284,7 @@ class _CoveringSearch:
             self.tested, self.exhausted = self.budget, True
             return None
         self.tested = n
-        if infeasible or not _group_feasible(self.cost, self.cells):
+        if infeasible or _group_feasible(self.cost, self.cells) is None:
             return None
         self.groups[0].extend(self.cells)
         return self.groups
@@ -321,7 +310,7 @@ class _CoveringSearch:
                 if not clash[pos] & masks[s]:
                     self.place(pos, s)
                     u = max(use[pos], s + 1)
-                    if _group_feasible(cost, groups[s]):
+                    if _group_feasible(cost, groups[s]) is not None:
                         break
                     below = self.count(pos + 1, u, None if left is None else left - tested + 1)
                     if left is not None and tested + below > left:
@@ -356,16 +345,14 @@ def _factorization(m, groups) -> BarvinokFactorization:
     for s, cells in enumerate(groups):
         if not cells:
             continue
-        rows_s = sorted({i for i, _ in cells})
-        cols_s = sorted({j for _, j in cells})
-        sol = _group_solve(m.cost, rows_s, cols_s, cells)
-        if sol is None:
-            raise RuntimeError("Bellman-Ford rejected a group the propagation test accepted")
-        a, b = sol
-        for i in rows_s:
-            left[i][s] = a[i]
-        for j in cols_s:
-            right[s][j] = b[j]
+        state = _group_feasible(m.cost, cells)
+        if state is None:
+            raise RuntimeError("an accepted covering holds an infeasible group")
+        a, b = _potentials(state)
+        for i, ai in a.items():
+            left[i][s] = ai
+        for j, bj in b.items():
+            right[s][j] = bj
     fact = BarvinokFactorization(k, TropicalMatrix(left, m.scale), TropicalMatrix(right, m.scale))
     if min_plus_multiply(fact.left, fact.right) != m:
         raise RuntimeError("feasible covering produced a bad factorization")

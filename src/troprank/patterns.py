@@ -8,13 +8,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
 from .galois import is_prime
-from .tropical import TropicalMatrix, format_value
+from .tropical import TropicalMatrix, format_value, parse_fraction
 
 INCIDENCE_TOL = 1e-9      # float incidence: |v.w| <= tol * |v||w|
 NONINCIDENCE_MARGIN = 1e-4  # float non-incidence: |v.w| >= margin * |v||w|
@@ -124,6 +123,12 @@ def check_realization_float(pattern: IncidencePattern, points, lines) -> Optiona
         return "configuration size does not match pattern"
     pn = [math.sqrt(sum(c * c for c in pt)) for pt in points]
     ln = [math.sqrt(sum(c * c for c in lv)) for lv in lines]
+    # A nan or inf coordinate, or one too large to square, makes the norm
+    # nan or inf, and no bound can then be checked (nan compares False).
+    for kind, norms in (("point", pn), ("line", ln)):
+        for i, x in enumerate(norms):
+            if not math.isfinite(x):
+                return f"{kind} {i} has non-finite norm {x}"
     if any(x == 0.0 for x in pn) or any(x == 0.0 for x in ln):
         return "zero vector in configuration"
     for i, row in enumerate(pattern.bits.tolist()):
@@ -191,8 +196,10 @@ def parse_configuration(text: str) -> Configuration:
         idx = int(toks[1])
         if field == "float":
             coords = tuple(float(t) for t in toks[2:])
+            if not all(math.isfinite(c) for c in coords):
+                raise ValueError(f"non-finite coordinate in {toks[0]} {idx}: {ln!r}")
         elif field is None:
-            coords = tuple(Fraction(t) for t in toks[2:])
+            coords = tuple(parse_fraction(t) for t in toks[2:])
         else:
             coords = tuple(int(t) for t in toks[2:])
         found = pts if toks[0] == "P" else lns

@@ -3,13 +3,14 @@
 Points and lines are the normalized homogeneous triples over GF(q) (first
 nonzero coordinate 1), sorted lexicographically; a point lies on a line when
 their dot product vanishes.  All four plane axioms are verified exhaustively
-at construction.
+at construction, which happens once per order (planes are immutable).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .galois import GaloisField, make_field
 from .tropical import TropicalMatrix
@@ -47,6 +48,7 @@ def _normalized_triples(f: GaloisField):
     return tuple(sorted(triples))
 
 
+@lru_cache(maxsize=None)
 def projective_plane(q: int) -> ProjectivePlane:
     f = make_field(q)
     triples = _normalized_triples(f)

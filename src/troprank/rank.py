@@ -47,13 +47,13 @@ WEIGHTED pairs with the weights in batches, and stops at the first row set
 holding a nonsingular pair of either class; its first such pair is the
 witness.  Only WEIGHTED pairs need arithmetic.  The first batch closes at
 one row set's pairs and each later one may hold twice as many, up to
-_RESOLVE_CHUNK, so a witness in an early row set costs little; row sets
-are filtered in steps growing the same way.  For the PG(2,q) incidence
-matrices, q <= 7 (Fano included), every level-4 pair is SINGULAR (every
-row set is skipped), so their refutation holds for every positive
-weighting of the pattern (``RankResult.weight_free``); their level-4 row
-sets have only 5 or 6 distinct capped histograms, so the filter's cost is
-the histograms themselves.
+_RESOLVE_CHUNK, so a witness in an early row set costs little.  Row sets
+are filtered a block at a time and only those kept are classified.  For
+the PG(2,q) incidence matrices, q <= 7 (Fano included), every level-4 pair
+is SINGULAR (every row set is skipped), so their refutation holds for every
+positive weighting of the pattern (``RankResult.weight_free``); their
+level-4 row sets have only 5 or 6 distinct capped histograms, so the
+filter's cost is the histograms themselves.
 
 Levels of at most _GENERIC_CUTOFF pairs go pair by pair through the exact
 assignment check: there a witness among the first pairs is cheaper than
@@ -313,11 +313,11 @@ _CLASSIFY_CACHE: dict = {}
 _CLASSIFY_CACHE_SIZE = 8
 # Most WEIGHTED pairs gathered before they are resolved with weights.
 _RESOLVE_CHUNK = 1 << 14
-# Most row sets whose column codes are filtered in one step, and most
-# distinct row-set keys _may_hold_open tests at once.
+# Most distinct row-set keys _may_hold_open tests at once.
 _FILTER_CHUNK = 64
-# Most row sets sample_level_singular's proof pass filters at once.
-_PROOF_CHUNK = 4096
+# Most k-subsets in one _combination_blocks block: the row sets filtered at
+# once by the classified walk and the sampler's proof pass.
+_BLOCK_SIZE = 4096
 
 
 class _Mark(NamedTuple):
@@ -335,10 +335,8 @@ class _LevelEntry:
     _Marks among them.  A walk over the classified prefix visits only these."""
 
     def __init__(self, views: _Views, k: int):
-        # _ordered_combos as one array, column-major, so each row set's
-        # (NC, k) code gather is read column by column.
-        order = _witness_order(views.finite.sum(axis=0).tolist(), views.zero.shape[1])
-        self.col_combos = np.asfortranarray(np.sort(np.array(list(itertools.combinations(order, k))), axis=1))
+        # Column-major, so each row set's (NC, k) code gather is read column by column.
+        self.col_combos = np.asfortranarray(np.concatenate(list(_witness_blocks(views.finite.sum(axis=0), k))))
         self.classified = 0
         self.marked = []
 
@@ -366,36 +364,30 @@ def _classify_row_set(code: np.ndarray, col_combos):
 
 def _marked_row_sets(views: _Views, k, entry: _LevelEntry, room):
     """The entry's marked row sets with index below `room`, in order,
-    classifying row sets past its prefix as the walk reaches them.  Their
-    codes are filtered in steps of 1, 2, 4, ... up to _FILTER_CHUNK row sets;
-    a row set is classified only when the walk gets to it and it may hold a
-    non-SINGULAR pair."""
-    unseen = None  # row sets past the classified prefix, made on first use
-    i, step = 0, 1
-    while i < len(entry.marked) or entry.classified < room:
-        if i < len(entry.marked):
-            if entry.marked[i].index >= room:
-                return
-            i += 1
-            yield entry.marked[i - 1]
+    classifying row sets past its prefix as the walk reaches them.  The walk
+    filters a block of row sets at once and classifies only those the filter
+    keeps; it resumes a partly classified entry at its prefix's end."""
+    yield from itertools.takewhile(lambda mark: mark.index < room, entry.marked)
+    if entry.classified >= room:
+        return
+    end = 0
+    for block in _witness_blocks(views.finite.sum(axis=1), k):
+        start, end = end, end + len(block)
+        if end <= entry.classified:
             continue
-        if unseen is None:
-            order = _ordered_combos(views.finite.sum(axis=1).tolist(), views.zero.shape[0], k)
-            unseen = itertools.islice(order, entry.classified, None)
-        rows = list(itertools.islice(unseen, min(step, room - entry.classified)))
-        step = min(2 * step, _FILTER_CHUNK)
-        codes = _column_codes(views.zero[np.array(rows)])  # (rows, cols)
-        for rc, code, may_hold_open in zip(rows, codes, _may_hold_open(codes, k)):
-            mark = None
-            if may_hold_open:
-                weighted, one_col = _classify_row_set(code, entry.col_combos)
-                if weighted.size or one_col is not None:
-                    mark = _Mark(entry.classified, rc, weighted, one_col)
-                    entry.marked.append(mark)
-            entry.classified += 1
-            if mark is not None:
-                i += 1
+        first = entry.classified
+        rows = block[first - start:room - start]
+        codes = _column_codes(views.zero[rows])  # (rows, cols)
+        for at in np.nonzero(_may_hold_open(codes, k))[0].tolist():
+            weighted, one_col = _classify_row_set(codes[at], entry.col_combos)
+            entry.classified = first + at + 1
+            if weighted.size or one_col is not None:
+                mark = _Mark(first + at, tuple(rows[at].tolist()), weighted, one_col)
+                entry.marked.append(mark)
                 yield mark
+        entry.classified = first + len(rows)
+        if entry.classified == room:
+            return
 
 
 def _first_weighted_nonsingular(cost, views: _Views, col_combos, batch):
@@ -438,15 +430,18 @@ def _structured_level_scan(cost, views: _Views, k, budget):
     classified and a level that does not fit is not charged, so the result
     does not depend on what the cache holds.
     """
-    entry = _level_entry(views, k)
-    col_combos = entry.col_combos
+    pairs = comb(views.zero.shape[1], k)  # per row set
     total = room = comb(views.zero.shape[0], k)
     if budget.limit is not None:
-        room = min(total, (budget.limit - budget.used) // len(col_combos))
+        room = min(total, (budget.limit - budget.used) // pairs)
+    if not room:  # not one row set fits: stop before building the column sets
+        return "budget", None
+    entry = _level_entry(views, k)
+    col_combos = entry.col_combos
     batch, held = [], 0  # marks awaiting resolution, their WEIGHTED pairs
     # The first batch closes at one row set's pairs, so an early witness
     # costs little; each later one may hold twice as many, up to _RESOLVE_CHUNK.
-    limit = min(len(col_combos), _RESOLVE_CHUNK)
+    limit = min(pairs, _RESOLVE_CHUNK)
     # A final None resolves what is left of the batch.
     for mark in itertools.chain(_marked_row_sets(views, k, entry, room), [None]):
         if mark is not None:
@@ -461,12 +456,12 @@ def _structured_level_scan(cost, views: _Views, k, budget):
             if not _is_nonsingular_cost(cost, *hit[1]):
                 raise RuntimeError("zero-permutation classification disagrees with exact check")
         if hit is not None:
-            budget.spend((hit[0] + 1) * len(col_combos))
+            budget.spend((hit[0] + 1) * pairs)
             return "witness", hit[1]
         batch, held, limit = [], 0, min(2 * limit, _RESOLVE_CHUNK)
     if room < total:
         return "budget", None
-    budget.spend(total * len(col_combos))
+    budget.spend(total * pairs)
     # Every marked row set of an exhausted level holds WEIGHTED pairs only.
     return ("exhausted" if entry.marked else "weight-free"), None
 
@@ -560,8 +555,8 @@ def sample_level_singular(m: TropicalMatrix, k: int, samples: int, seed: int):
 def _combination_blocks(n, k, start=0, prefix=()):
     """The k-combinations of range(start, n), each after `prefix`, in
     lexicographic order: (rows, len(prefix) + k) intp arrays of at most
-    _PROOF_CHUNK rows (larger sets are split by their first element)."""
-    if comb(n - start, k) > _PROOF_CHUNK:
+    _BLOCK_SIZE rows (larger sets are split by their first element)."""
+    if comb(n - start, k) > _BLOCK_SIZE:
         for first in range(start, n - k + 1):
             yield from _combination_blocks(n, k - 1, first + 1, prefix + (first,))
         return
@@ -573,6 +568,13 @@ def _combination_blocks(n, k, start=0, prefix=()):
         nxt = np.arange(len(at)) - np.repeat(np.cumsum(counts) - counts, counts) + low[at]
         combos = np.column_stack([combos[at], nxt])
     yield combos
+
+
+def _witness_blocks(finite_per_axis: np.ndarray, k):
+    """_combination_blocks of an axis in witness order, as _ordered_combos
+    yields them: k-combinations of its witness ranking, each sorted."""
+    order = np.array(_witness_order(finite_per_axis.tolist(), len(finite_per_axis)), dtype=np.intp)
+    return (np.sort(order[block], axis=1) for block in _combination_blocks(len(order), k))
 
 
 def _drawn_codes(zero: np.ndarray, rc: np.ndarray, cc: np.ndarray) -> np.ndarray:

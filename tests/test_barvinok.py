@@ -19,7 +19,7 @@ from troprank import (
     tropical_rank,
 )
 from troprank.assignment import min_permutation
-from troprank.barvinok import _CoveringSearch, _factorization, _group_feasible, _group_solve
+from troprank.barvinok import _CoveringSearch, _factorization, _group_feasible, _potentials
 
 
 def _coverings(cells, k):
@@ -196,9 +196,29 @@ def test_deterministic_factorization():
 
 
 def _solve_group(cost, cells):
+    """Oracle: canonical potentials (a, b) of one label group, or None when it
+    is infeasible.  Variables a_i and y_j = -b_j over the group's rows and
+    columns; constraints y_j - a_i <= -m_ij on every rectangle cell, plus
+    a_i - y_j <= m_ij on the group's cells.  Bellman-Ford from a virtual
+    source (all distances 0)."""
     rows_s = sorted({i for i, _ in cells})
     cols_s = sorted({j for _, j in cells})
-    return _group_solve(cost, rows_s, cols_s, cells)
+    nodes = [("a", i) for i in rows_s] + [("y", j) for j in cols_s]
+    index = {v: t for t, v in enumerate(nodes)}
+    edges = [(index[("a", i)], index[("y", j)], -cost[i][j]) for i in rows_s for j in cols_s]
+    edges += [(index[("y", j)], index[("a", i)], cost[i][j]) for i, j in cells]
+    dist = [0] * len(nodes)
+    for _ in range(len(nodes) + 1):
+        changed = False
+        for u, v, w in edges:
+            if dist[u] + w < dist[v]:
+                dist[v] = dist[u] + w
+                changed = True
+        if not changed:
+            break
+    else:
+        return None  # still relaxing after |V|+1 passes: negative cycle
+    return {i: dist[index[("a", i)]] for i in rows_s}, {j: -dist[index[("y", j)]] for j in cols_s}
 
 
 def test_group_feasible_matches_bellman_ford():
@@ -227,8 +247,12 @@ def test_group_feasible_matches_bellman_ford():
                     if not group or group in seen:
                         continue
                     seen.add(group)
-                    feasible = _group_feasible(cost, group)
-                    assert feasible == (_solve_group(cost, group) is not None), (m, group)
+                    state = _group_feasible(cost, group)
+                    feasible = state is not None
+                    solved = _solve_group(cost, group)
+                    assert feasible == (solved is not None), (m, group)
+                    # The potentials too, exactly.
+                    assert not feasible or _potentials(state) == solved, (m, group)
                     checked += 1
                     infeasible += not feasible
     assert checked > 2000 and 0 < infeasible < checked
@@ -244,7 +268,7 @@ def test_group_feasible_two_components():
         m = TropicalMatrix.from_rows([[0, 2, 2], [1, 3, 5], [m20, 0, 0]])
         cost = m.cost
         # slacks: -4 one way; m00 - m20 = -3 or 5 the other
-        assert _group_feasible(cost, cells) is feasible
+        assert (_group_feasible(cost, cells) is not None) is feasible
         assert (_solve_group(cost, cells) is not None) is feasible
         # Each component alone is feasible: only the shift cycle can fail.
         assert _group_feasible(cost, cells[:2]) and _group_feasible(cost, cells[2:])

@@ -43,6 +43,17 @@ def test_unsupported_order():
         projective_plane(6)
 
 
+def test_planes_built_once_per_order():
+    # A plane is built, and its axioms verified, once per order; an
+    # unsupported order raises on every call and is not kept.
+    assert projective_plane(4) is projective_plane(4)
+    kept = projective_plane.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(UnsupportedOrder):
+            projective_plane(6)
+    assert projective_plane.cache_info().currsize == kept <= len(SUPPORTED_ORDERS)
+
+
 def test_determinism():
     a = projective_plane(3)
     b = projective_plane(3)

@@ -189,10 +189,17 @@ def test_classified_scan_returns_generic_witness(monkeypatch):
                 # A witness in the r-th row set is charged r + 1 whole row sets.
                 row_sets = list(rank_mod._ordered_combos(finite_rows, m.rows, k))
                 covered = len(row_sets) if expected[0] == "exhausted" else row_sets.index(expected[1][0]) + 1
-                # Batches of 5 pairs resolve each level in many steps.
+                # Batches of 5 pairs resolve each level in many steps, and
+                # blocks of 5 row sets walk it in many blocks.
                 statuses = set()
-                for v, chunk in ((views, 1 << 14), (python_views, 1 << 14), (views, 5)):
+                for v, chunk, block in (
+                    (views, 1 << 14, rank_mod._BLOCK_SIZE),
+                    (python_views, 1 << 14, rank_mod._BLOCK_SIZE),
+                    (views, 5, rank_mod._BLOCK_SIZE),
+                    (views, 1 << 14, 5),
+                ):
                     monkeypatch.setattr(rank_mod, "_RESOLVE_CHUNK", chunk)
+                    monkeypatch.setattr(rank_mod, "_BLOCK_SIZE", block)
                     rank_mod._CLASSIFY_CACHE.clear()
                     budget = rank_mod._Budget(None)
                     status, found = rank_mod._structured_level_scan(cost, v, k, budget)
@@ -287,6 +294,60 @@ def test_rank_result_same_cold_and_warm(monkeypatch, chunk):
         tropical_rank(m, limit=5)
         for budget, expected in cold.items():
             assert tropical_rank(m, limit=5, budget=budget) == expected
+
+
+@pytest.mark.parametrize("block", [5, 7])
+def test_partly_classified_entry_resumes_mid_block(monkeypatch, block):
+    """With blocks of a few row sets, budgets cut levels inside a block.
+    Rising budgets on one cache then resume each partly classified entry by
+    position, and every result equals the cold one with default blocks.
+    No entry classifies a row set past its call's budget or marks one twice."""
+    monkeypatch.setattr(rank_mod, "_GENERIC_CUTOFF", 0)
+    default = rank_mod._BLOCK_SIZE
+    rng = random.Random(43)
+    for m in (incidence_matrix(projective_plane(2), "random", seed=6), _deep_witness_matrix(rng, 8)):
+        rank_mod._CLASSIFY_CACHE.clear()
+        full = tropical_rank(m, limit=5)
+        level_start = [tropical_rank(m, limit=k).pairs_examined for k in range(5)]
+        budgets = sorted(rng.sample(range(full.pairs_examined + 2), 30))
+        cold = {}
+        for budget in budgets:
+            rank_mod._CLASSIFY_CACHE.clear()
+            cold[budget] = tropical_rank(m, limit=5, budget=budget)
+        monkeypatch.setattr(rank_mod, "_BLOCK_SIZE", block)
+        rank_mod._CLASSIFY_CACHE.clear()
+        for budget in budgets:
+            assert tropical_rank(m, limit=5, budget=budget) == cold[budget], budget
+            for (_, _, _, k), entry in rank_mod._CLASSIFY_CACHE.items():
+                room = (budget - level_start[k - 1]) // comb(m.cols, k)
+                assert entry.classified <= min(room, comb(m.rows, k))
+                # Each classified row set is marked at most once, in order.
+                indices = [mark.index for mark in entry.marked]
+                assert indices == sorted(set(indices)) and all(i < entry.classified for i in indices)
+        assert tropical_rank(m, limit=5) == full
+        monkeypatch.setattr(rank_mod, "_BLOCK_SIZE", default)
+
+
+def test_budget_stop_before_building_a_level(monkeypatch):
+    """A budget that affords not one row set of the next level stops before
+    its column sets are built: weighted PG(2,8) at the level-3 cost plus 10
+    pairs never builds its 1.0 M level-4 column sets."""
+    m = incidence_matrix(projective_plane(8), "random", seed=1)
+    three = tropical_rank(m, limit=3).pairs_examined
+    rank_mod._CLASSIFY_CACHE.clear()
+    expected = tropical_rank(m, budget=three + 10)
+    assert (expected.rank, expected.certified, expected.budget_exhausted) == (3, False, True)
+    assert expected.pairs_examined == three
+    level_entry = rank_mod._level_entry
+
+    def no_level_four(views, k):
+        if k == 4:
+            raise AssertionError("level 4 column sets built")
+        return level_entry(views, k)
+
+    monkeypatch.setattr(rank_mod, "_level_entry", no_level_four)
+    rank_mod._CLASSIFY_CACHE.clear()
+    assert tropical_rank(m, budget=three + 10) == expected
 
 
 def test_all_positive_matrix_stops_at_first_witness_row_set():
@@ -588,6 +649,18 @@ def test_weight_free_refutation(monkeypatch):
     assert (res.rank, res.refuted_level, res.weight_free) == (1, 2, False)
 
 
+def test_weighted_pg27_certified():
+    """Weighted PG(2,7): rank 3, and level 4 (156 G pairs) refuted for every
+    positive weighting of the pattern, since the row-set filter skips every
+    level-4 row set."""
+    m = incidence_matrix(projective_plane(7), "random", seed=7)
+    rank_mod._CLASSIFY_CACHE.clear()
+    res = tropical_rank(m)
+    assert (res.rank, res.certified, res.refuted_level, res.weight_free) == (3, True, 4, True)
+    assert res.pairs_examined > comb(57, 4) ** 2
+    assert is_nonsingular(m.submatrix(res.row_witness, res.col_witness))
+
+
 def _sample_subsets_retest_all(rng, batch, n, k):
     """The sampler's earlier loop, which re-tested every row on each pass."""
     if 2 * k > n:
@@ -707,12 +780,12 @@ def test_sample_level_singular_proof_pass(monkeypatch):
     one_open = opened.submatrix((0, 1, 2, 4), range(13))
     codes = rank_mod._column_codes(np.array([[c == 0 for c in row] for row in one_open.cost])[None])
     assert rank_mod._may_hold_open(codes, 4).tolist() == [True]
-    monkeypatch.setattr(rank_mod, "_PROOF_CHUNK", 5)
+    monkeypatch.setattr(rank_mod, "_BLOCK_SIZE", 5)
     for m in (one_open, opened):
         with pytest.raises(AssertionError, match="the sampler drew"):
             sample_level_singular(m, 4, 2000, seed=2)
     monkeypatch.undo()
-    monkeypatch.setattr(rank_mod, "_PROOF_CHUNK", 5)
+    monkeypatch.setattr(rank_mod, "_BLOCK_SIZE", 5)
     for m in (one_open, opened):
         got = sample_level_singular(m, 4, 2000, seed=2)
         assert got == _sample_level_singular_reference(m, 4, 2000, seed=2)

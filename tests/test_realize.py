@@ -374,6 +374,34 @@ def test_configuration_certificate_round_trip():
     assert backf.points == vf.configuration.points  # 17 digits round-trip floats
 
 
+@pytest.mark.parametrize(
+    "bad, norm", [(float("nan"), "nan"), (float("inf"), "inf"), (-float("inf"), "inf"), (1e200, "inf")]
+)
+def test_float_check_rejects_non_finite_coordinates(bad, norm):
+    # NaN compares False with every bound, so without the check an all-NaN
+    # configuration "realized" unit Fano.  A coordinate too large to square
+    # leaves no finite norm to scale the bounds by.
+    pattern = IncidencePattern.from_rows([[1, 0], [0, 1]])
+    points, lines = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)), ((0.0, 1.0, 0.0), (1.0, 0.0, 0.0))
+    assert check_realization_float(pattern, points, lines) is None
+    problem = check_realization_float(pattern, points, (lines[0], (1.0, bad, 0.0)))
+    assert problem == f"line 1 has non-finite norm {norm}"
+    fano = fano_pattern()
+    problem = check_realization_float(fano, [(bad,) * 3] * 7, [(bad,) * 3] * 7)
+    assert problem == f"point 0 has non-finite norm {norm}"
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e999"])
+def test_parse_configuration_rejects_non_finite_floats(token):
+    with pytest.raises(ValueError, match="non-finite coordinate in L 1"):
+        parse_configuration(f"field float\nP 0 1 0 0\nL 0 0 1 0\nL 1 0 {token} 1\n")
+
+
+def test_parse_configuration_rejects_zero_denominator():
+    with pytest.raises(ValueError, match="zero denominator in '1/0'"):
+        parse_configuration("field q\nP 0 1/0 0 1\n")
+
+
 def test_parse_configuration_rejects_composite_field():
     with pytest.raises(ValueError, match="not prime"):
         parse_configuration("field gf4\nP 0 1 0 0\nL 0 0 1 0\n")
