@@ -367,9 +367,11 @@ def barvinok_rank(m: TropicalMatrix, kmax: Optional[int] = None, budget: Optiona
     It is at least the tropical rank (DSS), so a tropically nonsingular
     square matrix skips the search below n; each level skipped that way is
     charged its full covering count, as the search would charge it, and a
-    budget stop lands on the same covering.  A negative budget raises
-    ValueError.
+    budget stop lands on the same covering.  A negative kmax or budget
+    raises ValueError.
     """
+    if kmax is not None and kmax < 0:
+        raise ValueError(f"negative kmax {kmax}")
     if budget is not None and budget < 0:
         raise ValueError(f"negative covering budget {budget}")
     hard_cap = min(m.rows, m.cols)

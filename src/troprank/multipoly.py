@@ -346,8 +346,6 @@ def _divisors(n: int, limit: int = 10**12):
                 block.append(acc)
             divs = [d * b for d in divs for b in [1] + block]
         f += 1 if f == 2 else 2
-        if f > 10**6:
-            return None
     if m > 1:
         divs = [d * b for d in divs for b in (1, m)]
     return sorted(set(divs))

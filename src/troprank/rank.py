@@ -48,12 +48,16 @@ holding a nonsingular pair of either class; its first such pair is the
 witness.  Only WEIGHTED pairs need arithmetic.  The first batch closes at
 one row set's pairs and each later one may hold twice as many, up to
 _RESOLVE_CHUNK, so a witness in an early row set costs little.  Row sets
-are filtered a block at a time and only those kept are classified.  For
-the PG(2,q) incidence matrices, q <= 7 (Fano included), every level-4 pair
-is SINGULAR (every row set is skipped), so their refutation holds for every
-positive weighting of the pattern (``RankResult.weight_free``); their
-level-4 row sets have only 5 or 6 distinct capped histograms, so the
-filter's cost is the histograms themselves.
+are filtered a block at a time and only those kept are classified.  Blocks
+are addressed by rank in witness order, so a walk resumes where the
+classified prefix ends without producing the row sets before it, and a
+level's column sets are built only when a kept row set first reads them.
+For the PG(2,q) incidence matrices, q <= 9 (Fano included), every level-4
+pair is SINGULAR (every row set is skipped, so no level-4 column set is
+built), and their refutation holds for every positive weighting of the
+pattern (``RankResult.weight_free``); their level-4 row sets have only 5 or
+6 distinct capped histograms, so the filter's cost is the histograms
+themselves.
 
 Levels of at most _GENERIC_CUTOFF pairs go pair by pair through the exact
 assignment check: there a witness among the first pairs is cheaper than
@@ -330,15 +334,21 @@ class _Mark(NamedTuple):
 
 
 class _LevelEntry:
-    """One level of one zero pattern: its column sets in witness order, the
-    number of row sets classified (a prefix in witness order), and the
-    _Marks among them.  A walk over the classified prefix visits only these."""
+    """One level of one zero pattern: the number of row sets classified (a
+    prefix in witness order), the _Marks among them, and its column sets in
+    witness order, built when first read.  A walk over the classified prefix
+    visits only the marks."""
 
     def __init__(self, views: _Views, k: int):
-        # Column-major, so each row set's (NC, k) code gather is read column by column.
-        self.col_combos = np.asfortranarray(np.concatenate(list(_witness_blocks(views.finite.sum(axis=0), k))))
+        self.finite_cols = views.finite.sum(axis=0)
+        self.k = k
         self.classified = 0
         self.marked = []
+
+    @functools.cached_property
+    def col_combos(self) -> np.ndarray:
+        # Column-major, so each row set's (NC, k) code gather is read column by column.
+        return np.asfortranarray(np.concatenate(list(_witness_blocks(self.finite_cols, self.k))))
 
 
 def _level_entry(views: _Views, k: int) -> _LevelEntry:
@@ -370,13 +380,8 @@ def _marked_row_sets(views: _Views, k, entry: _LevelEntry, room):
     yield from itertools.takewhile(lambda mark: mark.index < room, entry.marked)
     if entry.classified >= room:
         return
-    end = 0
-    for block in _witness_blocks(views.finite.sum(axis=1), k):
-        start, end = end, end + len(block)
-        if end <= entry.classified:
-            continue
+    for rows in _witness_blocks(views.finite.sum(axis=1), k, entry.classified, room):
         first = entry.classified
-        rows = block[first - start:room - start]
         codes = _column_codes(views.zero[rows])  # (rows, cols)
         for at in np.nonzero(_may_hold_open(codes, k))[0].tolist():
             weighted, one_col = _classify_row_set(codes[at], entry.col_combos)
@@ -386,18 +391,16 @@ def _marked_row_sets(views: _Views, k, entry: _LevelEntry, room):
                 entry.marked.append(mark)
                 yield mark
         entry.classified = first + len(rows)
-        if entry.classified == room:
-            return
 
 
-def _first_weighted_nonsingular(cost, views: _Views, col_combos, batch):
+def _first_weighted_nonsingular(cost, views: _Views, entry: _LevelEntry, batch):
     """(row-set index, (rows, cols)) of the first nonsingular WEIGHTED pair
-    of a batch of _Marks, or None."""
+    of a batch of the entry's _Marks, or None."""
     at = np.repeat(np.arange(len(batch)), [len(mark.weighted) for mark in batch])
     if not at.size:
         return None
     zeros_r = np.array([mark.rows for mark in batch])[at]
-    zeros_c = col_combos[np.concatenate([mark.weighted for mark in batch])]
+    zeros_c = entry.col_combos[np.concatenate([mark.weighted for mark in batch])]
     if views.dense is None:
         candidates = range(len(zeros_r))  # every pair, checked exactly
     else:
@@ -434,10 +437,9 @@ def _structured_level_scan(cost, views: _Views, k, budget):
     total = room = comb(views.zero.shape[0], k)
     if budget.limit is not None:
         room = min(total, (budget.limit - budget.used) // pairs)
-    if not room:  # not one row set fits: stop before building the column sets
+    if not room:  # not one row set fits: stop before adding a cache entry
         return "budget", None
     entry = _level_entry(views, k)
-    col_combos = entry.col_combos
     batch, held = [], 0  # marks awaiting resolution, their WEIGHTED pairs
     # The first batch closes at one row set's pairs, so an early witness
     # costs little; each later one may hold twice as many, up to _RESOLVE_CHUNK.
@@ -449,9 +451,9 @@ def _structured_level_scan(cost, views: _Views, k, budget):
             held += len(mark.weighted)
             if mark.one is None and held < limit:
                 continue
-        hit = _first_weighted_nonsingular(cost, views, col_combos, batch)
+        hit = _first_weighted_nonsingular(cost, views, entry, batch)
         if hit is None and mark is not None and mark.one is not None:
-            hit = mark.index, (mark.rows, tuple(col_combos[mark.one].tolist()))
+            hit = mark.index, (mark.rows, tuple(entry.col_combos[mark.one].tolist()))
             # One all-zero permutation and positive weights: nonsingular.
             if not _is_nonsingular_cost(cost, *hit[1]):
                 raise RuntimeError("zero-permutation classification disagrees with exact check")
@@ -472,8 +474,10 @@ def tropical_rank(m: TropicalMatrix, limit: Optional[int] = None, budget: Option
     The refutation at level rank+1 is exhaustive whenever the budget allows.
     It counts submatrix pairs tested, or classified in whole row sets; a
     budget stop is reported distinctly via ``certified = False``.  A negative
-    budget raises ValueError.
+    limit or budget raises ValueError.
     """
+    if limit is not None and limit < 0:
+        raise ValueError(f"negative level limit {limit}")
     if budget is not None and budget < 0:
         raise ValueError(f"negative pair budget {budget}")
     cap = min(m.rows, m.cols)
@@ -552,29 +556,35 @@ def sample_level_singular(m: TropicalMatrix, k: int, samples: int, seed: int):
     return True, None
 
 
-def _combination_blocks(n, k, start=0, prefix=()):
-    """The k-combinations of range(start, n), each after `prefix`, in
-    lexicographic order: (rows, len(prefix) + k) intp arrays of at most
-    _BLOCK_SIZE rows (larger sets are split by their first element)."""
-    if comb(n - start, k) > _BLOCK_SIZE:
-        for first in range(start, n - k + 1):
-            yield from _combination_blocks(n, k - 1, first + 1, prefix + (first,))
-        return
-    combos = np.array([prefix], dtype=np.intp)
-    for t in range(k):  # extend each combination by every next element that leaves room
-        low = combos[:, -1] + 1 if combos.shape[1] else np.full(1, start, dtype=np.intp)
-        counts = np.maximum(n - (k - 1 - t) - low, 0)
-        at = np.repeat(np.arange(len(combos)), counts)
-        nxt = np.arange(len(at)) - np.repeat(np.cumsum(counts) - counts, counts) + low[at]
-        combos = np.column_stack([combos[at], nxt])
-    yield combos
+def _combination_blocks(n, k, start=0, stop=None):
+    """The k-combinations of range(n) with lexicographic rank in [start,
+    stop) (stop None: to the end), in order: (rows, k) intp arrays of
+    _BLOCK_SIZE rows, the last one of at most that many.
+
+    Each block is unranked directly by the combinatorial number system: the
+    combination a of rank r has b_i = n-1-a_(k+1-i) at colexicographic rank
+    C(n,k)-1-r = sum_i C(b_i, i), so b_k down to b_1 are each the last b with
+    C(b, i) no more than what is left, one searchsorted per position.  Ranks
+    are int64: C(n, k) of 2**63 or more raises OverflowError."""
+    total = comb(n, k)
+    last = np.int64(total - 1)
+    stop = total if stop is None else stop
+    binom = np.array([[comb(b, i) for b in range(n)] for i in range(k + 1)], dtype=np.int64)
+    for low in range(start, stop, _BLOCK_SIZE):
+        left = last - np.arange(low, min(low + _BLOCK_SIZE, stop), dtype=np.int64)
+        combos = np.empty((len(left), k), dtype=np.intp)
+        for i in range(k, 0, -1):
+            b = np.searchsorted(binom[i], left, side="right") - 1
+            combos[:, k - i] = n - 1 - b
+            left -= binom[i, b]
+        yield combos
 
 
-def _witness_blocks(finite_per_axis: np.ndarray, k):
+def _witness_blocks(finite_per_axis: np.ndarray, k, start=0, stop=None):
     """_combination_blocks of an axis in witness order, as _ordered_combos
     yields them: k-combinations of its witness ranking, each sorted."""
     order = np.array(_witness_order(finite_per_axis.tolist(), len(finite_per_axis)), dtype=np.intp)
-    return (np.sort(order[block], axis=1) for block in _combination_blocks(len(order), k))
+    return (np.sort(order[block], axis=1) for block in _combination_blocks(len(order), k, start, stop))
 
 
 def _drawn_codes(zero: np.ndarray, rc: np.ndarray, cc: np.ndarray) -> np.ndarray:

@@ -76,6 +76,10 @@ class RealizeBudget:
     nodes: int = 200_000
     restarts: int = 100         # float engine restarts
 
+    def __post_init__(self):
+        if min(self.nodes, self.restarts) < 0:
+            raise ValueError(f"negative budget in {self}")
+
 
 def _gauge_quadruple(pattern: IncidencePattern):
     """Up to four points, preferring high degree and no three on a pattern line.
@@ -141,6 +145,19 @@ class _Node:
     nparams: int
     gauge: object     # 0..4 rungs of the frame ladder, or None once stopped
     path: tuple
+
+
+# The frame ladder: per rung, the vectors a frame point may be pinned to, in
+# branch order, each with the rung its branch leaves to (None stops the ladder).
+_GAUGE_LADDER = (
+    (((1, 0, 0), 1),),
+    (((1, 0, 0), 1), ((0, 1, 0), 2)),
+    (((1, 0, 0), 2), ((0, 1, 0), 2), ((1, 1, 0), None), ((0, 0, 1), 3)),
+    (
+        ((1, 0, 0), 3), ((0, 1, 0), 3), ((0, 0, 1), 3),
+        ((1, 1, 0), None), ((1, 0, 1), None), ((0, 1, 1), None), ((1, 1, 1), 4),
+    ),
+)
 
 
 class _ExactEngine:
@@ -353,9 +370,14 @@ class _ExactEngine:
             return children if children else None
 
         if len(partners) == 0:
-            for chart, coords in self._charts(node):
+            # Projective charts covering every nonzero coordinate vector:
+            # coordinate i is the first nonzero one, scaled to 1.
+            for i, chart in enumerate("xyz"):
                 child = self._clone(node, f"{name}:{chart}")
-                finish(child, coords(child), [])
+                coords = tuple(
+                    self._c(int(t == i)) if t <= i else Poly.var(self._fresh(child), self.field) for t in range(3)
+                )
+                finish(child, coords, [])
         elif len(partners) == 1:
             for child, coords in self._complement_charts(node, name, partners[0]):
                 finish(child, coords, [])
@@ -383,52 +405,13 @@ class _ExactEngine:
         keep the rung.  Every projective point falls in exactly one case, so
         the cover is exhaustive and infeasibility verdicts remain complete.
         """
-        c0, c1 = self._c(0), self._c(1)
-        e1 = (c1, c0, c0)
-        e2 = (c0, c1, c0)
-        e3 = (c0, c0, c1)
-        rung = node.gauge
         out = []
-
-        def child_with(coords, label, new_gauge):
-            child = self._clone(node, f"{name}:{label}")
-            child.gauge = new_gauge
-            return (child, coords)
-
-        if rung == 0:
-            out.append(child_with(e1, "g=e1", 1))
-        elif rung == 1:
-            out.append(child_with(e1, "g=e1", 1))
-            out.append(child_with(e2, "g=e2", 2))
-        elif rung == 2:
-            out.append(child_with(e1, "g=e1", 2))
-            out.append(child_with(e2, "g=e2", 2))
-            out.append(child_with((c1, c1, c0), "g=(1,1,0)", None))
-            out.append(child_with(e3, "g=e3", 3))
-        else:
-            out.append(child_with(e1, "g=e1", 3))
-            out.append(child_with(e2, "g=e2", 3))
-            out.append(child_with(e3, "g=e3", 3))
-            out.append(child_with((c1, c1, c0), "g=(1,1,0)", None))
-            out.append(child_with((c1, c0, c1), "g=(1,0,1)", None))
-            out.append(child_with((c0, c1, c1), "g=(0,1,1)", None))
-            out.append(child_with((c1, c1, c1), "g=(1,1,1)", 4))
+        for vector, leaves_to in _GAUGE_LADDER[node.gauge]:
+            label = f"e{vector.index(1) + 1}" if sum(vector) == 1 else str(vector).replace(" ", "")
+            child = self._clone(node, f"{name}:g={label}")
+            child.gauge = leaves_to
+            out.append((child, tuple(map(self._c, vector))))
         return out
-
-    def _charts(self, node):
-        """Projective charts covering every nonzero coordinate vector."""
-        def c1(child):
-            a, b = self._fresh(child), self._fresh(child)
-            return (self._c(1), Poly.var(a, self.field), Poly.var(b, self.field))
-
-        def c2(child):
-            c = self._fresh(child)
-            return (self._c(0), self._c(1), Poly.var(c, self.field))
-
-        def c3(child):
-            return (self._c(0), self._c(0), self._c(1))
-
-        return [("x", c1), ("y", c2), ("z", c3)]
 
     def _complement_charts(self, node, name, u):
         """Children placing a vector orthogonal to u (nonzero in each branch).

@@ -244,8 +244,11 @@ def harden(sys: PolySystem, seed: int, stand_in_bits: int = 64) -> tuple:
     quadratic combinations of the others (coefficients up to 2^stand_in_bits
     play the role of generic constants), and every original equation receives
     random small multiples of those definitions.  The transformation is
-    invertible, so solutions correspond one to one.
+    invertible, so solutions correspond one to one.  A negative
+    stand_in_bits raises ValueError.
     """
+    if stand_in_bits < 0:
+        raise ValueError(f"negative stand-in bit size {stand_in_bits}")
     rng = random.Random(f"harden:{seed}")
     nv = len(sys.variables)
     offsets = tuple(2 ** (i + 1) + 1 for i in range(nv))

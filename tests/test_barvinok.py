@@ -440,3 +440,10 @@ def test_settled_levels_skip_the_walk(monkeypatch):
 def test_negative_budget_raises():
     with pytest.raises(ValueError):
         barvinok_rank(TropicalMatrix.identity(3), budget=-1)
+
+
+def test_negative_kmax_raises():
+    # Not "exceeds kmax -1": no factorization has a negative inner dimension to miss.
+    with pytest.raises(ValueError, match="negative kmax -1"):
+        barvinok_rank(TropicalMatrix.identity(3), kmax=-1)
+    assert barvinok_rank(TropicalMatrix.identity(3), kmax=0).exceeded_kmax

@@ -121,6 +121,15 @@ def test_rank_negative_budget_exit_1(tmp_path, capsys):
         assert err.startswith("error: ") and "negative" in err, kind
 
 
+def test_rank_negative_kmax_exit_1(tmp_path, capsys):
+    # A rank-2 matrix: not "tropical rank 0 (certified True)" and not "exceeds kmax -1".
+    f = write(tmp_path, "m.tropmat", "tropmat 2 2\n0 1\n1 0\n")
+    for kind in ("tropical", "barvinok", "bounds"):
+        code, out, err = run(["rank", f, "--kind", kind, "--kmax", "-1", "--seed", "1"], capsys)
+        assert code == 1 and "rank" not in out, kind
+        assert err.startswith("error: ") and "negative" in err and "-1" in err, kind
+
+
 def test_gen_plane_deterministic(tmp_path, capsys):
     a = str(tmp_path / "a")
     b = str(tmp_path / "b")
@@ -166,6 +175,22 @@ def test_reduce_malformed(tmp_path, capsys):
     cnf = write(tmp_path, "bad.cnf", "p cnf x y\n1 0\n")
     code, _, _ = run(["reduce", "--cnf", cnf, "--seed", "3"], capsys)
     assert code == 1
+
+
+def test_reduce_negative_bits_exit_1(tmp_path, capsys):
+    polys = write(tmp_path, "s.txt", "x1^2 - 4\n")
+    code, _, err = run(["reduce", "--polys", polys, "--bits", "-2", "--seed", "1",
+                        "--out", str(tmp_path / "red")], capsys)
+    assert code == 1 and err == "error: negative stand-in bit size -2\n"
+    assert not (tmp_path / "red.pattern.tropmat").exists()
+
+
+def test_realize_negative_budget_exit_1(tmp_path, capsys):
+    f = write(tmp_path, "id.tropmat", "tropmat 3 3\n1 0 0\n0 1 0\n0 0 1\n")
+    code, out, err = run(["realize", "--pattern", f, "--budget", "-1", "--seed", "1",
+                          "--out", str(tmp_path / "id")], capsys)
+    assert code == 1 and "exhausted" not in out + err
+    assert err.startswith("error: negative budget in RealizeBudget(nodes=-1")
 
 
 def test_realize_identity_exit_0(tmp_path, capsys):

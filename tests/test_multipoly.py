@@ -7,7 +7,7 @@ from math import gcd, lcm
 
 import pytest
 
-from troprank.multipoly import Poly, as_coeff, primitive_triple, univariate_roots
+from troprank.multipoly import Poly, _divisors, as_coeff, primitive_triple, univariate_roots
 from troprank.reduction import poly_from_terms
 
 
@@ -245,6 +245,21 @@ def test_univariate_roots_are_fractions():
         got = univariate_roots(poly, 0)
         assert got == want, poly
         assert all(type(r) is Fraction for r in got), (poly, got)
+
+
+def test_divisors_reach_their_limit():
+    """Trial division up to 10**6 factors every n up to 10**12: the largest
+    prime below it, a square of a prime near 10**6 and a product of two."""
+    assert _divisors(999_999_999_989) == [1, 999_999_999_989]
+    assert _divisors(999_983**2) == [1, 999_983, 999_983**2]
+    assert _divisors(999_983 * 1_000_003) == [1, 999_983, 1_000_003, 999_983 * 1_000_003]
+    assert _divisors(10**12 + 39) is None  # above the limit
+
+
+def test_cubic_with_a_large_prime_constant_has_no_rational_root():
+    # The candidates are +-1 and +-999999999989; none is a root.
+    x = Poly.var(0)
+    assert univariate_roots(x**3 - Poly.const(999_999_999_989), 0) == []
 
 
 def test_univariate_roots_over_gf_p_enumerates_the_field():

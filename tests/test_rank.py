@@ -330,8 +330,8 @@ def test_partly_classified_entry_resumes_mid_block(monkeypatch, block):
 
 def test_budget_stop_before_building_a_level(monkeypatch):
     """A budget that affords not one row set of the next level stops before
-    its column sets are built: weighted PG(2,8) at the level-3 cost plus 10
-    pairs never builds its 1.0 M level-4 column sets."""
+    the level's cache entry is made: weighted PG(2,8) at the level-3 cost
+    plus 10 pairs never makes a level-4 entry."""
     m = incidence_matrix(projective_plane(8), "random", seed=1)
     three = tropical_rank(m, limit=3).pairs_examined
     rank_mod._CLASSIFY_CACHE.clear()
@@ -381,6 +381,14 @@ def test_negative_budget_raises():
     # A negative budget is an error, not a budget stop at rank 0.
     with pytest.raises(ValueError, match="negative"):
         tropical_rank(TropicalMatrix.identity(3), budget=-1)
+
+
+def test_negative_limit_raises():
+    # A negative limit is an error, not a certified rank 0.
+    with pytest.raises(ValueError, match="negative level limit -1"):
+        tropical_rank(TropicalMatrix.identity(3), limit=-1)
+    res = tropical_rank(TropicalMatrix.identity(3), limit=0)
+    assert (res.rank, res.refuted_level) == (0, None)
 
 
 def test_sample_level_range():
@@ -659,6 +667,49 @@ def test_weighted_pg27_certified():
     assert (res.rank, res.certified, res.refuted_level, res.weight_free) == (3, True, 4, True)
     assert res.pairs_examined > comb(57, 4) ** 2
     assert is_nonsingular(m.submatrix(res.row_witness, res.col_witness))
+
+
+@pytest.mark.parametrize("block", [None, 5])
+def test_combination_blocks_match_combinations_by_rank(monkeypatch, block):
+    """Any rank range [start, stop) of _combination_blocks is that slice of
+    itertools.combinations, in blocks of exactly _BLOCK_SIZE rows but the last."""
+    if block is not None:
+        monkeypatch.setattr(rank_mod, "_BLOCK_SIZE", block)
+    size = rank_mod._BLOCK_SIZE
+    pairs = [(n, k) for k in range(1, 7) for n in (k - 1, k, k + 1, 9, 13)]
+    pairs += [(31, 4), (57, 3), (21, 4)]
+    for n, k in pairs:
+        combos = list(itertools.combinations(range(n), k))
+        total = len(combos)
+        ranges = {(0, None), (0, total), (total // 3, 2 * total // 3), (1, total - 1), (total // 2, total // 2),
+                  (total, total), (total - 1, None), (size + 1, 3 * size - 1)}
+        for start, stop in ranges:
+            if not 0 <= start <= (total if stop is None else stop) <= total:
+                continue
+            blocks = list(rank_mod._combination_blocks(n, k, start, stop))
+            got = [tuple(row) for b in blocks for row in b.tolist()]
+            assert got == combos[start:stop], (n, k, start, stop)
+            assert all(b.dtype == np.intp and b.shape[1] == k for b in blocks)
+            assert all(len(b) == size for b in blocks[:-1]) and all(len(b) for b in blocks), (n, k, start, stop)
+
+
+@pytest.mark.parametrize("q", [8, 9])
+def test_weighted_pg28_pg29_certified_in_little_memory(q):
+    """Weighted PG(2,8) and PG(2,9): rank 3, refuted at 4 for every positive
+    weighting.  No level-4 row set is classified, so level 4 builds none of
+    its column sets, which would take 35 MB (PG(2,8)) and 86 MB (PG(2,9))."""
+    m = incidence_matrix(projective_plane(q), "random", seed=1)
+    rank_mod._CLASSIFY_CACHE.clear()
+    tracemalloc.start()
+    try:
+        res = tropical_rank(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rank_mod._CLASSIFY_CACHE.clear()
+    assert (res.rank, res.certified, res.refuted_level, res.weight_free) == (3, True, 4, True)
+    assert is_nonsingular(m.submatrix(res.row_witness, res.col_witness))
+    assert peak < 16_000_000, peak
 
 
 def _sample_subsets_retest_all(rng, batch, n, k):

@@ -24,8 +24,9 @@ from troprank import (
     realize_rank3,
     tropical_rank,
 )
-from troprank.realize import _ExactEngine, _IncidenceLeastSquares
-from troprank.reduction import compile_system, parse_poly_system
+from troprank.multipoly import Poly
+from troprank.realize import _ExactEngine, _IncidenceLeastSquares, _Node
+from troprank.reduction import compile_system, harden, parse_poly_system
 
 
 def fano_pattern():
@@ -147,6 +148,58 @@ def test_nodes_hold_only_reduced_polynomials(monkeypatch):
     for trial, p in enumerate(_random_patterns(random.Random(77), 50, 3, 7)):
         realize_rank3(p, field=None, seed=trial, budget=RealizeBudget(nodes=20_000))
     assert sum(checked) > 300  # nodes with eliminated parameters
+
+
+def _engine_step(eq, nparams=2):
+    """_ExactEngine._process on a fresh node whose queue holds only eq over Q,
+    with parameters 0..nparams-1 free: (engine, outcome)."""
+    engine = _ExactEngine(IncidencePattern.from_rows([[1]]), None, 1, RealizeBudget())
+    node = _Node(0, {}, [eq], [], set(), nparams, 0, ("root",))
+    return engine, engine._process(node)
+
+
+def test_exact_engine_enumerates_univariate_roots():
+    p0 = Poly.var(0)
+    engine, children = _engine_step(2 * p0 * p0 - 3 * p0 - 2)  # roots -1/2 and 2
+    assert [child.path for child in children] == [("root", "p0=-1/2"), ("root", "p0=2")]
+    assert all(child.solved == {0} and not child.queue for child in children)
+    assert not engine.dead and not engine.unknowns
+
+
+def test_exact_engine_closes_without_rational_roots():
+    p0 = Poly.var(0)
+    engine, outcome = _engine_step(p0 * p0 - 2)
+    assert outcome is None and not engine.unknowns
+    assert engine.dead == ["root > no roots in the field: p0^2 - 2 = 0"]
+
+
+def test_exact_engine_stuck_on_unfactorable_constant():
+    # The constant is past the rational root search's 10**12 factoring limit.
+    p0 = Poly.var(0)
+    engine, outcome = _engine_step(p0**3 - Poly.const(10**12 + 39))
+    assert outcome is None and not engine.dead
+    assert engine.unknowns == ["unsolvable constraint degree: p0^3 - 1000000000039"]
+
+
+def test_exact_engine_splits_on_a_common_monomial_factor():
+    p0, p1 = Poly.var(0), Poly.var(1)
+    engine, children = _engine_step(p0**3 + p0 * p1 * p1 - 2 * p0)
+    assert [child.path for child in children] == [("root", "p0=0"), ("root", "cofactor[0]")]
+    zero, cofactor = children
+    assert zero.solved == {0} and not zero.queue
+    assert not cofactor.solved and cofactor.queue == [p0 * p0 + p1 * p1 - 2]
+    assert not engine.dead and not engine.unknowns
+
+
+def test_hardened_square_root_proved_infeasible_over_q():
+    """x1^2 = 4 hardened at 8 bits: its compiled pattern is infeasible over Q
+    once the hardening is undone, and the proof both enumerates rational
+    roots and closes a branch whose quadratic has none."""
+    hard, _ = harden(parse_poly_system("x1^2 - 4"), seed=1, stand_in_bits=8)
+    verdict = realize_rank3(compile_system(hard, seed=1).pattern, field=None, seed=1)
+    assert isinstance(verdict, ProvedInfeasible)
+    assert any(re.search(r" > p\d+=-?\d", line) for line in verdict.trace)
+    assert any("no roots in the field" in line for line in verdict.trace)
 
 
 def test_fano_minus_point_realizable_over_q():
@@ -496,9 +549,16 @@ def test_bounds_diagonal():
 
 def test_bounds_negative_budget_raises():
     m = TropicalMatrix.identity(3)
-    for budgets in ({"rank_budget": -1}, {"barvinok_budget": -1}):
+    for budgets in ({"rank_budget": -1}, {"barvinok_budget": -1}, {"kmax": -1}):
         with pytest.raises(ValueError, match="negative"):
             kapranov_bounds(m, **budgets)
+
+
+def test_negative_realize_budget_raises():
+    for budget in ({"nodes": -1}, {"restarts": -1}):
+        with pytest.raises(ValueError, match="negative budget in RealizeBudget"):
+            RealizeBudget(**budget)
+    assert RealizeBudget(nodes=0, restarts=0) == RealizeBudget(0, 0)
 
 
 def test_bounds_fano_never_claims_three():

@@ -105,6 +105,13 @@ def test_harden_determinism():
     assert format_poly_system(a) != format_poly_system(c)
 
 
+def test_harden_negative_bits_raises():
+    sys = parse_poly_system("x1^2 - x1")
+    with pytest.raises(ValueError, match="negative stand-in bit size -2"):
+        harden(sys, seed=1, stand_in_bits=-2)
+    harden(sys, seed=1, stand_in_bits=0)  # constants of 1 still harden
+
+
 def test_harden_solution_round_trip():
     rng = random.Random(55)
     for _ in range(10):
