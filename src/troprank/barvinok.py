@@ -52,6 +52,11 @@ from .assignment import min_permutation
 from .tropical import INF, TropicalMatrix, min_plus_multiply
 
 
+# The covering budget kapranov_bounds and `troprank rank --kind barvinok` use
+# when none is given.
+DEFAULT_COVERING_BUDGET = 200_000
+
+
 @dataclass(frozen=True)
 class BarvinokFactorization:
     k: int
@@ -387,7 +392,9 @@ def barvinok_rank(m: TropicalMatrix, kmax: Optional[int] = None, budget: Optiona
     tested = 0
 
     if not finite_cells:
-        # All-inf matrix: the empty product at k = 1 works.
+        # All-inf matrix: the empty product at k = 1 works, unless kmax is 0.
+        if kmax == 0:
+            return BarvinokResult(None, None, True, False, 0)
         left = TropicalMatrix.constant(m.rows, 1, INF)
         right = TropicalMatrix.constant(1, m.cols, INF)
         fact = BarvinokFactorization(1, left, right)

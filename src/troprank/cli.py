@@ -17,7 +17,7 @@ import tempfile
 import time
 
 from . import __version__
-from .barvinok import barvinok_rank
+from .barvinok import DEFAULT_COVERING_BUDGET, barvinok_rank
 from .patterns import IncidencePattern, format_configuration, parse_field_tag
 from .plane import format_plane_sidecar, incidence_matrix, projective_plane
 from .rank import tropical_rank
@@ -144,9 +144,10 @@ def cmd_det(args) -> int:
 
 def cmd_rank(args) -> int:
     seed = _seed_of(args)
-    man = Manifest(
-        "rank", {"matrix": args.matrix}, seed, {"budget": args.budget, "kmax": args.kmax}
-    )
+    budget = args.budget
+    if args.kind == "barvinok" and budget is None:
+        budget = DEFAULT_COVERING_BUDGET
+    man = Manifest("rank", {"matrix": args.matrix}, seed, {"budget": budget, "kmax": args.kmax})
     m = parse_matrix(_read(args.matrix))
     prefix = _prefix(args, os.path.splitext(args.matrix)[0] + f".{args.kind}")
     if args.kind == "tropical":
@@ -168,7 +169,7 @@ def cmd_rank(args) -> int:
         _emit(args, man, prefix, f"tropical rank {res.rank} (certified {res.certified})")
         return 0 if res.certified else 3
     if args.kind == "barvinok":
-        res = barvinok_rank(m, kmax=args.kmax, budget=args.budget)
+        res = barvinok_rank(m, kmax=args.kmax, budget=budget)
         man.finish(
             rank=res.rank,
             exceeded_kmax=res.exceeded_kmax,

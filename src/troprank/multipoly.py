@@ -8,6 +8,12 @@ is substituted with the denominator-clearing substitution, which multiplies
 through by den^deg_x(P) and preserves vanishing as long as den is nonzero.
 Rationals appear only as values: the roots univariate_roots returns and the
 results of evaluate at rational points.
+
+A Poly is never changed after it is built, so an operation may return an
+operand: adding or subtracting zero, and multiplying or scaling by one,
+return it unchanged, and an int operand is read as a constant without
+building a Fraction.  primitive_triple also takes int entries, as constants:
+the exact realize engine keeps every constant coordinate as a plain int.
 """
 
 from __future__ import annotations
@@ -68,7 +74,8 @@ class Poly:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(m == () for m in self.terms)
+        terms = self.terms
+        return not terms or (len(terms) == 1 and () in terms)
 
     def constant_value(self):
         return self.terms.get((), 0)
@@ -90,12 +97,18 @@ class Poly:
 
     def _scale(self, k):
         """k * self for a nonzero int k (a unit mod p over GF(p))."""
+        if k == 1:
+            return self
         if self.field is None:
             return Poly(None, {m: c * k for m, c in self.terms.items()})
         return Poly(self.field, {m: c * k % self.field for m, c in self.terms.items()})
 
     def __add__(self, other):
         other = self._lift(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         out = dict(self.terms)
         for m, c in other.terms.items():
             out[m] = out.get(m, 0) + c
@@ -103,6 +116,10 @@ class Poly:
 
     def __sub__(self, other):
         other = self._lift(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return -other
         out = dict(self.terms)
         for m, c in other.terms.items():
             out[m] = out.get(m, 0) - c
@@ -112,6 +129,10 @@ class Poly:
         return self._scale(-1)
 
     def __mul__(self, other):
+        if type(other) is int:
+            if self.field is not None:
+                other %= self.field
+            return self._scale(other) if other and self.terms else Poly(self.field, {})
         other = self._lift(other)
         a, b = self.terms, other.terms
         if not a or not b:
@@ -128,10 +149,14 @@ class Poly:
         return self._make(out)
 
     def _lift(self, other) -> "Poly":
-        if isinstance(other, Poly):
+        if type(other) is Poly:
             if other.field != self.field:
                 raise ValueError("mixed coefficient fields")
             return other
+        if type(other) is int:
+            if self.field is not None:
+                other %= self.field
+            return Poly(self.field, {(): other} if other else {})
         return Poly.const(other, self.field)
 
     __radd__ = __add__
@@ -246,22 +271,34 @@ class Poly:
 
 
 def primitive_triple(coords, field=None):
-    """Scale a triple of Polys by one nonzero constant to a canonical form.
+    """Scale a triple by one nonzero constant to a canonical form.
 
+    Each entry is a Poly or an int; an int stands for the constant Poly of
+    that value (over GF(p) it must be a residue 0..p-1) and comes back an int.
     The lead coefficient is that of the first sorted monomial of the first
     nonzero entry.  Over Q the result has content 1 and a positive lead; over
     GF(p) the lead is 1.  An all-zero triple comes back unchanged.
     """
-    lead = next((p.terms[min(p.terms)] for p in coords if p.terms), None)
+    lead = None
+    for x in coords:
+        if type(x) is int:
+            if x:
+                lead = x
+                break
+        elif x.terms:
+            lead = x.terms[min(x.terms)]
+            break
     if lead is None:
         return coords
     if field is not None:
         inv = pow(lead, -1, field)
-        return tuple(p._scale(inv) for p in coords)
-    g = _content([c for p in coords for c in p.terms.values()], lead)
+        if inv == 1:
+            return tuple(coords)
+        return tuple(x * inv % field if type(x) is int else x._scale(inv) for x in coords)
+    g = _content([c for x in coords for c in ((x,) if type(x) is int else x.terms.values())], lead)
     if g == 1:
         return tuple(coords)
-    return tuple(Poly(None, {m: c // g for m, c in p.terms.items()}) for p in coords)
+    return tuple(x // g if type(x) is int else Poly(None, {m: c // g for m, c in x.terms.items()}) for x in coords)
 
 
 def univariate_roots(poly: Poly, v: int):

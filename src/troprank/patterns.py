@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -87,11 +88,25 @@ class Configuration:
     lines: tuple
 
 
+def integral_vector(v):
+    """(v times d, d) for d the lcm of the denominators of v's Fraction
+    entries: the same projective point, with ints where v held ints or
+    Fractions, so that dots and zero tests run on ints."""
+    d = math.lcm(*(x.denominator for x in v if type(x) is Fraction))
+    return tuple(x.numerator * (d // x.denominator) if type(x) is Fraction else x * d for x in v), d
+
+
 def check_realization_exact(pattern: IncidencePattern, points, lines, field=None) -> Optional[str]:
-    """None when the configuration realizes the pattern; else the first problem."""
+    """None when the configuration realizes the pattern; else the first problem.
+
+    Over Q each vector is checked as its integral_vector, which has the same
+    incidences and zero tests."""
     if len(points) != pattern.rows or len(lines) != pattern.cols:
         return "configuration size does not match pattern"
-    if field is not None:
+    if field is None:
+        points = [integral_vector(v)[0] for v in points]
+        lines = [integral_vector(v)[0] for v in lines]
+    else:
         for kind, vectors in (("point", points), ("line", lines)):
             for i, vec in enumerate(vectors):
                 if not all(isinstance(c, int) and 0 <= c < field for c in vec):

@@ -8,6 +8,16 @@ coefficients, complete root sets).  ProvedInfeasible is reported only when
 every branch closed with a contradiction; any stuck or budget-cut branch
 degrades the verdict to Unknown, never to a false negative.
 
+A node holds each value as an int when it is constant (over GF(p) a residue)
+and as a Poly only when it involves a parameter.  A placed element keeps its
+raw triple, which a leaf evaluates, and its primitive form, which later
+placements read, computed once per placement or substitution; an element
+with constant coordinates is an int triple, and dots, crosses, complement
+charts and gauge rungs of int triples compute on ints.  A non-incidence
+group that holds a nonzero constant can never vanish, so it is not stored:
+if a substitution multiplies that constant by a power of a pivot, the
+pivot's own "nonzero" group vanishes exactly when the product does.
+
 Every polynomial a node holds (queued equations, non-incidence groups,
 placed coordinates) is kept reduced: a substitution is applied to all of
 them once, when it is made, so none mentions an eliminated parameter.  A
@@ -38,7 +48,7 @@ from typing import Optional
 
 import numpy as np
 
-from .barvinok import barvinok_rank
+from .barvinok import DEFAULT_COVERING_BUDGET, barvinok_rank
 from .galois import is_prime
 from .multipoly import Poly, primitive_triple, univariate_roots
 from .patterns import (
@@ -135,12 +145,13 @@ def _element_order(pattern: IncidencePattern):
     return order, len(gauge)
 
 
-@dataclass
+@dataclass(slots=True)
 class _Node:
     next_elem: int
-    coords: dict
+    coords: list      # per placed position: (raw triple, primitive triple or None)
+    live: list        # positions whose raw triple holds a Poly
     queue: list
-    diseqs: list      # groups: tuple of Polys, "not all zero"
+    diseqs: list      # groups "not all zero", none holding a nonzero constant
     solved: set       # eliminated parameters; no held polynomial mentions one
     nparams: int
     gauge: object     # 0..4 rungs of the frame ladder, or None once stopped
@@ -160,6 +171,26 @@ _GAUGE_LADDER = (
 )
 
 
+def _held(x, field):
+    """x (an int or a Poly) as a node holds it: a constant as an int (over
+    GF(p) a residue), anything else as its Poly."""
+    if type(x) is int:
+        return x if field is None else x % field
+    return x.constant_value() if x.is_constant() else x
+
+
+def _constant_triple(triple):
+    return type(triple[0]) is type(triple[1]) is type(triple[2]) is int
+
+
+def _is_zero(x):
+    return type(x) is int and not x
+
+
+def _is_nonzero_constant(x):
+    return type(x) is int and x != 0
+
+
 class _ExactEngine:
     def __init__(self, pattern, field, seed, budget: RealizeBudget):
         self.pattern = pattern
@@ -167,47 +198,93 @@ class _ExactEngine:
         self.seed = seed
         self.budget = budget
         self.order, self.n_gauge = _element_order(pattern)
+        self.position = {elem: k for k, elem in enumerate(self.order)}
+        self.neighbours = {}  # position -> (partner positions, avoided positions)
         self.dead = []
         self.dead_count = 0
         self.unknowns = []
         self.nodes = 0
         self.leaves = 0
 
-    # ---- polynomial helpers -------------------------------------------------
-
-    def _c(self, x):
-        return Poly.const(x, self.field)
+    # ---- arithmetic on held values ------------------------------------------
 
     def _substitute(self, node, var, num, den):
-        """Eliminate var := num / den from every polynomial the node holds.
+        """Eliminate var := num / den (ints or Polys) from every polynomial the
+        node holds.
 
         Polynomials read together clear the denominator with one common
         power of den: each queued equation on its own, each non-incidence
-        group and each placed coordinate triple (a projective point).
+        group and each placed raw triple (a projective point).  Constants
+        are untouched unless read together with a polynomial in var.  A group
+        that comes to hold a nonzero constant can no longer vanish and is
+        dropped; a triple that changes forgets its primitive form.
         """
-        def clear(polys):
-            d = max(p.degree_in(var) for p in polys)
-            return tuple(p.subs_clear(var, num, den, d) for p in polys) if d else polys
+        field = self.field
+
+        def clear(vals):
+            d = max(0 if type(x) is int else x.degree_in(var) for x in vals)
+            if not d:
+                return vals
+            power = den**d
+            return tuple(
+                _held(x * power if type(x) is int else x.subs_clear(var, num, den, d), field) for x in vals
+            )
 
         node.queue = [clear((eq,))[0] for eq in node.queue]
-        node.diseqs = [clear(group) for group in node.diseqs]
-        node.coords = {elem: clear(triple) for elem, triple in node.coords.items()}
+        groups = []
+        for group in node.diseqs:
+            cleared = clear(group)
+            if cleared is group or not any(map(_is_nonzero_constant, cleared)):
+                groups.append(cleared)
+        node.diseqs = groups
+        live = []
+        for k in node.live:
+            raw = node.coords[k][0]
+            cleared = clear(raw)
+            if cleared is not raw:
+                node.coords[k] = (cleared, None)
+            if not _constant_triple(cleared):
+                live.append(k)
+        node.live = live
         node.solved.add(var)
 
     def _dot(self, u, x):
-        return u[0] * x[0] + u[1] * x[1] + u[2] * x[2]
+        return _held(u[0] * x[0] + u[1] * x[1] + u[2] * x[2], self.field)
 
     def _cross(self, u, v):
         return (
-            u[1] * v[2] - u[2] * v[1],
-            u[2] * v[0] - u[0] * v[2],
-            u[0] * v[1] - u[1] * v[0],
+            _held(u[1] * v[2] - u[2] * v[1], self.field),
+            _held(u[2] * v[0] - u[0] * v[2], self.field),
+            _held(u[0] * v[1] - u[1] * v[0], self.field),
         )
+
+    def _primitive(self, node, k):
+        """The primitive form of placed position k's triple, computed once per
+        placement or substitution."""
+        raw, prim = node.coords[k]
+        if prim is None:
+            prim = primitive_triple(raw, self.field)
+            node.coords[k] = (raw, prim)
+        return prim
+
+    def _neighbours(self, k):
+        """Positions before k of the other kind: (incident ones, the rest)."""
+        got = self.neighbours.get(k)
+        if got is None:
+            kind, idx = self.order[k]
+            bits = self.pattern.bits
+            incident = (bits[idx] if kind == "P" else bits[:, idx]).tolist()
+            partners, avoids = [], []
+            for j, (other, oidx) in enumerate(self.order[:k]):
+                if other != kind:
+                    (partners if incident[oidx] else avoids).append(j)
+            got = self.neighbours[k] = (partners, avoids)
+        return got
 
     # ---- search -------------------------------------------------------------
 
     def run(self):
-        root = _Node(0, {}, [], [], set(), 0, 0, ())
+        root = _Node(0, [], [], [], [], set(), 0, 0, ())
         stack = [root]
         while stack:
             node = stack.pop()
@@ -239,11 +316,16 @@ class _ExactEngine:
     def _process(self, node):
         """Returns Realized, None (branch closed/unknown), or a child list."""
         while node.queue:
-            eq = node.queue.pop(0).primitive()
-            if eq.is_zero():
-                continue
-            if eq.is_constant():
-                return self._close(node, f"contradiction: {eq.render()} = 0")
+            eq = node.queue.pop(0)
+            if type(eq) is not int:
+                eq = eq.primitive()
+                if eq.is_constant():
+                    eq = eq.constant_value()
+            if type(eq) is int:
+                if not eq:
+                    continue
+                # a nonzero constant's primitive form is 1
+                return self._close(node, "contradiction: 1 = 0")
             step = self._solve_equation(node, eq)
             if step == "dead-no-roots":
                 return self._close(node, f"no roots in the field: {eq.render()} = 0")
@@ -253,8 +335,9 @@ class _ExactEngine:
             if isinstance(step, list):
                 return step
             # step was a direct substitution; keep draining the queue
-        # eager prune on recorded non-incidences
-        if any(all(p.is_zero() for p in group) for group in node.diseqs):
+        # eager prune on recorded non-incidences: a group holds no nonzero
+        # constant, so one of ints only is all zero
+        if any(all(type(x) is int for x in group) for group in node.diseqs):
             return self._close(node, "required non-incidence vanishes identically")
         if node.next_elem < len(self.order):
             return self._place(node)
@@ -262,23 +345,26 @@ class _ExactEngine:
 
     def _solve_equation(self, node, eq):
         """Apply a substitution in place, return child specs, or classify."""
+        field = self.field
         variables = sorted(eq.variables())
         # 1) linear with a constant coefficient: substitute, no branching
         for v in variables:
             buckets = eq.coeffs_in(v)
             if max(buckets) == 1 and buckets[1].is_constant():
-                b = buckets.get(0, self._c(0))
-                self._substitute(node, v, -b, buckets[1])
+                b = buckets.get(0)
+                num = 0 if b is None else _held(-b, field)
+                self._substitute(node, v, num, buckets[1].constant_value())
                 return "sub"
         # 2) linear with a polynomial coefficient: two branches
         for v in variables:
             buckets = eq.coeffs_in(v)
             if max(buckets) == 1:
                 a = buckets[1]
-                b = buckets.get(0, self._c(0))
+                b = buckets.get(0)
+                b = 0 if b is None else _held(b, field)
                 child1 = self._clone(node, f"coeff[{a.render()}]!=0")
                 child1.diseqs.append((a,))
-                self._substitute(child1, v, -b, a)
+                self._substitute(child1, v, _held(-b, field), a)
                 child2 = self._clone(node, f"coeff[{a.render()}]=0")
                 child2.queue = [a, b] + child2.queue
                 return [child1, child2]
@@ -293,7 +379,7 @@ class _ExactEngine:
             children = []
             for r in roots:
                 child = self._clone(node, f"p{v}={r}")
-                self._substitute(child, v, self._c(r.numerator), self._c(r.denominator))
+                self._substitute(child, v, r.numerator, r.denominator)
                 children.append(child)
             return children
         # 4) common monomial factor: var = 0 or cofactor = 0
@@ -304,7 +390,7 @@ class _ExactEngine:
                 break
         if common is not None:
             child1 = self._clone(node, f"p{common}=0")
-            self._substitute(child1, common, self._c(0), self._c(1))
+            self._substitute(child1, common, 0, 1)
             cofactor = Poly(
                 eq.field,
                 {
@@ -321,7 +407,8 @@ class _ExactEngine:
     def _clone(self, node, label):
         return _Node(
             node.next_elem,
-            dict(node.coords),
+            list(node.coords),
+            list(node.live),
             list(node.queue),
             list(node.diseqs),
             set(node.solved),
@@ -336,37 +423,35 @@ class _ExactEngine:
         return v
 
     def _place(self, node):
-        elem = self.order[node.next_elem]
-        kind, idx = elem
-        partners = []
-        avoids = []
-        for other in self.order[: node.next_elem]:
-            if other[0] == kind:
-                continue
-            i, j = (idx, other[1]) if kind == "P" else (other[1], idx)
-            u = primitive_triple(node.coords[other], self.field)
-            if self.pattern.bits[i, j]:
-                partners.append(u)
-            else:
-                avoids.append((u, other))
+        k = node.next_elem
+        kind, idx = self.order[k]
+        partner_at, avoid_at = self._neighbours(k)
+        coords = node.coords
+        partners = [coords[j][1] or self._primitive(node, j) for j in partner_at]
+        avoids = [(coords[j][1] or self._primitive(node, j), j) for j in avoid_at]
         children = []
         name = f"{kind}{idx}"
 
-        def finish(child, coords, extra_eqs):
-            child.next_elem = node.next_elem + 1
-            child.coords[elem] = coords
+        def finish(child, coords, extra_eqs, prim=None):
+            child.next_elem = k + 1
+            child.coords.append((coords, prim))
+            if not _constant_triple(coords):
+                child.live.append(k)
             child.queue.extend(extra_eqs)
-            for u, other in avoids:
+            for u, j in avoids:
                 dot = self._dot(u, coords)
-                if dot.is_zero():
+                if type(dot) is not int:
+                    child.diseqs.append((dot,))
+                elif not dot:
+                    other = self.order[j]
                     self._close(child, f"{name} cannot avoid {other[0]}{other[1]}")
                     return
-                child.diseqs.append((dot,))
+                # a nonzero constant dot is a non-incidence for good
             children.append(child)
 
-        if node.next_elem < self.n_gauge and node.gauge is not None and node.gauge < 4:
-            for child, coords in self._gauge_rungs(node, name):
-                finish(child, coords, [])
+        if k < self.n_gauge and node.gauge is not None and node.gauge < 4:
+            for child, vector in self._gauge_rungs(node, name):
+                finish(child, vector, [], vector)
             return children if children else None
 
         if len(partners) == 0:
@@ -375,9 +460,9 @@ class _ExactEngine:
             for i, chart in enumerate("xyz"):
                 child = self._clone(node, f"{name}:{chart}")
                 coords = tuple(
-                    self._c(int(t == i)) if t <= i else Poly.var(self._fresh(child), self.field) for t in range(3)
+                    int(t == i) if t <= i else Poly.var(self._fresh(child), self.field) for t in range(3)
                 )
-                finish(child, coords, [])
+                finish(child, coords, [], coords)
         elif len(partners) == 1:
             for child, coords in self._complement_charts(node, name, partners[0]):
                 finish(child, coords, [])
@@ -385,12 +470,13 @@ class _ExactEngine:
             u1, u2 = partners[0], partners[1]
             extras = partners[2:]
             cross = primitive_triple(self._cross(u1, u2), self.field)
-            if not all(p.is_zero() for p in cross):
+            if not all(map(_is_zero, cross)):
                 child = self._clone(node, f"{name}:meet")
-                child.diseqs.append(cross)
-                finish(child, cross, [self._dot(u, cross) for u in extras])
+                if not any(map(_is_nonzero_constant, cross)):
+                    child.diseqs.append(cross)
+                finish(child, cross, [self._dot(u, cross) for u in extras], cross)
             childb = self._clone(node, f"{name}:parallel")
-            childb.queue = [p for p in cross if not p.is_zero()] + childb.queue
+            childb.queue = [p for p in cross if not _is_zero(p)] + childb.queue
             for cb, coords in self._complement_charts(childb, name, u1):
                 finish(cb, coords, [self._dot(u, coords) for u in [u2] + extras])
         return children if children else None
@@ -410,7 +496,7 @@ class _ExactEngine:
             label = f"e{vector.index(1) + 1}" if sum(vector) == 1 else str(vector).replace(" ", "")
             child = self._clone(node, f"{name}:g={label}")
             child.gauge = leaves_to
-            out.append((child, tuple(map(self._c, vector))))
+            out.append((child, vector))
         return out
 
     def _complement_charts(self, node, name, u):
@@ -420,32 +506,31 @@ class _ExactEngine:
         chart the orthogonal plane is spanned by v1, v2 and the new element is
         v1 + t*v2 or v2 (two cases, covering the projective line).
         """
+        field = self.field
         out = []
         for k in range(3):
-            if u[k].is_zero():
+            if _is_zero(u[k]):
                 continue
-            prefix_eqs = [u[m] for m in range(k) if not u[m].is_zero()]
-            if any(u[m].is_constant() and not u[m].is_zero() for m in range(k)):
+            if any(map(_is_nonzero_constant, u[:k])):
                 continue  # an earlier coordinate is a nonzero constant
-            others = [m for m in range(3) if m != k]
-            j1, j2 = others
-            v1 = [self._c(0)] * 3
+            prefix_eqs = [u[m] for m in range(k) if not _is_zero(u[m])]
+            j1, j2 = [m for m in range(3) if m != k]
+            v1 = [0, 0, 0]
             v1[j1] = u[k]
-            v1[k] = -u[j1]
-            v2 = [self._c(0)] * 3
+            v1[k] = _held(-u[j1], field)
+            v2 = [0, 0, 0]
             v2[j2] = u[k]
-            v2[k] = -u[j2]
-            v1, v2 = tuple(v1), tuple(v2)
+            v2[k] = _held(-u[j2], field)
             for tag in ("span", "edge"):
                 child = self._clone(node, f"{name}:perp{k}:{tag}")
                 child.queue = prefix_eqs + child.queue
-                child.diseqs.append((u[k],))
+                if not _is_nonzero_constant(u[k]):
+                    child.diseqs.append((u[k],))
                 if tag == "span":
-                    t = self._fresh(child)
-                    tv = Poly.var(t, self.field)
-                    coords = tuple(v1[m] + tv * v2[m] for m in range(3))
+                    tv = Poly.var(self._fresh(child), field)
+                    coords = tuple(v1[m] if _is_zero(v2[m]) else v1[m] + tv * v2[m] for m in range(3))
                 else:
-                    coords = v2
+                    coords = tuple(v2)
                 out.append((child, coords))
         return out
 
@@ -472,12 +557,13 @@ class _ExactEngine:
             return None
         else:
             assignments = (dict(zip(free, values)) for values in itertools.product(range(p), repeat=len(free)))
+        position = self.position
         for assignment in assignments:
-            if any(all(q.evaluate(assignment) == 0 for q in g) for g in node.diseqs):
+            if any(all(type(q) is int or q.evaluate(assignment) == 0 for q in g) for g in node.diseqs):
                 continue
-            vectors = {elem: tuple(q.evaluate(assignment) for q in triple) for elem, triple in node.coords.items()}
-            points = tuple(vectors["P", i] for i in range(self.pattern.rows))
-            lines = tuple(vectors["L", j] for j in range(self.pattern.cols))
+            vectors = [tuple(x if type(x) is int else x.evaluate(assignment) for x in raw) for raw, _ in node.coords]
+            points = tuple(vectors[position["P", i]] for i in range(self.pattern.rows))
+            lines = tuple(vectors[position["L", j]] for j in range(self.pattern.cols))
             if check_realization_exact(self.pattern, points, lines, field=p) is None:
                 if p is None:
                     points, lines = (tuple(tuple(map(Fraction, v)) for v in vs) for vs in (points, lines))
@@ -723,7 +809,7 @@ def kapranov_bounds(
     if not rk.certified:
         notes.append("tropical rank budget exhausted; lower bound is best-found")
     if barvinok_budget is None:
-        barvinok_budget = 200_000
+        barvinok_budget = DEFAULT_COVERING_BUDGET
     bar = barvinok_rank(m, kmax=kmax, budget=barvinok_budget)
     if bar.rank is not None:
         upper = bar.rank

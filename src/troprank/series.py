@@ -32,6 +32,7 @@ from .patterns import (
     IncidencePattern,
     check_realization_exact,
     field_tag,
+    integral_vector,
     parse_field_tag,
 )
 from .tropical import INF, TropicalMatrix, format_value, parse_fraction
@@ -274,26 +275,38 @@ def lift_from_configuration(
     Row vectors v_i + t*g_i and column vectors w_j + t*h_j with generic
     integer g, h redrawn until every incidence entry has valuation exactly 1;
     the result is accepted by verify_lift at rank 3 by construction.
+
+    Each vector is scaled by the lcm of its coordinates' denominators, so
+    every entry is computed on ints: entry (i, j) is (V_i.W_j + t*(e_j V_i.h_j
+    + d_i g_i.W_j) + t^2 d_i e_j g_i.h_j) / (d_i e_j) for V_i = d_i v_i and
+    W_j = e_j w_j, stored over the one denominator lcm(d) * lcm(e).
     """
     if config.field is not None:
         raise ValueError("lift construction needs an exact rational configuration")
-    problem = check_realization_exact(pattern, config.points, config.lines)
+    points = [integral_vector(v) for v in config.points]  # (V_i, d_i)
+    lines = [integral_vector(w) for w in config.lines]  # (W_j, e_j)
+    problem = check_realization_exact(pattern, [v for v, _ in points], [w for w, _ in lines])
     if problem is not None:
         raise ValueError(f"configuration does not realize the pattern: {problem}")
+    den_p, den_l = lcm(*(d for _, d in points)), lcm(*(e for _, e in lines))
     rng = random.Random(seed)
     for _ in range(_LIFT_RETRIES):
-        g = [tuple(Fraction(rng.randint(1, 99)) for _ in range(3)) for _ in config.points]
-        h = [tuple(Fraction(rng.randint(1, 99)) for _ in range(3)) for _ in config.lines]
-        if any(
-            _dot(config.points[i], h[j]) + _dot(g[i], config.lines[j]) == 0
-            for i, j in pattern.ones()
-        ):
+        g = [tuple(rng.randint(1, 99) for _ in range(3)) for _ in points]
+        h = [tuple(rng.randint(1, 99) for _ in range(3)) for _ in lines]
+        # the t^1 numerator of entry (i, j), over d_i e_j
+        first = [
+            [e * _dot(v, hj) + d * _dot(gi, w) for (w, e), hj in zip(lines, h)]
+            for (v, d), gi in zip(points, g)
+        ]
+        if any(first[i][j] == 0 for i, j in pattern.ones()):
             continue  # some incidence entry would lose its valuation-1 term
-        v, w = config.points, config.lines
-        lift = LiftMatrix.from_rows(
-            [{0: _dot(v[i], w[j]), 1: _dot(v[i], h[j]) + _dot(g[i], w[j]), 2: _dot(g[i], h[j])} for j in range(len(w))]
-            for i in range(len(v))
-        )
+        cells = []
+        for (v, d), gi, row in zip(points, g, first):
+            for (w, e), hj, c1 in zip(lines, h, row):
+                k = (den_p // d) * (den_l // e)
+                cell = ((0, k * _dot(v, w)), (1, k * c1), (2, k * d * e * _dot(gi, hj)))
+                cells.append(tuple(term for term in cell if term[1]))
+        lift = LiftMatrix(len(points), len(lines), None, cells, None, 1, den_p * den_l)
         verdict = verify_lift(pattern.to_tropical(), lift, 3)
         if not verdict.accepted:
             raise RuntimeError(f"constructed lift failed verification: {verdict.reason}")

@@ -63,6 +63,8 @@ def _scan_rank(m, kmax=None, budget=None):
     cost = m.cost
     cells = [(i, j) for i in range(m.rows) for j in range(m.cols) if cost[i][j] is not None]
     if not cells:
+        if kmax == 0:
+            return BarvinokResult(None, None, True, False, 0)
         fact = BarvinokFactorization(1, TropicalMatrix.constant(m.rows, 1, INF), TropicalMatrix.constant(1, m.cols, INF))
         return BarvinokResult(1, fact, False, False, 0)
     tested = 0
@@ -142,6 +144,16 @@ def test_all_inf_matrix():
     res = barvinok_rank(m)
     assert res.rank == 1
     assert min_plus_multiply(res.factorization.left, res.factorization.right) == m
+
+
+def test_all_inf_matrix_honours_kmax():
+    # kmax 0 leaves no room for the k = 1 empty product
+    m = TropicalMatrix.constant(2, 3, INF)
+    assert barvinok_rank(m, kmax=0) == _scan_rank(m, kmax=0) == BarvinokResult(None, None, True, False, 0)
+    for kmax in (1, 2, None):
+        res = barvinok_rank(m, kmax=kmax)
+        assert res == _scan_rank(m, kmax=kmax)
+        assert (res.rank, res.exceeded_kmax) == (1, False)
 
 
 def test_transpose_invariance():

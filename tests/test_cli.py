@@ -1,6 +1,7 @@
 import json
 
 from troprank import min_plus_multiply, parse_matrix
+from troprank.barvinok import DEFAULT_COVERING_BUDGET
 from troprank.cli import main
 
 
@@ -75,6 +76,28 @@ def test_rank_barvinok_budget_stop_exit_3(tmp_path, capsys):
     verdict = json.loads(out)["verdict"]
     assert verdict["rank"] is None
     assert verdict["budget_exhausted"] is True and verdict["coverings_tested"] == 5000
+
+
+def test_rank_barvinok_default_budget_stops_on_fano(tmp_path, capsys):
+    """Without --budget the factorization search stops at the default
+    covering budget (the one kapranov_bounds uses), which the manifest
+    records, and exits 3 on unit Fano."""
+    code, _, _ = run(
+        ["gen-plane", "--order", "2", "--weights", "unit", "--seed", "1",
+         "--out", str(tmp_path / "fano")],
+        capsys,
+    )
+    assert code == 0
+    code, out, _ = run(
+        ["--json", "rank", str(tmp_path / "fano.tropmat"), "--kind", "barvinok", "--seed", "1"],
+        capsys,
+    )
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["budgets"]["budget"] == DEFAULT_COVERING_BUDGET == 200_000
+    verdict = doc["verdict"]
+    assert verdict["rank"] is None and verdict["budget_exhausted"] is True
+    assert verdict["coverings_tested"] == DEFAULT_COVERING_BUDGET
 
 
 def test_rank_barvinok_factorization_files(tmp_path, capsys):

@@ -266,3 +266,64 @@ def test_univariate_roots_over_gf_p_enumerates_the_field():
     x = Poly.var(0, 5)
     assert univariate_roots(x * x - Poly.const(4, 5), 0) == [2, 3]
     assert as_coeff(5, Fraction(1, 2)) == 3
+
+
+def _reduced(terms, p):
+    """An oracle term dict as a Poly over Q (p None) or GF(p) holds it."""
+    if p is not None:
+        terms = {m: c % p for m, c in terms.items()}
+    return {m: c for m, c in terms.items() if c != 0}
+
+
+@pytest.mark.parametrize("p", [None, 2, 7])
+def test_zero_and_unit_fast_paths_match_the_general_path(p):
+    """+, -, * and _scale with a zero or unit operand (a Poly or an int) give
+    what term-by-term arithmetic gives, and never change an operand."""
+    rng, corpus = _corpus(n=120, seed=1307)
+    special = [{}, {(): 1}, {(): -1}]
+    ints = [0, 1, -1, 2, 5] + ([p, p + 1] if p else [])
+    for _ in range(300):
+        ta = rng.choice(corpus + special * 20)
+        tb = rng.choice(corpus + special * 20)
+        a, b = Poly(p, _reduced(ta, p)), Poly(p, _reduced(tb, p))
+        before = (dict(a.terms), dict(b.terms))
+        fa, fb = dict(a.terms), dict(b.terms)
+        neg_b = {m: -c for m, c in fb.items()}
+        assert (a + b).terms == _reduced(_f_add(fa, fb), p)
+        assert (a - b).terms == _reduced(_f_add(fa, neg_b), p)
+        assert (b - a).terms == _reduced(_f_add(fb, {m: -c for m, c in fa.items()}), p)
+        assert (a * b).terms == _reduced(_f_mul(fa, fb), p)
+        for k in ints:
+            fk = {(): k} if k else {}
+            assert (a + k).terms == (k + a).terms == _reduced(_f_add(fa, fk), p)
+            assert (a - k).terms == _reduced(_f_add(fa, {(): -k} if k else {}), p)
+            assert (k - a).terms == _reduced(_f_add(fk, {m: -c for m, c in fa.items()}), p)
+            assert (a * k).terms == (k * a).terms == _reduced(_f_mul(fa, fk), p)
+            if (k if p is None else k % p) != 0:
+                assert a._scale(k).terms == _reduced({m: c * k for m, c in fa.items()}, p)
+        for n in range(4):
+            assert (a**n).terms == _reduced(_f_pow(fa, n), p)
+        assert (a.terms, b.terms) == before
+
+
+@pytest.mark.parametrize("p", [None, 3, 5])
+def test_primitive_triple_reads_ints_as_constants(p):
+    """A triple with int entries normalizes as the triple of constant Polys
+    does, and its ints come back ints."""
+    rng, corpus = _corpus(n=120, seed=1308)
+    for _ in range(400):
+        triple = []
+        for _ in range(3):
+            if rng.random() < 0.5:
+                c = rng.choice([0, 0, 1, -1, 2, -6, 12, rng.randint(-10**6, 10**6)])
+                triple.append(c if p is None else c % p)
+            else:
+                triple.append(Poly(p, _reduced(rng.choice(corpus), p)))
+        polys = tuple(x if isinstance(x, Poly) else Poly.const(x, p) for x in triple)
+        got = primitive_triple(tuple(triple), p)
+        want = primitive_triple(polys, p)
+        for x, g, w in zip(triple, got, want):
+            if isinstance(x, Poly):
+                assert g == w
+            else:
+                assert type(g) is int and w.is_constant() and g == w.constant_value()

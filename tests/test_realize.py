@@ -24,7 +24,7 @@ from troprank import (
     realize_rank3,
     tropical_rank,
 )
-from troprank.multipoly import Poly
+from troprank.multipoly import Poly, primitive_triple
 from troprank.realize import _ExactEngine, _IncidenceLeastSquares, _Node
 from troprank.reduction import compile_system, harden, parse_poly_system
 
@@ -116,16 +116,138 @@ def test_exact_verdicts_pinned_on_random_corpus():
     assert digest == "e9017da720c5f835f3696c7445e703803041e56a7454fe8f27dba5f41ce7e189"
 
 
+# Compiled systems (unhardened, and hardened at 8 bits) at two node budgets,
+# then unit Fano and PG(2,3) over Q, GF(2) and GF(3).
+_GADGET_SYSTEMS = (
+    ("x1^2 - 4", (None, 8), (50, 2000)),
+    ("x1^2 - x1", (None,), (50, 2000)),
+    ("x1\nx1 - 1\nx1^2 - x1", (None, 8), (50, 2000)),
+    ("vars x1 x2\nx1*x2 - 2*x1 + 1", (None, 8), (50, 300)),
+)
+
+
+def test_exact_verdicts_pinned_on_gadget_patterns():
+    """Verdict texts on compiled gadget patterns and unit planes are pinned
+    byte for byte, like the random corpus: these hold far more placed
+    elements, substitutions and non-incidence groups per node."""
+    texts = []
+    for text, bit_sizes, budgets in _GADGET_SYSTEMS:
+        system = parse_poly_system(text)
+        for bits in bit_sizes:
+            target = system if bits is None else harden(system, seed=1, stand_in_bits=bits)[0]
+            pattern = compile_system(target, seed=1).pattern
+            for nodes in budgets:
+                v = realize_rank3(pattern, field=None, seed=1, budget=RealizeBudget(nodes=nodes))
+                texts.append(_verdict_text(v))
+    for q in (2, 3):
+        pattern = IncidencePattern.from_matrix(incidence_matrix(projective_plane(q), "unit"))
+        for field in (None, 2, 3):
+            texts.append(_verdict_text(realize_rank3(pattern, field=field, seed=1)))
+    digest = hashlib.sha256("\n--\n".join(texts).encode()).hexdigest()
+    assert digest == "ae35ea97d593ac51d30eb6a57992a8e0afa1a0fcebe2a557615d79dd90a9d84d"
+
+
+@pytest.mark.parametrize("field", [None, 2, 3, 7])
+def test_constant_triples_stay_ints(field, monkeypatch):
+    """Dots, crosses and primitive forms of constant triples are the ints the
+    Poly path gives, and build no Poly."""
+    engine = _ExactEngine(IncidencePattern.from_rows([[1]]), field, 1, RealizeBudget())
+    rng = random.Random(5150 + (field or 0))
+
+    def draw():
+        if field is not None:
+            return tuple(rng.randrange(field) for _ in range(3))
+        return tuple(rng.choice([0, 0, 1, -1, rng.randint(-9, 9), rng.randint(-10**9, 10**9)]) for _ in range(3))
+
+    def as_polys(t):
+        return tuple(Poly.const(x, field) for x in t)
+
+    def constant(p):
+        assert p.is_constant()
+        return p.constant_value()
+
+    cases = [(draw(), draw()) for _ in range(500)]
+    want = []
+    for u, x in cases:
+        pu, px = as_polys(u), as_polys(x)
+        dot = pu[0] * px[0] + pu[1] * px[1] + pu[2] * px[2]
+        cross = (pu[1] * px[2] - pu[2] * px[1], pu[2] * px[0] - pu[0] * px[2], pu[0] * px[1] - pu[1] * px[0])
+        want.append((constant(dot), tuple(map(constant, cross)), tuple(map(constant, primitive_triple(pu, field)))))
+    built = []
+    real_init = Poly.__init__
+
+    def counting_init(self, *args):
+        built.append(1)
+        real_init(self, *args)
+
+    monkeypatch.setattr(Poly, "__init__", counting_init)
+    got = [(engine._dot(u, x), engine._cross(u, x), primitive_triple(u, field)) for u, x in cases]
+    assert not built
+    assert got == want
+    assert all(type(c) is int for dot, cross, prim in got for c in (dot,) + cross + prim)
+
+
+@pytest.mark.parametrize("field", [None, 2, 3, 7])
+def test_mixed_triples_match_the_poly_path(field):
+    """Dots and crosses of triples mixing ints and Polys equal the all-Poly
+    results, with every constant result an int and every other one a Poly."""
+    engine = _ExactEngine(IncidencePattern.from_rows([[1]]), field, 1, RealizeBudget())
+    rng = random.Random(6160 + (field or 0))
+    params = [Poly.var(v, field) for v in range(3)]
+
+    def entry():
+        c = rng.choice([0, 1, -1, 2, rng.randint(-50, 50)])
+        c = c if field is None else c % field
+        if rng.random() < 0.5:
+            return c
+        x = rng.choice(params) * rng.choice([1, -1, 3]) + c
+        if rng.random() < 0.3:
+            x = x * rng.choice(params)
+        return x.constant_value() if x.is_constant() else x
+
+    def as_poly(x):
+        return x if isinstance(x, Poly) else Poly.const(x, field)
+
+    def held(p):
+        return p.constant_value() if p.is_constant() else p
+
+    for _ in range(600):
+        u, x = tuple(entry() for _ in range(3)), tuple(entry() for _ in range(3))
+        pu, px = tuple(map(as_poly, u)), tuple(map(as_poly, x))
+        dot = held(pu[0] * px[0] + pu[1] * px[1] + pu[2] * px[2])
+        cross = tuple(
+            held(a) for a in (pu[1] * px[2] - pu[2] * px[1], pu[2] * px[0] - pu[0] * px[2], pu[0] * px[1] - pu[1] * px[0])
+        )
+        got_dot, got_cross = engine._dot(u, x), engine._cross(u, x)
+        assert got_dot == dot and type(got_dot) is type(dot), (u, x)
+        assert got_cross == cross and tuple(map(type, got_cross)) == tuple(map(type, cross)), (u, x)
+
+
 def test_nodes_hold_only_reduced_polynomials(monkeypatch):
     """No polynomial a node holds mentions an eliminated parameter: not when
-    the node is processed, not after its own substitutions, not in a child."""
+    the node is processed, not after its own substitutions, not in a child.
+
+    Held values are ints or Polys.  Every Poly is checked; placed triples
+    and non-incidence groups hold no constant Poly, no group holds a nonzero
+    constant, a triple's primitive form is primitive_triple of its raw form,
+    and the live positions are exactly the triples holding a Poly."""
     checked = []
 
     def assert_reduced(node):
-        held = list(node.queue)
-        held += [q for group in node.diseqs for q in group]
-        held += [q for triple in node.coords.values() for q in triple]
+        held = [q for q in node.queue if isinstance(q, Poly)]
+        for group in node.diseqs:
+            assert not any(type(q) is int and q != 0 for q in group), (node.path, group)
+            held += group
+        for k, (raw, prim) in enumerate(node.coords):
+            assert (k in node.live) == any(isinstance(q, Poly) for q in raw), (node.path, k)
+            if prim is not None:
+                assert prim == primitive_triple(raw), (node.path, k)
+                held += prim
+            held += raw
         for q in held:
+            if type(q) is int:
+                continue
+            assert not q.is_constant(), (node.path, q.render())
             assert not (q.variables() & node.solved), (node.path, q.render(), node.solved)
         checked.append(bool(node.solved))
 
@@ -147,6 +269,9 @@ def test_nodes_hold_only_reduced_polynomials(monkeypatch):
         realize_rank3(p, field=None, seed=trial)
     for trial, p in enumerate(_random_patterns(random.Random(77), 50, 3, 7)):
         realize_rank3(p, field=None, seed=trial, budget=RealizeBudget(nodes=20_000))
+    # a compiled pattern, where substitutions turn groups into nonzero constants
+    hard, _ = harden(parse_poly_system("x1^2 - 4"), seed=1, stand_in_bits=8)
+    realize_rank3(compile_system(hard, seed=1).pattern, field=None, seed=1, budget=RealizeBudget(nodes=300))
     assert sum(checked) > 300  # nodes with eliminated parameters
 
 
@@ -154,7 +279,7 @@ def _engine_step(eq, nparams=2):
     """_ExactEngine._process on a fresh node whose queue holds only eq over Q,
     with parameters 0..nparams-1 free: (engine, outcome)."""
     engine = _ExactEngine(IncidencePattern.from_rows([[1]]), None, 1, RealizeBudget())
-    node = _Node(0, {}, [eq], [], set(), nparams, 0, ("root",))
+    node = _Node(0, [], [], [eq], [], set(), nparams, 0, ("root",))
     return engine, engine._process(node)
 
 
@@ -192,9 +317,12 @@ def test_exact_engine_splits_on_a_common_monomial_factor():
 
 
 def test_hardened_square_root_proved_infeasible_over_q():
-    """x1^2 = 4 hardened at 8 bits: its compiled pattern is infeasible over Q
-    once the hardening is undone, and the proof both enumerates rational
-    roots and closes a branch whose quadratic has none."""
+    """x1^2 = 4 hardened at 8 bits: the compiled pattern is infeasible over Q,
+    although x1 = +-2 solves the system.  The compiler decides each pattern
+    zero at witness points that lie off the solution set, so incidences that
+    hold only at a solution are compiled as non-incidences (see ROADMAP item
+    5).  The proof both enumerates rational roots and closes a branch whose
+    quadratic has none."""
     hard, _ = harden(parse_poly_system("x1^2 - 4"), seed=1, stand_in_bits=8)
     verdict = realize_rank3(compile_system(hard, seed=1).pattern, field=None, seed=1)
     assert isinstance(verdict, ProvedInfeasible)

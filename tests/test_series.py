@@ -16,7 +16,7 @@ from troprank import (
     verify_lift,
 )
 from troprank.multipoly import Poly, as_coeff
-from troprank.patterns import Configuration
+from troprank.patterns import Configuration, check_realization_exact
 from troprank.series import IndeterminateAtTruncation, SeriesRankResult, format_lift
 
 
@@ -273,6 +273,116 @@ def test_lift_from_configuration_rejects_bad_config():
     )
     with pytest.raises(ValueError):
         lift_from_configuration(pattern, cfg)
+
+
+def _fraction_lift(pattern, config, seed):
+    """The Fraction construction lift_from_configuration replaced: the same
+    draws, every entry a Fraction polynomial, then LiftMatrix.from_rows."""
+    def dot(u, v):
+        return sum(a * b for a, b in zip(u, v))
+
+    rng = random.Random(seed)
+    v, w = config.points, config.lines
+    while True:
+        g = [tuple(Fraction(rng.randint(1, 99)) for _ in range(3)) for _ in v]
+        h = [tuple(Fraction(rng.randint(1, 99)) for _ in range(3)) for _ in w]
+        if all(dot(v[i], h[j]) + dot(g[i], w[j]) != 0 for i, j in pattern.ones()):
+            return LiftMatrix.from_rows(
+                [{0: dot(v[i], w[j]), 1: dot(v[i], h[j]) + dot(g[i], w[j]), 2: dot(g[i], h[j])} for j in range(len(w))]
+                for i in range(len(v))
+            )
+
+
+def _rational_configuration(rng):
+    """Random rational points and lines, each line through two of the points
+    or free, with coordinates of mixed denominators; and their pattern."""
+    def q():
+        return Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3, 4, 6, 9]))
+
+    def vector():
+        while True:
+            t = tuple(q() for _ in range(3))
+            if any(t):
+                return t
+
+    points = [vector() for _ in range(rng.randint(2, 6))]
+    lines = []
+    for _ in range(rng.randint(2, 6)):
+        a, b = rng.sample(points, 2)
+        cross = (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+        if rng.random() < 0.7 and any(cross):
+            k = q() or Fraction(1, 7)
+            lines.append(tuple(k * x for x in cross))
+        else:
+            lines.append(vector())
+    bits = [[int(sum(x * y for x, y in zip(p, l)) == 0) for l in lines] for p in points]
+    return IncidencePattern.from_rows(bits), Configuration(None, tuple(points), tuple(lines))
+
+
+def test_integer_lift_matches_fraction_construction():
+    """On rational configurations with non-integral coordinates, the lift
+    built on scaled integer vectors equals the Fraction construction's, and
+    so formats to the same bytes."""
+    rng = random.Random(4242)
+    incidences = fractional = 0
+    for trial in range(150):
+        pattern, config = _rational_configuration(rng)
+        incidences += int(pattern.bits.sum())
+        lift = lift_from_configuration(pattern, config, seed=trial)
+        want = _fraction_lift(pattern, config, trial)
+        assert lift == want, trial
+        assert format_lift(lift) == format_lift(want)
+        assert (lift.scale, lift.den) == (want.scale, want.den)
+        fractional += want.den > 1
+    assert incidences > 150 and fractional > 50
+    # realized configurations, as the exact engine hands them over
+    for trial, p in enumerate(_random_patterns(random.Random(9), 60)):
+        v = realize_rank3(p, field=None, seed=trial)
+        if hasattr(v, "configuration"):
+            lift = lift_from_configuration(p, v.configuration, seed=trial)
+            assert format_lift(lift) == format_lift(_fraction_lift(p, v.configuration, trial))
+
+
+def _fraction_check(pattern, points, lines):
+    """check_realization_exact over Q in Fraction arithmetic, as it was."""
+    for kind, vectors in (("point", points), ("line", lines)):
+        for i, v in enumerate(vectors):
+            if all(c == 0 for c in v):
+                return f"{kind} {i} is the zero vector"
+    for i, row in enumerate(pattern.bits.tolist()):
+        for j, incident in enumerate(row):
+            z = sum(Fraction(a) * Fraction(b) for a, b in zip(points[i], lines[j])) == 0
+            if incident and not z:
+                return f"required incidence ({i},{j}) fails"
+            if not incident and z:
+                return f"required non-incidence ({i},{j}) vanishes"
+    return None
+
+
+def test_exact_check_on_integral_vectors_matches_fraction_check():
+    rng = random.Random(4343)
+    verdicts = set()
+    for _ in range(300):
+        pattern, config = _rational_configuration(rng)
+        points, lines = list(config.points), list(config.lines)
+        if rng.random() < 0.5:  # flip one entry, or zero one vector
+            i, j = rng.randrange(len(points)), rng.randrange(len(lines))
+            if rng.random() < 0.8:
+                bits = pattern.bits.copy()
+                bits[i, j] = not bits[i, j]
+                pattern = IncidencePattern(bits)
+            else:
+                points[i] = (Fraction(0),) * 3
+        got = check_realization_exact(pattern, points, lines)
+        assert got == _fraction_check(pattern, points, lines)
+        verdicts.add(got is None)
+    assert verdicts == {True, False}
+
+
+def _random_patterns(rng, count):
+    for _ in range(count):
+        r, c = rng.randint(2, 5), rng.randint(2, 5)
+        yield IncidencePattern.from_rows([[int(rng.random() < 0.4) for _ in range(c)] for _ in range(r)])
 
 
 def test_all_zero_pattern_constant_lift():
