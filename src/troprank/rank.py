@@ -39,8 +39,14 @@ the count is expanded along the last column into (k-1)-counts, and the
 class is read from the count (0 is WEIGHTED).  The class does not depend on
 the column order, so for k <= 4 a row set is skipped outright when no
 non-SINGULAR multiset of k codes fits in the codes of its columns.  That
-verdict depends only on the row set's code histogram capped at k, so it is
-computed once per distinct capped histogram and mapped back to the row sets.
+verdict depends only on the row set's code histogram capped at k, and the
+histogram is counted without codes: each zero row is packed into 64-column
+words once per call, F(S), the number of columns zero in every row of a
+subset S, is the popcount of the AND of S's words, and Moebius inversion
+over the subsets of the row set turns F into the histogram.  A row set's
+filter cost thus grows with the column count only in words of 64, and
+column codes are built only for the row sets the filter keeps.  A block of
+row sets gets one verdict per distinct capped histogram, mapped back.
 
 The classification streams row sets in witness order, resolving their
 WEIGHTED pairs with the weights in batches, and stops at the first row set
@@ -136,11 +142,23 @@ class _Budget:
 
 @dataclass(frozen=True)
 class _Views:
-    """The arrays a classified level reads, derived once per call."""
+    """The arrays a classified level reads, derived once per call; the
+    row-set filter's packed zero_words only when it first runs."""
 
     zero: np.ndarray              # True where the entry is exactly 0
     finite: np.ndarray            # True where the entry is finite
     dense: Optional[np.ndarray]   # int64 cost, inf as _DENSE_INF; None on overflow
+
+    @functools.cached_property
+    def zero_words(self) -> np.ndarray:
+        """(words, rows) uint64: bit t of word w of row i set when column
+        64*w + t is zero there, the last word padded with clear bits.  Packed
+        when the row-set filter first runs, so a call answered from the
+        classification cache does not pay for it."""
+        rows, cols = self.zero.shape
+        padded = np.zeros((rows, -(-cols // 64) * 64), dtype=bool)
+        padded[:, :cols] = self.zero
+        return np.ascontiguousarray(np.packbits(padded, axis=1).view(np.uint64).T)
 
 
 def _level_views(cost):
@@ -254,27 +272,75 @@ def _open_multisets(k: int):
     return masks, bits
 
 
-def _may_hold_open(codes: np.ndarray, k: int) -> np.ndarray:
-    """Per row set of a (row sets, cols) array of column codes: False when
-    every k of its columns form a SINGULAR block, which for k <= 4 is when no
-    non-SINGULAR multiset fits in the codes it holds.  True for k = 5.
+def _swar_popcount(words: np.ndarray) -> np.ndarray:
+    """Set bits of each uint64, as uint8 like np.bitwise_count: bit pairs,
+    then nibbles, then bytes summed."""
+    words = words - ((words >> np.uint64(1)) & np.uint64(0x5555555555555555))
+    words = (words & np.uint64(0x3333333333333333)) + ((words >> np.uint64(2)) & np.uint64(0x3333333333333333))
+    words = (words + (words >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
+    return ((words * np.uint64(0x0101010101010101)) >> np.uint64(56)).astype(np.uint8)
 
-    That depends only on the histogram of its codes capped at k, so each row
-    set gets one key (3 bits per code) and only the distinct keys are tested,
-    _FILTER_CHUNK at a time."""
+
+# numpy >= 2.0 counts bits natively; the numpy 1.24 floor has no bitwise_count.
+_popcount = getattr(np, "bitwise_count", _swar_popcount)
+
+
+def _code_histograms(views: _Views, rows: np.ndarray) -> np.ndarray:
+    """(2**k, row sets) histograms of the column codes of a (row sets, k)
+    array of row sets: entry c counts the columns whose code is c.
+
+    F(S), the number of columns zero in every row of S, is the popcount of
+    the AND of S's zero words.  The subsets holding row i as their highest
+    extend those below 2**i by one AND, so k ANDs build all 2**k.  F(S) sums
+    the histogram over the codes holding S, so Moebius inversion, one pass
+    of subtractions per row, gives the histogram.  Every partial sum counts
+    columns, so int16 holds it below 2**15 columns."""
+    k, cols = rows.shape[1], views.zero.shape[1]
+    gathered = views.zero_words.take(rows.T, axis=1)  # (words, k, row sets)
+    ands = np.empty((1 << k, len(gathered), len(rows)), dtype=np.uint64)
+    ands[0] = ~np.uint64(0)
+    for i in range(k):
+        np.bitwise_and(ands[:1 << i], gathered[:, i], out=ands[1 << i:2 << i])
+    hist = _popcount(ands).sum(axis=1, dtype=np.int16 if cols < 1 << 15 else np.int64)
+    hist[0] = cols
+    for i in range(k):
+        pairs = hist.reshape(1 << (k - 1 - i), 2, 1 << i, len(rows))
+        pairs[:, 0] -= pairs[:, 1]
+    return hist
+
+
+def _may_hold_open(views: _Views, rows: np.ndarray, k: int) -> np.ndarray:
+    """Per row set of a (row sets, k) array: False when every k columns form
+    a SINGULAR block with it, which for k <= 4 is when no non-SINGULAR
+    multiset fits in its column codes.  True for k = 5.
+
+    That depends only on the row set's code histogram capped at k, so each
+    row set gets one key, the capped histogram in base 8, and only the
+    distinct keys are tested, _FILTER_CHUNK at a time."""
     if k > 4:
-        return np.ones(len(codes), dtype=bool)
+        return np.ones(len(rows), dtype=bool)
+    # Counts capped at k <= 4 fit 3 bits, so 16 codes fit one int64 key.
+    # Pass i joins neighbouring digit groups of 3 * 2**i bits, so count c
+    # lands at bit 3c; groups wider than 12 bits no longer fit int16.
+    keys = np.minimum(_code_histograms(views, rows), k)
+    for i in range(k):
+        if i == 2:
+            keys = keys.astype(np.int64)
+        keys = keys[0::2] | keys[1::2] << (3 << i)
+    keys = keys[0]
+    # np.unique hashes on numpy >= 2.3, several times slower here than a sort.
+    ordered = np.sort(keys)
+    first = np.ones(len(ordered), dtype=bool)  # first of a run of equal keys
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    distinct = ordered[first]
     masks, bits = _open_multisets(k)
-    n = 1 << k
-    hist = np.bincount((codes + n * np.arange(len(codes))[:, None]).ravel(), minlength=n * len(codes))
-    hist = hist.reshape(-1, n)
-    # Counts capped at k <= 4 fit 3 bits: the key is the capped histogram in base 8.
-    keys, first, inverse = np.unique(np.minimum(hist, k) @ (8 ** np.arange(n)), return_index=True, return_inverse=True)
-    verdicts = np.empty(len(keys), dtype=bool)
-    for at in range(0, len(keys), _FILTER_CHUNK):
-        held = (bits * (hist[first[at:at + _FILTER_CHUNK], :, None] > np.arange(k))).sum(axis=(1, 2))
+    digits = 3 * np.arange(1 << k)
+    verdicts = np.empty(len(distinct), dtype=bool)
+    for at in range(0, len(distinct), _FILTER_CHUNK):
+        capped = (distinct[at:at + _FILTER_CHUNK, None] >> digits) & 7  # (keys, 2**k)
+        held = (bits * (capped[:, :, None] > np.arange(k))).sum(axis=(1, 2))
         verdicts[at:at + _FILTER_CHUNK] = ((masks & ~held[:, None]) == 0).any(axis=1)
-    return verdicts[inverse.ravel()]
+    return verdicts[np.searchsorted(distinct, keys)]
 
 
 def _block_keys(codes: np.ndarray) -> np.ndarray:
@@ -382,9 +448,10 @@ def _marked_row_sets(views: _Views, k, entry: _LevelEntry, room):
         return
     for rows in _witness_blocks(views.finite.sum(axis=1), k, entry.classified, room):
         first = entry.classified
-        codes = _column_codes(views.zero[rows])  # (rows, cols)
-        for at in np.nonzero(_may_hold_open(codes, k))[0].tolist():
-            weighted, one_col = _classify_row_set(codes[at], entry.col_combos)
+        kept = np.nonzero(_may_hold_open(views, rows, k))[0]
+        codes = _column_codes(views.zero[rows[kept]])  # (kept, cols)
+        for at, code in zip(kept.tolist(), codes):
+            weighted, one_col = _classify_row_set(code, entry.col_combos)
             entry.classified = first + at + 1
             if weighted.size or one_col is not None:
                 mark = _Mark(first + at, tuple(rows[at].tolist()), weighted, one_col)
@@ -534,7 +601,7 @@ def sample_level_singular(m: TropicalMatrix, k: int, samples: int, seed: int):
     # pass gives the sampler's answer; it runs when it visits no more row
     # sets than there are draws.
     if views is not None and k <= 4 and comb(m.rows, k) <= samples and not any(
-        _may_hold_open(_column_codes(views.zero[rows]), k).any() for rows in _combination_blocks(m.rows, k)
+        _may_hold_open(views, rows, k).any() for rows in _combination_blocks(m.rows, k)
     ):
         return True, None
     rng = np.random.default_rng(seed)

@@ -538,30 +538,98 @@ def _may_hold_open_reference(codes, k):
     return ((masks & ~held[:, None]) == 0).any(axis=1)
 
 
+def _zero_views(zero):
+    """_Views of a bool zero pattern, every entry finite."""
+    return rank_mod._Views(zero, np.ones_like(zero), None)
+
+
+def _disjoint_row_sets(blocks):
+    """A (B, k, cols) stack of zero blocks as one pattern's _Views and its B
+    row sets, row set b being rows b*k .. b*k + k - 1."""
+    count, k, cols = blocks.shape
+    return _zero_views(blocks.reshape(count * k, cols)), np.arange(count * k).reshape(count, k)
+
+
 def test_may_hold_open_matches_per_row_set_reference():
     """One verdict per distinct capped code histogram gives each row set the
     per-row-set verdict, also when a call holds more distinct keys than one
-    batch and repeats keys among row sets of both verdicts."""
+    batch and repeats keys among row sets of both verdicts.  Column counts
+    fall on and next to word boundaries, and blocks hold no row set, one,
+    one batch of keys, one more, and several batches."""
     rng = np.random.default_rng(79)
     for k in range(1, 5):
-        for cols, density in ((k, 0.5), (9, 0.3), (12, 0.7), (20, 0.9)):
-            if cols < k:
-                continue
-            codes = rank_mod._column_codes(rng.random((300, k, cols)) < density)
-            assert rank_mod._may_hold_open(codes, k).tolist() == _may_hold_open_reference(codes, k).tolist(), (k, cols)
+        for cols, density in ((k, 0.5), (9, 0.3), (12, 0.7), (20, 0.9), (1, 0.8), (63, 0.9), (64, 0.95),
+                              (65, 0.9), (128, 0.95), (129, 0.97), (200, 0.97)):
+            blocks = rng.random((300, k, cols)) < density
+            views, rows = _disjoint_row_sets(blocks)
+            expected = _may_hold_open_reference(rank_mod._column_codes(blocks), k).tolist()
+            for size in (0, 1, rank_mod._FILTER_CHUNK, rank_mod._FILTER_CHUNK + 1, 300):
+                assert rank_mod._may_hold_open(views, rows[:size], k).tolist() == expected[:size], (k, cols, size)
     # PG(2,3)'s level-4 row sets (all closed, few distinct keys) interleaved
     # with random 13-column row sets (mostly open, many distinct keys).
     zero = np.array([[c == 0 for c in row] for row in incidence_matrix(projective_plane(3), "unit").cost])
-    plane = rank_mod._column_codes(zero[np.array(list(itertools.combinations(range(13), 4)))])
-    noise = rank_mod._column_codes(rng.random((400, 4, 13)) < rng.uniform(0.5, 0.95, (400, 1, 1)))
-    codes = np.concatenate([plane, noise, plane[::-1]])[rng.permutation(2 * len(plane) + len(noise))]
+    noise = rng.random((400, 4, 13)) < rng.uniform(0.5, 0.95, (400, 1, 1))
+    views = _zero_views(np.concatenate([zero, noise.reshape(-1, 13)]))
+    plane = np.array(list(itertools.combinations(range(13), 4)))
+    rows = np.concatenate([plane, 13 + np.arange(1600).reshape(400, 4), plane[::-1]])
+    rows = rows[rng.permutation(len(rows))]
+    codes = rank_mod._column_codes(views.zero[rows])
     expected = _may_hold_open_reference(codes, 4)
-    got = rank_mod._may_hold_open(codes, 4)
+    got = rank_mod._may_hold_open(views, rows, 4)
     assert got.tolist() == expected.tolist()
     assert expected.any() and not expected.all()
     capped = np.minimum(np.stack([(codes == c).sum(axis=1) for c in range(16)], axis=1), 4)
     keys, counts = np.unique(capped, axis=0, return_counts=True)
     assert len(keys) > rank_mod._FILTER_CHUNK and counts.max() > 1
+
+
+def test_swar_popcount_matches_bit_count():
+    """The popcount used where numpy has no bitwise_count counts the set bits
+    of every uint64, 0 and 2**64 - 1 among them."""
+    rng = np.random.default_rng(83)
+    words = rng.integers(0, 1 << 64, size=2000, dtype=np.uint64)
+    words[:4] = [0, (1 << 64) - 1, 1 << 63, 1]
+    words[4:100] &= rng.integers(0, 1 << 64, size=96, dtype=np.uint64)  # sparser words
+    got = rank_mod._swar_popcount(words.reshape(40, 50))
+    assert got.shape == (40, 50) and got.dtype == np.uint8
+    assert got.ravel().tolist() == [int(w).bit_count() for w in words.tolist()]
+
+
+def test_row_set_filter_on_swar_popcount(monkeypatch):
+    """The row-set filter gives the reference verdicts with the popcount the
+    numpy 1.24 floor uses, whichever numpy runs the tests."""
+    monkeypatch.setattr(rank_mod, "_popcount", rank_mod._swar_popcount)
+    rng = np.random.default_rng(89)
+    for k in range(1, 5):
+        for cols in (1, 13, 64, 129, 200):
+            blocks = rng.random((200, k, cols)) < rng.uniform(0.6, 0.99, (200, 1, 1))
+            views, rows = _disjoint_row_sets(blocks)
+            codes = rank_mod._column_codes(blocks)
+            hist = np.stack([(codes == c).sum(axis=1) for c in range(1 << k)])
+            assert (rank_mod._code_histograms(views, rows) == hist).all(), (k, cols)
+            expected = _may_hold_open_reference(codes, k).tolist()
+            assert rank_mod._may_hold_open(views, rows, k).tolist() == expected, (k, cols)
+    m = incidence_matrix(projective_plane(4), "random", seed=2)
+    rank_mod._CLASSIFY_CACHE.clear()
+    res = tropical_rank(m)
+    assert (res.rank, res.refuted_level, res.weight_free) == (3, 4, True)
+
+
+def test_warm_call_packs_no_zero_words(monkeypatch):
+    """A call answered from the classification cache runs no row-set filter,
+    so it never packs the zero pattern into words."""
+    m = incidence_matrix(projective_plane(5), "random", seed=4)
+    rank_mod._CLASSIFY_CACHE.clear()
+    cold = tropical_rank(m)
+
+    def no_packing(self):
+        raise AssertionError("zero words packed")
+
+    monkeypatch.setattr(rank_mod._Views, "zero_words", property(no_packing))
+    assert tropical_rank(m) == cold
+    rank_mod._CLASSIFY_CACHE.clear()
+    with pytest.raises(AssertionError, match="zero words packed"):
+        tropical_rank(m)
 
 
 def test_row_set_filter_is_exact():
@@ -578,7 +646,7 @@ def test_row_set_filter_is_exact():
             rows = np.array(list(itertools.combinations(range(zero.shape[0]), k)))
             col_combos = np.array(list(itertools.combinations(range(zero.shape[1]), k)))
             codes = rank_mod._column_codes(zero[rows])
-            got = rank_mod._may_hold_open(codes, k)
+            got = rank_mod._may_hold_open(_zero_views(zero), rows, k)
             skipped[p, k] = int((~got).sum())
             if k < 5:
                 assert got.tolist() == [
@@ -657,15 +725,19 @@ def test_weight_free_refutation(monkeypatch):
     assert (res.rank, res.refuted_level, res.weight_free) == (1, 2, False)
 
 
-def test_weighted_pg27_certified():
-    """Weighted PG(2,7): rank 3, and level 4 (156 G pairs) refuted for every
-    positive weighting of the pattern, since the row-set filter skips every
-    level-4 row set."""
-    m = incidence_matrix(projective_plane(7), "random", seed=7)
+@pytest.mark.parametrize(
+    "q, pairs", [(7, 156_032_931_013), (8, 1_184_679_929_797), (9, 7_143_165_054_571)], ids=["7", "8", "9"]
+)
+def test_weighted_pg27_certified(q, pairs):
+    """Weighted PG(2,7), PG(2,8) and PG(2,9): rank 3, and level 4 (156 G,
+    1.18 T and 7.14 T pairs) refuted for every positive weighting of the
+    pattern, since the row-set filter skips every level-4 row set."""
+    m = incidence_matrix(projective_plane(q), "random", seed=7)
     rank_mod._CLASSIFY_CACHE.clear()
     res = tropical_rank(m)
+    rank_mod._CLASSIFY_CACHE.clear()
     assert (res.rank, res.certified, res.refuted_level, res.weight_free) == (3, True, 4, True)
-    assert res.pairs_examined > comb(57, 4) ** 2
+    assert res.pairs_examined == pairs > comb(q * q + q + 1, 4) ** 2
     assert is_nonsingular(m.submatrix(res.row_witness, res.col_witness))
 
 
@@ -829,8 +901,8 @@ def test_sample_level_singular_proof_pass(monkeypatch):
     assert pg3.cost[0][0] == 0
     opened = _with_entry(pg3, 0, 0, 500)
     one_open = opened.submatrix((0, 1, 2, 4), range(13))
-    codes = rank_mod._column_codes(np.array([[c == 0 for c in row] for row in one_open.cost])[None])
-    assert rank_mod._may_hold_open(codes, 4).tolist() == [True]
+    views = rank_mod._level_views(one_open.cost)
+    assert rank_mod._may_hold_open(views, np.array([[0, 1, 2, 3]]), 4).tolist() == [True]
     monkeypatch.setattr(rank_mod, "_BLOCK_SIZE", 5)
     for m in (one_open, opened):
         with pytest.raises(AssertionError, match="the sampler drew"):
