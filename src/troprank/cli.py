@@ -166,7 +166,10 @@ def cmd_rank(args) -> int:
                 f"rows {' '.join(map(str, res.row_witness))}\n"
                 f"cols {' '.join(map(str, res.col_witness))}\n",
             )
-        _emit(args, man, prefix, f"tropical rank {res.rank} (certified {res.certified})")
+        if res.certified and res.refuted_level is None and res.rank < min(m.rows, m.cols):
+            _emit(args, man, prefix, f"tropical rank at least {res.rank} (search capped by --kmax)")
+        else:
+            _emit(args, man, prefix, f"tropical rank {res.rank} (certified {res.certified})")
         return 0 if res.certified else 3
     if args.kind == "barvinok":
         res = barvinok_rank(m, kmax=args.kmax, budget=budget)

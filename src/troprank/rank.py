@@ -32,21 +32,26 @@ minimal support used by one permutation and k + 1 on every other nonzero
 cell makes that permutation the unique minimum.  No inf case is needed.
 
 A k x k zero block is held as k column codes (bit i of a column's code set
-when its row i is zero).  For k <= 4 the codes pack into one k*k-bit key
-that indexes a table of all 2**(k*k) blocks: the all-zero permutation counts
-are built at import, the classes from them on first use.  For k = 5 and 6
-the count is expanded along the last column into (k-1)-counts, and the
-class is read from the count (0 is WEIGHTED).  The class does not depend on
-the column order, so for k <= 4 a row set is skipped outright when no
-non-SINGULAR multiset of k codes fits in the codes of its columns.  That
-verdict depends only on the row set's code histogram capped at k, and the
-histogram is counted without codes: each zero row is packed into 64-column
-words once per call, F(S), the number of columns zero in every row of a
-subset S, is the popcount of the AND of S's words, and Moebius inversion
-over the subsets of the row set turns F into the histogram.  A row set's
-filter cost thus grows with the column count only in words of 64, and
-column codes are built only for the row sets the filter keeps.  A block of
-row sets gets one verdict per distinct capped histogram, mapped back.
+when its row i is zero).  Permuting a block's columns permutes its
+permutations, so its all-zero permutation count and its class depend only on
+the multiset of its codes.  For k <= 4 a multiset is keyed by its code
+histogram, one nibble per code: sum_t 1 << 4*code_t, a uint64 at k = 4.  One
+table per k, built on first use, holds the keys of all C(2**k + k - 1, k)
+multisets (3,876 at k = 4) in ascending order with their counts and classes,
+and a block is found in it by binary search on its key.  For k = 5 and 6 the
+count is expanded along the last column into (k-1)-counts, and the class is
+read from the count (0 is WEIGHTED).  For k <= 4 a row set is skipped
+outright when no non-SINGULAR multiset of k codes fits in the codes of its
+columns.  That verdict depends only on the row set's code histogram capped
+at k, itself a multiset key, against which every non-SINGULAR key is tested
+by one guarded subtraction.  The histogram is counted without codes: each
+zero row is packed into 64-column words once per call, F(S), the number of
+columns zero in every row of a subset S, is the popcount of the AND of S's
+words, and Moebius inversion over the subsets of the row set turns F into
+the histogram.  A row set's filter cost thus grows with the column count
+only in words of 64, and column codes are built only for the row sets the
+filter keeps.  A block of row sets gets one verdict per distinct capped
+histogram, mapped back.
 
 The classification streams row sets in witness order, resolving their
 WEIGHTED pairs with the weights in batches, and stops at the first row set
@@ -91,8 +96,8 @@ _CLASSIFY_MAX_K = 5
 _DENSE_INF = 2**60
 _UNSET = object()  # tropical_rank's views before the first classified level
 
-# Permutations of the classified levels: they build the count and class
-# tables (k <= 4) and _PERM_CELLS, which sums the weighted pairs' costs.
+# Permutations of the classified levels: they build the _Multisets tables
+# (k <= 4) and _PERM_CELLS, which sums the weighted pairs' costs.
 _PERMS = {k: tuple(itertools.permutations(range(k))) for k in range(1, _CLASSIFY_MAX_K + 1)}
 # (k!, k) flat cells i * k + perm[i] of each permutation in a k x k block.
 _PERM_CELLS = {k: np.array([[i * k + c for i, c in enumerate(p)] for p in perms]) for k, perms in _PERMS.items()}
@@ -101,20 +106,24 @@ _COUNT_MAX_K = 6
 # Block classes, ordered so that min(all-zero permutation count, 2) is the
 # class of every block but the WEIGHTED-by-count ones the rule makes SINGULAR.
 _WEIGHTED, _NONSINGULAR, _SINGULAR = 0, 1, 2
+# Bit 3 of every nibble: the guard bits of _may_hold_open's fit test.
+_GUARDS = np.uint64(0x8888888888888888)
 
 
 @dataclass(frozen=True)
 class RankResult:
     """Outcome of the level search.
 
-    ``certified`` is True when the reported rank is exact: either the next
-    level was exhaustively refuted (``refuted_level = rank + 1``) or the
-    search cap was reached by a witness.  A budget stop leaves the best
-    witness found with ``certified = False``.  ``weight_free`` is True when
-    the refuted level was classified without weights (every pair SINGULAR),
-    so the refutation holds for every positive weighting of the zero
-    pattern; False says only that this was not shown (a level small enough
-    for the pair-by-pair scan is never classified).
+    ``certified`` is True when no budget stopped the search.  Then either
+    the next level was exhaustively refuted (``refuted_level = rank + 1``)
+    and the rank is exact, or a witness reached the search cap
+    (``refuted_level = None``), which certifies rank >= the cap: exact only
+    when the cap is min(rows, cols).  A budget stop leaves the best witness
+    found with ``certified = False``.  ``weight_free`` is True when the
+    refuted level was classified without weights (every pair SINGULAR), so
+    the refutation holds for every positive weighting of the zero pattern;
+    False says only that this was not shown (a level small enough for the
+    pair-by-pair scan is never classified).
     """
 
     rank: int
@@ -212,64 +221,52 @@ def _column_codes(zero: np.ndarray) -> np.ndarray:
     return codes
 
 
-def _count_table(k: int) -> np.ndarray:
-    """All-zero permutations of every k x k block, indexed by its key
-    sum_t codes[t] << (k*t), whose bit k*t + i is row i, column t."""
-    keys = np.arange(1 << (k * k))
-    counts = np.zeros(keys.size, dtype=np.uint8)  # at most 4! = 24
-    for perm in _PERMS[k]:
-        mask = sum(1 << (k * perm[i] + i) for i in range(k))
-        counts += (keys & mask) == mask
-    return counts
+class _Multisets(NamedTuple):
+    """Every multiset of k <= 4 column codes, C(2**k + k - 1, k) of them, in
+    ascending key order, with the all-zero permutation count and the class of
+    the blocks whose columns have those codes."""
+
+    keys: np.ndarray      # uint64, strictly ascending
+    counts: np.ndarray    # uint8, at most 4! = 24
+    classes: np.ndarray   # uint8
 
 
-_COUNT_TABLES = {k: _count_table(k) for k in range(1, 5)}
+def _multiset_keys(codes: np.ndarray) -> np.ndarray:
+    """uint64 keys of the column multisets of a (pairs, k) uint8 array of
+    column codes, k <= 4: sum_t 1 << 4*codes[:, t], the count of code c in
+    nibble c."""
+    return np.left_shift(np.uint64(1), 4 * codes, dtype=np.uint64).sum(axis=1)
 
 
 @functools.cache
-def _class_table(k: int) -> np.ndarray:
-    """Class of every k x k block, k <= 4, keyed like _COUNT_TABLES[k].
-    Only blocks with no all-zero permutation need the support rule, and
-    since a block's class does not depend on its column order, only one
-    per column multiset: the one whose codes are sorted."""
-    counts = _COUNT_TABLES[k]
-    codes = [(np.arange(counts.size, dtype=np.uint16) >> (k * t)) & ((1 << k) - 1) for t in range(k)]
-    for last in range(k - 1, 0, -1):  # bubble sort, all keys at once
-        for t in range(last):
-            codes[t], codes[t + 1] = np.minimum(codes[t], codes[t + 1]), np.maximum(codes[t], codes[t + 1])
-    sorted_key = sum(code << (k * t) for t, code in enumerate(codes))
-    todo = np.zeros(counts.size, dtype=bool)
-    todo[sorted_key[counts == 0]] = True
-    keys = np.nonzero(todo)[0].astype(np.uint16)
+def _multisets(k: int) -> _Multisets:
+    """The _Multisets table of k <= 4, built on first use.  Only multisets
+    with no all-zero permutation need the support rule."""
+    codes = np.array(list(itertools.combinations_with_replacement(range(1 << k), k)), dtype=np.uint8)
+    keys = _multiset_keys(codes)
+    order = np.argsort(keys)
+    keys, codes = keys[order], codes[order]
+    blocks = sum(codes[:, t].astype(np.uint16) << (k * t) for t in range(k))  # bit k*t + i: row i, column t
     masks = np.array([sum(1 << (k * perm[i] + i) for i in range(k)) for perm in _PERMS[k]], dtype=np.uint16)
-    support = masks & ~keys[:, None]  # (keys, perms): nonzero cells each permutation uses
+    counts = np.count_nonzero((blocks[:, None] & masks) == masks, axis=1).astype(np.uint8)
+    todo = np.nonzero(counts == 0)[0]
+    support = masks & ~blocks[todo, None]  # (todo, perms): nonzero cells each permutation uses
     # A support that holds no other permutation's support is minimal and used
     # once: its permutation can be made the unique minimum.
-    separating = np.zeros(keys.size, dtype=bool)
+    separating = np.zeros(todo.size, dtype=bool)
     for p in range(masks.size):
         separating |= np.count_nonzero((support & ~support[:, p, None]) == 0, axis=1) == 1
-    singular = np.zeros(counts.size, dtype=bool)
-    singular[keys[~separating]] = True
-    classes = np.where(singular[sorted_key], _SINGULAR, np.minimum(counts, _SINGULAR)).astype(np.uint8)
-    classes.flags.writeable = False  # shared by every caller
-    return classes
+    classes = np.minimum(counts, _SINGULAR)
+    classes[todo[~separating]] = _SINGULAR
+    for array in (keys, counts, classes):
+        array.flags.writeable = False  # shared by every caller
+    return _Multisets(keys, counts, classes)
 
 
-@functools.cache
-def _open_multisets(k: int):
-    """(masks, bits) for k <= 4.  A block's class does not depend on its
-    column order, so it is one of a multiset of k column codes.  masks has
-    one uint64 per multiset whose blocks are not SINGULAR, with bit
-    16*j + c set when code c occurs more than j times; bits[c, j] is that bit."""
-    bits = np.uint64(1) << (16 * np.arange(k) + np.arange(1 << k)[:, None]).astype(np.uint64)
-    codes = np.array(list(itertools.combinations_with_replacement(range(1 << k), k)), dtype=np.uint8)
-    codes = codes[_block_classes(codes) != _SINGULAR]  # each row sorted
-    seen = np.zeros(codes.shape, dtype=np.intp)  # earlier copies of the same code
-    for t in range(1, k):
-        seen[:, t] = np.where(codes[:, t] == codes[:, t - 1], seen[:, t - 1] + 1, 0)
-    masks = bits[codes, seen].sum(axis=1)
-    masks.flags.writeable = bits.flags.writeable = False  # shared by every caller
-    return masks, bits
+def _multiset_rows(codes: np.ndarray) -> np.ndarray:
+    """Each pair's row in _multisets(k) of a (pairs, k) uint8 array of column
+    codes, k <= 4."""
+    return np.searchsorted(_multisets(codes.shape[1]).keys, _multiset_keys(codes))
 
 
 def _swar_popcount(words: np.ndarray) -> np.ndarray:
@@ -315,41 +312,34 @@ def _may_hold_open(views: _Views, rows: np.ndarray, k: int) -> np.ndarray:
     multiset fits in its column codes.  True for k = 5.
 
     That depends only on the row set's code histogram capped at k, so each
-    row set gets one key, the capped histogram in base 8, and only the
-    distinct keys are tested, _FILTER_CHUNK at a time."""
+    row set gets one key, the capped histogram as a multiset key, and only
+    the distinct keys are tested, _FILTER_CHUNK at a time."""
     if k > 4:
         return np.ones(len(rows), dtype=bool)
-    # Counts capped at k <= 4 fit 3 bits, so 16 codes fit one int64 key.
-    # Pass i joins neighbouring digit groups of 3 * 2**i bits, so count c
-    # lands at bit 3c; groups wider than 12 bits no longer fit int16.
+    # Pass i joins neighbouring nibble groups of 4 * 2**i bits, so code c's
+    # count lands in nibble c; groups of 32 bits no longer fit int16.
     keys = np.minimum(_code_histograms(views, rows), k)
     for i in range(k):
         if i == 2:
-            keys = keys.astype(np.int64)
-        keys = keys[0::2] | keys[1::2] << (3 << i)
-    keys = keys[0]
+            keys = keys.astype(np.uint64)
+        keys = keys[0::2] | keys[1::2] << (4 << i)
+    keys = keys[0].astype(np.uint64, copy=False)
     # np.unique hashes on numpy >= 2.3, several times slower here than a sort.
     ordered = np.sort(keys)
     first = np.ones(len(ordered), dtype=bool)  # first of a run of equal keys
     np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
     distinct = ordered[first]
-    masks, bits = _open_multisets(k)
-    digits = 3 * np.arange(1 << k)
+    table = _multisets(k)
+    open_keys = table.keys[table.classes != _SINGULAR]
+    # Counts of at most k <= 4 stay below each nibble's guard bit 3, so
+    # (held | guards) - multiset borrows across no nibble, and nibble c keeps
+    # its guard bit iff code c is held at least as often as the multiset
+    # needs it: the multiset fits iff every guard bit survives.
     verdicts = np.empty(len(distinct), dtype=bool)
     for at in range(0, len(distinct), _FILTER_CHUNK):
-        capped = (distinct[at:at + _FILTER_CHUNK, None] >> digits) & 7  # (keys, 2**k)
-        held = (bits * (capped[:, :, None] > np.arange(k))).sum(axis=(1, 2))
-        verdicts[at:at + _FILTER_CHUNK] = ((masks & ~held[:, None]) == 0).any(axis=1)
+        slack = (distinct[at:at + _FILTER_CHUNK, None] | _GUARDS) - open_keys  # (keys, open multisets)
+        verdicts[at:at + _FILTER_CHUNK] = (np.bitwise_and(slack, _GUARDS, out=slack) == _GUARDS).any(axis=1)
     return verdicts[np.searchsorted(distinct, keys)]
-
-
-def _block_keys(codes: np.ndarray) -> np.ndarray:
-    """Table keys of a (pairs, k) uint8 array of column codes, k <= 4."""
-    k = codes.shape[1]
-    key = codes[:, 0].astype(np.uint16)  # k*k <= 16 bits
-    for t in range(1, k):
-        key |= codes[:, t].astype(np.uint16) << (k * t)
-    return key
 
 
 def _zero_perm_counts(codes: np.ndarray) -> np.ndarray:
@@ -357,7 +347,7 @@ def _zero_perm_counts(codes: np.ndarray) -> np.ndarray:
     codes, k <= _COUNT_MAX_K.  The counts do not wrap (6! = 720)."""
     k = codes.shape[1]
     if k <= 4:
-        return _COUNT_TABLES[k].take(_block_keys(codes))
+        return _multisets(k).counts.take(_multiset_rows(codes))
     # Expand along the last column: row i's zero there times the count of
     # the other columns with row i removed.
     rest = codes[:, :-1]
@@ -371,7 +361,7 @@ def _zero_perm_counts(codes: np.ndarray) -> np.ndarray:
 def _block_classes(codes: np.ndarray) -> np.ndarray:
     """Class per pair of a (pairs, k) uint8 array of column codes, k <= _COUNT_MAX_K."""
     if codes.shape[1] <= 4:
-        return _class_table(codes.shape[1]).take(_block_keys(codes))
+        return _multisets(codes.shape[1]).classes.take(_multiset_rows(codes))
     return np.minimum(_zero_perm_counts(codes), _SINGULAR)
 
 
@@ -383,8 +373,10 @@ _CLASSIFY_CACHE: dict = {}
 _CLASSIFY_CACHE_SIZE = 8
 # Most WEIGHTED pairs gathered before they are resolved with weights.
 _RESOLVE_CHUNK = 1 << 14
-# Most distinct row-set keys _may_hold_open tests at once.
-_FILTER_CHUNK = 64
+# Most distinct row-set keys _may_hold_open tests at once.  At k = 4 that
+# is a (32, 2,116) uint64 temporary; at 64 keys (1.1 MB) the test took about
+# 2.5 times as long per key.
+_FILTER_CHUNK = 32
 # Most k-subsets in one _combination_blocks block: the row sets filtered at
 # once by the classified walk and the sampler's proof pass.
 _BLOCK_SIZE = 4096
@@ -674,7 +666,7 @@ def _drawn_codes(zero: np.ndarray, rc: np.ndarray, cc: np.ndarray) -> np.ndarray
 
 def _sort_rows(draws: np.ndarray) -> np.ndarray:
     """Sort each row of a (B, k) array in place: a bubble network of
-    compare-exchanges on its column views, as _class_table sorts its keys."""
+    compare-exchanges on its column views."""
     cols = [draws[:, t] for t in range(draws.shape[1])]
     low = np.empty(len(draws), dtype=draws.dtype)
     for last in range(len(cols) - 1, 0, -1):

@@ -144,6 +144,27 @@ def test_rank_negative_budget_exit_1(tmp_path, capsys):
         assert err.startswith("error: ") and "negative" in err, kind
 
 
+def test_rank_tropical_kmax_cap_is_a_lower_bound(tmp_path, capsys):
+    """A witness at --kmax below min(rows, cols) shows only rank >= kmax:
+    Fano's tropical rank is 3, so --kmax 2 and 3 print lower bounds.  A cap
+    the search would not reach, or one at the matrix size, prints the rank."""
+    code, _, _ = run(
+        ["gen-plane", "--order", "2", "--weights", "unit", "--seed", "1", "--out", str(tmp_path / "fano")],
+        capsys,
+    )
+    assert code == 0
+    fano = str(tmp_path / "fano.tropmat")
+    for kmax in (2, 3):
+        code, out, _ = run(["rank", fano, "--kind", "tropical", "--kmax", str(kmax), "--seed", "1"], capsys)
+        assert code == 0
+        assert out.splitlines()[0] == f"tropical rank at least {kmax} (search capped by --kmax)"
+    code, out, _ = run(["rank", fano, "--kind", "tropical", "--kmax", "4", "--seed", "1"], capsys)
+    assert code == 0 and out.splitlines()[0] == "tropical rank 3 (certified True)"
+    f = write(tmp_path, "m.tropmat", "tropmat 2 2\n0 inf\ninf 0\n")
+    code, out, _ = run(["rank", f, "--kind", "tropical", "--kmax", "2", "--seed", "1"], capsys)
+    assert code == 0 and out.splitlines()[0] == "tropical rank 2 (certified True)"
+
+
 def test_rank_negative_kmax_exit_1(tmp_path, capsys):
     # A rank-2 matrix: not "tropical rank 0 (certified True)" and not "exceeds kmax -1".
     f = write(tmp_path, "m.tropmat", "tropmat 2 2\n0 1\n1 0\n")

@@ -520,22 +520,44 @@ def test_class_table_matches_minimal_support_rule():
     for blocks in samples:
         got = rank_mod._block_classes(rank_mod._column_codes(blocks))
         assert got.tolist() == [_minimal_support_class(b.tolist()) for b in blocks]
-    # The k = 4 table splits the 65,536 zero patterns like this.
-    assert np.bincount(rank_mod._class_table(4)).tolist() == [24701, 13032, 27803]
+    # The 65,536 zero patterns of k = 4 split like this.
+    classes = rank_mod._block_classes(rank_mod._column_codes(_all_blocks(4)))
+    assert np.bincount(classes).tolist() == [24701, 13032, 27803]
     blocks = rng.random((150, 5, 5)) < rng.uniform(0.3, 0.9, (150, 1, 1))
     for block, got in zip(blocks, rank_mod._block_classes(rank_mod._column_codes(blocks))):
         if got != rank_mod._WEIGHTED:
             assert got == _minimal_support_class(block.tolist())
 
 
+def test_multiset_tables():
+    """One row per multiset of k column codes, keys strictly ascending, and
+    each row's count and class those of the block whose columns have the
+    multiset's codes: the AND-over-permutations count and the class by
+    definition."""
+    for k, size, not_singular in ((1, 2, 2), (2, 10, 9), (3, 120, 90), (4, 3876, 2116)):
+        table = rank_mod._multisets(k)
+        assert len(table.keys) == len(table.counts) == len(table.classes) == size
+        assert table.keys.dtype == np.uint64 and (table.keys[1:] > table.keys[:-1]).all()
+        assert np.count_nonzero(table.classes != rank_mod._SINGULAR) == not_singular
+        # Nibble c of a key counts code c.
+        shifts = 4 * np.arange(1 << k, dtype=np.uint64)
+        nibbles = ((table.keys[:, None] >> shifts) & np.uint64(15)).astype(np.intp)
+        codes = np.array([np.repeat(np.arange(1 << k), n) for n in nibbles], dtype=np.uint8)
+        blocks = ((codes[:, None, :] >> np.arange(k)[:, None]) & 1).astype(bool)  # row i, column t
+        assert (rank_mod._column_codes(blocks) == codes).all()
+        assert (table.counts == _and_over_permutations(blocks)).all()
+        assert table.classes.tolist() == [_minimal_support_class(b) for b in blocks.tolist()]
+
+
 def _may_hold_open_reference(codes, k):
-    """The row-set filter as one held mask per row set, each tested against
-    every open multiset: (row sets, open multisets) at once."""
-    masks, bits = rank_mod._open_multisets(k)
-    n = 1 << k
-    hist = np.bincount((codes + n * np.arange(len(codes))[:, None]).ravel(), minlength=n * len(codes))
-    held = (bits * (hist.reshape(-1, n, 1) > np.arange(k))).sum(axis=(1, 2))
-    return ((masks & ~held[:, None]) == 0).any(axis=1)
+    """The row-set filter by definition, for a (row sets, cols) array of
+    column codes: a row set is kept when some multiset of k codes that
+    _block_classes does not call SINGULAR needs no code more often than the
+    row set's columns hold it."""
+    multisets = np.array(list(itertools.combinations_with_replacement(range(1 << k), k)), dtype=np.uint8)
+    needed = np.array([np.bincount(m, minlength=1 << k) for m in multisets])
+    needed = needed[rank_mod._block_classes(multisets) != rank_mod._SINGULAR]
+    return np.array([(needed <= np.bincount(c, minlength=1 << k)).all(axis=1).any() for c in codes], dtype=bool)
 
 
 def _zero_views(zero):
