@@ -570,11 +570,11 @@ def sample_level_singular(m: TropicalMatrix, k: int, samples: int, seed: int):
     """Smoke check: draw `samples` random k x k submatrices, return
     (all_singular, counterexample or None).
 
-    Draws that are not SINGULAR by their zero pattern are checked exactly;
-    every draw is when an entry is negative or k > _COUNT_MAX_K.  The draws
-    are a function of (seed, shape, k, samples) alone: the same generator
-    calls, in the same order and 200,000-draw chunks, whatever sorts,
-    filters or classifies them.
+    Draws come in chunks of 200,000 sorted row and column subsets, and are
+    a function of (seed, shape, k, samples) alone.  A chunk's blocks are
+    classified by their zero pattern through one (chunk, k, k) gather; those
+    that are not SINGULAR are checked exactly, and every draw is when an
+    entry is negative or k > _COUNT_MAX_K.
 
     When k <= 4, no entry is negative and C(rows, k) <= samples, every k-row
     set first goes through the row-set filter.  If none can hold a
@@ -607,7 +607,8 @@ def sample_level_singular(m: TropicalMatrix, k: int, samples: int, seed: int):
         if views is None:
             suspicious = range(batch)
         else:
-            suspicious = np.nonzero(_block_classes(_drawn_codes(views.zero, rc, cc)) != _SINGULAR)[0]
+            codes = _column_codes(views.zero[rc[:, :, None], cc[:, None, :]])  # (batch, k)
+            suspicious = np.nonzero(_block_classes(codes) != _SINGULAR)[0]
         for b in suspicious:
             rows, cols = tuple(rc[b].tolist()), tuple(cc[b].tolist())
             if _is_nonsingular_cost(cost, rows, cols):
@@ -646,45 +647,6 @@ def _witness_blocks(finite_per_axis: np.ndarray, k, start=0, stop=None):
     return (np.sort(order[block], axis=1) for block in _combination_blocks(len(order), k, start, stop))
 
 
-def _drawn_codes(zero: np.ndarray, rc: np.ndarray, cc: np.ndarray) -> np.ndarray:
-    """(B, k) column codes of the blocks zero[rc[b]][:, cc[b]]: the
-    _column_codes of that (B, k, k) gather, built cell by cell with flat-index
-    takes into buffers allocated once."""
-    batch, k = rc.shape
-    codes = np.zeros((batch, k), dtype=np.uint8, order="F")
-    row_at = np.empty(batch, dtype=np.intp)
-    at = np.empty(batch, dtype=np.intp)
-    bit = np.empty(batch, dtype=np.uint8)
-    for i in range(k):
-        row_bit = zero.view(np.uint8).ravel() << i  # cell (r, c) at r * cols + c
-        np.multiply(rc[:, i], zero.shape[1], out=row_at)
-        for t in range(k):
-            np.add(row_at, cc[:, t], out=at)
-            codes[:, t] |= row_bit.take(at, out=bit)
-    return codes
-
-
-def _sort_rows(draws: np.ndarray) -> np.ndarray:
-    """Sort each row of a (B, k) array in place: a bubble network of
-    compare-exchanges on its column views."""
-    cols = [draws[:, t] for t in range(draws.shape[1])]
-    low = np.empty(len(draws), dtype=draws.dtype)
-    for last in range(len(cols) - 1, 0, -1):
-        for t in range(last):
-            np.minimum(cols[t], cols[t + 1], out=low)
-            np.maximum(cols[t], cols[t + 1], out=cols[t + 1])
-            cols[t][...] = low
-    return draws
-
-
-def _has_repeat(draws: np.ndarray) -> np.ndarray:
-    """Per row of a (B, k) array with sorted rows: True where a value repeats."""
-    repeat = np.zeros(len(draws), dtype=bool)
-    for t in range(1, draws.shape[1]):
-        repeat |= draws[:, t] == draws[:, t - 1]
-    return repeat
-
-
 def _sample_subsets(rng, batch, n, k):
     """(batch, k) uniform k-subsets of range(n), each sorted.  Draws with a
     repeat are redrawn, and only the redrawn rows are tested again; above
@@ -693,11 +655,10 @@ def _sample_subsets(rng, batch, n, k):
         keep = np.ones((batch, n), dtype=bool)
         keep[np.arange(batch)[:, None], _sample_subsets(rng, batch, n, n - k)] = False
         return np.nonzero(keep)[1].reshape(batch, k).astype(np.int32)
-    # Column-major, so the sort, the repeat test and _drawn_codes read whole columns.
-    out = _sort_rows(np.asfortranarray(rng.integers(0, n, size=(batch, k), dtype=np.int32)))
-    idx = np.nonzero(_has_repeat(out))[0]
+    out = np.sort(rng.integers(0, n, size=(batch, k), dtype=np.int32), axis=1)
+    idx = np.nonzero((out[:, 1:] == out[:, :-1]).any(axis=1))[0]
     while idx.size:
-        redrawn = _sort_rows(rng.integers(0, n, size=(idx.size, k), dtype=np.int32))
+        redrawn = np.sort(rng.integers(0, n, size=(idx.size, k), dtype=np.int32), axis=1)
         out[idx] = redrawn
-        idx = idx[_has_repeat(redrawn)]
+        idx = idx[(redrawn[:, 1:] == redrawn[:, :-1]).any(axis=1)]
     return out

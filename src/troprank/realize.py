@@ -761,27 +761,17 @@ def realize_rank3(
 # ---- rank bounds ------------------------------------------------------------
 
 
-def _zero_one_pattern(m: TropicalMatrix):
-    """m as an incidence pattern, or None when it is not (0,1)-valued."""
-    try:
-        return IncidencePattern.from_matrix(m)
-    except ValueError:
-        return None
-
-
 @dataclass(frozen=True)
 class BoundsReport:
     lower: int
     upper: int
     tight: bool
     lower_certified: bool
-    upper_certified: bool
     notes: tuple
 
 
 def kapranov_bounds(
     m: TropicalMatrix,
-    field=None,
     kmax: Optional[int] = None,
     rank_budget: Optional[int] = None,
     barvinok_budget: Optional[int] = None,
@@ -789,18 +779,17 @@ def kapranov_bounds(
 ) -> BoundsReport:
     """Sandwich the lift rank: tropical rank below, factorization rank above.
 
-    For a (0,1) matrix over the rationals a successful rank-3 realization
-    improves the upper bound to 3 (the realization lifts).  A proof that none
-    exists raises the lower bound to 4 when every row and every column holds
-    a 0 entry (the residue-field argument: the t^0 coefficients of a rank-3
-    lift would form such a realization).  Realizations over finite fields are
-    deliberately not used either way.
+    For a (0,1) matrix a rational rank-3 realization improves the upper
+    bound to 3 (the realization lifts).  A proof that none exists raises the
+    lower bound to 4 when every row and every column holds a 0 entry (the
+    residue-field argument: the t^0 coefficients of a rank-3 lift would form
+    such a realization).  Realizations over finite fields are not used.
 
     The factorization search (`barvinok_rank`) is capped at barvinok_budget
     coverings, 200,000 by default; when it runs out, the trivial
     min(rows, cols) upper bound stands in.  It runs out on unit Fano and unit
-    PG(2,3), which end at [4, 7] and [4, 13]; on a 2-vCPU host each of those
-    calls takes 0.01-0.04 s at the default budget.
+    PG(2,3), which end at [4, 7] and [4, 13].  Only the lower bound can be
+    uncertified: a tropical-rank budget stop leaves a best-found value.
     """
     notes = []
     rk = tropical_rank(m, budget=rank_budget)
@@ -818,9 +807,9 @@ def kapranov_bounds(
         notes.append(
             "factorization search inconclusive; trivial upper bound min(rows, cols)"
         )
-    pattern = _zero_one_pattern(m) if upper > 3 else None
-    if pattern is not None and field is None:
-        verdict = realize_rank3(pattern, field=None, seed=seed)
+    if upper > 3 and m.scale == 1 and set().union(*m.cost) <= {0, 1}:  # (0,1)-valued
+        pattern = IncidencePattern.from_matrix(m)
+        verdict = realize_rank3(pattern, seed=seed)
         if isinstance(verdict, Realized):
             upper = 3 if lower <= 3 else upper
             notes.append("rational rank-3 realization found; upper bound improved to 3")
@@ -839,7 +828,5 @@ def kapranov_bounds(
                     raise RuntimeError(f"factorization rank {upper} below the Kapranov lower bound {lower}")
         else:
             notes.append("rank-3 realization search inconclusive")
-    elif pattern is not None:
-        notes.append("finite-field realizations are not used to improve the bound")
     tight = lower_cert and lower == upper
-    return BoundsReport(lower, upper, tight, lower_cert, True, tuple(notes))
+    return BoundsReport(lower, upper, tight, lower_cert, tuple(notes))

@@ -34,6 +34,7 @@ from .patterns import IncidencePattern
 WITNESS_PRIME = 2_147_483_647  # 2^31 - 1
 _MIX_TERMS = 4  # hardening: monomials per mixing definition, besides a constant
 _MIX_BOUND = 9  # hardening: equations get multiples 1.._MIX_BOUND of each definition
+DEFAULT_STAND_IN_BITS = 16  # hardening: bit size of the generic stand-in constants
 
 
 class CompileError(RuntimeError):
@@ -223,7 +224,6 @@ class HardenInfo:
     offsets: tuple          # per original variable, the added constant 2^n + 1
     extra_variables: tuple  # the two fresh mixing variables
     mix_polys: tuple        # Q1, Q2 over the hardened variable indices
-    multipliers: tuple      # per original equation, (c1, c2)
 
     def lift_assignment(self, sys_before: PolySystem, assignment: dict) -> dict:
         """Map a solution of the pre-hardening system to the hardened one."""
@@ -236,7 +236,7 @@ class HardenInfo:
         return out
 
 
-def harden(sys: PolySystem, seed: int, stand_in_bits: int = 64) -> tuple:
+def harden(sys: PolySystem, seed: int, stand_in_bits: int = DEFAULT_STAND_IN_BITS) -> tuple:
     """Offset the variables, append two generic mixing equations, mix them in.
 
     Variable n (1-based) is shifted by 2^n + 1, so a 0/1 variable lands on the
@@ -277,15 +277,13 @@ def harden(sys: PolySystem, seed: int, stand_in_bits: int = 64) -> tuple:
         q = poly_from_terms(terms)
         mix_polys.append(q)
         e_eqs.append(q - Poly.var(e_vars[t]))
-    multipliers = []
     mixed = []
     for eq in shifted:
         c1 = rng.randint(1, _MIX_BOUND)
         c2 = rng.randint(1, _MIX_BOUND)
-        multipliers.append((c1, c2))
         mixed.append(eq + e_eqs[0] * c1 + e_eqs[1] * c2)
     hardened = PolySystem(names, tuple(mixed) + tuple(e_eqs))
-    info = HardenInfo(offsets, (names[nv], names[nv + 1]), tuple(mix_polys), tuple(multipliers))
+    info = HardenInfo(offsets, (names[nv], names[nv + 1]), tuple(mix_polys))
     return hardened, info
 
 
@@ -320,6 +318,10 @@ class GadgetProgram:
         self._inf1 = None
         self._neg1 = None
         self._frame()
+
+    def label(self, i: int) -> str:
+        """Element i as the provenance sidecar and verify_reduction name it."""
+        return f"{self.elements[i].name}#{i}"
 
     # -- construction primitives
 
@@ -555,15 +557,11 @@ def _eval_mod(p: Poly, assignment) -> int:
 @dataclass(frozen=True)
 class CompiledPattern:
     pattern: IncidencePattern
-    row_names: tuple
-    col_names: tuple
     row_elements: tuple      # element indices for rows
     col_elements: tuple
-    provenance: tuple        # one line per element, construction order
     asserted: tuple          # (row, col, note) in pattern coordinates
     program: GadgetProgram
     witness_attempts: int
-    seed: int
 
 
 def compile_system(sys: PolySystem, seed: int = 0) -> CompiledPattern:
@@ -592,28 +590,12 @@ def compile_system(sys: PolySystem, seed: int = 0) -> CompiledPattern:
         rhs_elem = _build_side(prog, rhs, f"eq{k + 1}.rhs")
         prog.assert_coincides(lhs_elem, rhs_elem, f"eq{k + 1}")
     pattern, points, lines, attempts = prog.two_witness_pattern(seed)
-    row_names = tuple(f"{prog.elements[i].name}#{i}" for i in points)
-    col_names = tuple(f"{prog.elements[j].name}#{j}" for j in lines)
     point_row = {idx: r for r, idx in enumerate(points)}
     line_col = {idx: c for c, idx in enumerate(lines)}
     asserted = tuple(
         (point_row[p], line_col[l], note) for p, l, note in prog.asserted
     )
-    provenance = tuple(
-        f"{i} {e.kind} {e.name} <- {e.provenance}" for i, e in enumerate(prog.elements)
-    )
-    return CompiledPattern(
-        pattern,
-        row_names,
-        col_names,
-        tuple(points),
-        tuple(lines),
-        provenance,
-        asserted,
-        prog,
-        attempts,
-        seed,
-    )
+    return CompiledPattern(pattern, tuple(points), tuple(lines), asserted, prog, attempts)
 
 
 def _build_side(prog: GadgetProgram, terms, tag: str) -> int:
@@ -636,14 +618,12 @@ def _build_side(prog: GadgetProgram, terms, tag: str) -> int:
 
 
 def format_provenance(compiled: CompiledPattern) -> str:
+    prog = compiled.program
     out = [f"pattern {compiled.pattern.rows} {compiled.pattern.cols}"]
-    for r, name in enumerate(compiled.row_names):
-        out.append(f"R {r} {name}")
-    for c, name in enumerate(compiled.col_names):
-        out.append(f"C {c} {name}")
-    for r, c, note in compiled.asserted:
-        out.append(f"A {r} {c} {note}")
-    out.extend("# " + line for line in compiled.provenance)
+    out.extend(f"R {r} {prog.label(i)}" for r, i in enumerate(compiled.row_elements))
+    out.extend(f"C {c} {prog.label(j)}" for c, j in enumerate(compiled.col_elements))
+    out.extend(f"A {r} {c} {note}" for r, c, note in compiled.asserted)
+    out.extend(f"# {i} {e.kind} {e.name} <- {e.provenance}" for i, e in enumerate(prog.elements))
     return "\n".join(out) + "\n"
 
 
@@ -679,16 +659,14 @@ def verify_reduction(sys: PolySystem, assignment: dict, compiled: CompiledPatter
     for i, e in enumerate(prog.elements):
         vec = tuple(p.evaluate(vals) for p in e.coords)
         if all(c == 0 for c in vec):
-            return ReductionVerdict(False, f"element {e.name}#{i} degenerates to zero")
+            return ReductionVerdict(False, f"element {prog.label(i)} degenerates to zero")
         concrete.append(vec)
     for r, c in compiled.pattern.ones():
-        prow = concrete[compiled.row_elements[r]]
-        lcol = concrete[compiled.col_elements[c]]
+        i, j = compiled.row_elements[r], compiled.col_elements[c]
+        prow, lcol = concrete[i], concrete[j]
         d = prow[0] * lcol[0] + prow[1] * lcol[1] + prow[2] * lcol[2]
         if d != 0:
             return ReductionVerdict(
-                False,
-                f"incidence ({compiled.row_names[r]}, {compiled.col_names[c]}) "
-                f"fails at the assignment",
+                False, f"incidence ({prog.label(i)}, {prog.label(j)}) fails at the assignment"
             )
     return ReductionVerdict(True, None)

@@ -122,6 +122,33 @@ def test_rank_bounds_all_zeros(tmp_path, capsys):
     assert "lower 1 upper 1 tight" in out
 
 
+def test_rank_bounds_json_verdict_keys_and_exit(tmp_path, capsys):
+    """--kind bounds records exactly lower, upper, tight, lower_certified and
+    notes, and exits 0 iff the lower bound is certified: unit Fano, whose
+    factorization search stops at its budget (upper bound min(rows, cols)),
+    exits 0; weighted PG(2,3) under a 50-pair tropical-rank budget exits 3."""
+    cases = (
+        (["--order", "2", "--weights", "unit"], [], 0),
+        (["--order", "3", "--weights", "random"], ["--budget", "50"], 3),
+    )
+    verdicts = []
+    for gen, budget, expected_code in cases:
+        code, _, _ = run(["gen-plane", *gen, "--seed", "1", "--out", str(tmp_path / "p")], capsys)
+        assert code == 0
+        code, out, _ = run(
+            ["--json", "rank", str(tmp_path / "p.tropmat"), "--kind", "bounds", *budget, "--seed", "1"],
+            capsys,
+        )
+        verdict = json.loads(out)["verdict"]
+        assert sorted(verdict) == ["lower", "lower_certified", "notes", "tight", "upper"]
+        assert code == expected_code == (0 if verdict["lower_certified"] else 3)
+        verdicts.append(verdict)
+    fano, pg3 = verdicts
+    assert (fano["lower"], fano["upper"], fano["tight"]) == (4, 7, False)
+    assert any("factorization search inconclusive" in n for n in fano["notes"])
+    assert any("tropical rank budget exhausted" in n for n in pg3["notes"])
+
+
 def test_rank_budget_partial_exit_3(tmp_path, capsys):
     code, _, _ = run(
         ["gen-plane", "--order", "3", "--seed", "1", "--out", str(tmp_path / "p3")],

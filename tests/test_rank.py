@@ -951,20 +951,6 @@ def test_sample_level_proof_pass_memory():
     assert peak < 4_000_000
 
 
-def test_drawn_codes_match_broadcast_gather():
-    """The cell-by-cell code gather equals the column codes of the (B, k, k)
-    broadcast gather, for k = 1..8 on square and non-square patterns."""
-    rng = np.random.default_rng(73)
-    for rows, cols in ((6, 6), (9, 13), (13, 9), (8, 8)):
-        zero = rng.random((rows, cols)) < 0.4
-        for k in range(1, min(rows, cols) + 1):
-            rc = rank_mod._sample_subsets(rng, 500, rows, k)
-            cc = rank_mod._sample_subsets(rng, 500, cols, k)
-            expected = rank_mod._column_codes(zero[rc[:, :, None], cc[:, None, :]])
-            got = rank_mod._drawn_codes(zero, rc, cc)
-            assert got.dtype == np.uint8 and np.array_equal(got, expected), (rows, cols, k)
-
-
 def test_classified_levels_keep_the_pair_by_pair_result(monkeypatch):
     """Fano under 20 weightings, full and budgeted: the same RankResult with
     the 1,225-pair levels 3 and 4 pair by pair (cutoff 60,000) or classified

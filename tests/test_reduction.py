@@ -1,12 +1,17 @@
+import dataclasses
+import hashlib
 import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from troprank import (
     GadgetProgram,
+    IncidencePattern,
     PolySystem,
+    ReductionVerdict,
     cnf_to_polys,
     compile_system,
     format_poly_system,
@@ -132,9 +137,6 @@ def test_harden_solution_round_trip():
             lifted = info.lift_assignment(base, sol)
             vals = {i: Fraction(lifted[n]) for i, n in enumerate(hard.variables)}
             assert all(eq.evaluate(vals) == 0 for eq in hard.equations)
-        # hardened solutions with Boolean-offset x values biject onto originals
-        for values in itertools.product((3, 4), repeat=1):
-            pass  # bijection on the sampled corpus is covered by the lift above
 
 
 def test_harden_keeps_integer_coefficients():
@@ -238,6 +240,57 @@ def test_compile_determinism():
     b = compile_system(sys, seed=5)
     assert a.pattern == b.pattern
     assert format_provenance(a) == format_provenance(b)
+
+
+def _compiled_at_seed_1(text, bits):
+    """text compiled with seed 1, hardened with seed 1 at `bits` unless None."""
+    sys = parse_poly_system(text)
+    if bits is not None:
+        sys, _ = harden(sys, seed=1, stand_in_bits=bits)
+    return compile_system(sys, seed=1)
+
+
+@pytest.mark.parametrize(
+    "text, bits, digest",
+    [
+        ("x1^2 - x1", 10, "1612f6e77e0a"),
+        ("vars x1 x2\nx1*x2 - 2*x1 + 1\nx1^2 - x1", 16, "6b96fbe2e56b"),
+        ("x1\nx1 - 1\nx1^2 - x1", None, "d8c928b4af59"),
+    ],
+)
+def test_provenance_digests_pinned(text, bits, digest):
+    """The provenance sidecar's sha256[:12]: element names, assertions and
+    construction provenance, all read from the gadget program."""
+    text = format_provenance(_compiled_at_seed_1(text, bits))
+    assert hashlib.sha256(text.encode()).hexdigest()[:12] == digest
+
+
+def test_verify_reduction_incidence_failure_text():
+    """A pattern zero turned into an incidence fails at both solutions, named
+    by element name and index as the provenance sidecar names them."""
+    base = parse_poly_system("x1^2 - x1")
+    hard, info = harden(base, seed=1, stand_in_bits=10)
+    compiled = compile_system(hard, seed=1)
+    bits = compiled.pattern.bits.copy()
+    r, c = np.argwhere(~bits)[0]
+    bits[r, c] = True
+    broken = dataclasses.replace(compiled, pattern=IncidencePattern(bits))
+    for x in (0, 1):
+        got = verify_reduction(hard, info.lift_assignment(base, {"x1": x}), broken)
+        assert got == ReductionVerdict(False, "incidence (X#0, OY#5) fails at the assignment")
+    assert "R 0 X#0\n" in format_provenance(compiled)
+    assert f"C {c} OY#5\n" in format_provenance(compiled)
+
+
+def test_readme_library_example_accepts_both_solutions():
+    """README's library example, at harden's default stand-in size (16 bits,
+    as the CLI's --bits): the genuine solutions x1 = 0 and 1 are accepted."""
+    sys_ = parse_poly_system("x1^2 - x1")
+    hard, info = harden(sys_, seed=1)
+    compiled = compile_system(hard, seed=1)
+    assert (compiled.pattern.rows, compiled.pattern.cols) == (280, 215)
+    for x in (0, 1):
+        assert verify_reduction(hard, info.lift_assignment(sys_, {"x1": x}), compiled).accepted
 
 
 def test_compile_rejects_high_degree():
