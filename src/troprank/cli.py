@@ -153,10 +153,13 @@ def cmd_rank(args) -> int:
     prefix = _prefix(args, os.path.splitext(args.matrix)[0] + f".{args.kind}")
     if args.kind == "tropical":
         res = tropical_rank(m, limit=args.kmax, budget=args.budget)
+        # A witness reached a --kmax below min(rows, cols): rank is only a lower bound.
+        capped = res.certified and res.refuted_level is None and res.rank < min(m.rows, m.cols)
         man.finish(
             rank=res.rank,
             certified=res.certified,
             refuted_level=res.refuted_level,
+            capped=capped,
             budget_exhausted=res.budget_exhausted,
             row_witness=res.row_witness,
             col_witness=res.col_witness,
@@ -167,7 +170,7 @@ def cmd_rank(args) -> int:
                 f"rows {' '.join(map(str, res.row_witness))}\n"
                 f"cols {' '.join(map(str, res.col_witness))}\n",
             )
-        if res.certified and res.refuted_level is None and res.rank < min(m.rows, m.cols):
+        if capped:
             _emit(args, man, prefix, f"tropical rank at least {res.rank} (search capped by --kmax)")
         else:
             _emit(args, man, prefix, f"tropical rank {res.rank} (certified {res.certified})")

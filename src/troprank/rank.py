@@ -37,8 +37,14 @@ permutations, so its all-zero permutation count and its class depend only on
 the multiset of its codes.  For k <= 4 a multiset is keyed by its code
 histogram, one nibble per code: sum_t 1 << 4*code_t, a uint64 at k = 4.  One
 table per k, built on first use, holds the keys of all C(2**k + k - 1, k)
-multisets (3,876 at k = 4) in ascending order with their counts and classes,
-and a block is found in it by binary search on its key.  For k = 5 and 6 the
+multisets (3,876 at k = 4) in ascending order with their counts and classes.
+Ascending key order is the colexicographic order of the sorted codes, so the
+table is generated in that order, each multiset as its key and its block's
+k row masks, and a block's row is the rank of its codes sorted, a_0 <= ...
+<= a_(k-1): sum_t C(a_t + t, t + 1).  The counts come from a (k, 2**k)
+table of the permutations, one bit each, whose row-i column lies in each
+mask: a block's all-zero permutations are the AND of its k lookups, and the
+support rule is one more such AND per permutation.  For k = 5 and 6 the
 count is expanded along the last column into (k-1)-counts, and the class is
 read from the count (0 is WEIGHTED).  For k <= 4 a row set is skipped
 outright when no non-SINGULAR multiset of k codes fits in the codes of its
@@ -171,16 +177,33 @@ class _Views:
 
 
 def _level_views(cost):
-    """_Views of a matrix's integer cost, or None when an entry is negative."""
-    finite = [c for row in cost for c in row if c is not None]
-    if finite and min(finite) < 0:
+    """_Views of a matrix's integer cost, or None when an entry is negative.
+
+    One int64 array, inf as _DENSE_INF, gives all three views when every
+    finite entry is below _DENSE_INF / _CLASSIFY_MAX_K.  Larger entries (the
+    array overflows, or an entry equal to _DENSE_INF leaves fewer finite
+    cells than non-None ones) leave dense None, and the masks are then read
+    from the exact ints."""
+    try:
+        dense = np.array([_DENSE_INF if c is None else c for row in cost for c in row], dtype=np.int64)
+    except OverflowError:  # an entry outside int64
+        dense = None
+    if dense is not None:
+        if len(dense) and dense.min() < 0:  # inf is positive, so this entry is finite
+            return None
+        dense = dense.reshape(len(cost), -1)
+        finite = dense != _DENSE_INF
+        if (
+            int(dense.max(where=finite, initial=0)) * _CLASSIFY_MAX_K < _DENSE_INF
+            and np.count_nonzero(finite) == dense.size - sum(row.count(None) for row in cost)
+        ):
+            return _Views(dense == 0, finite, dense)
+    if min((c for row in cost for c in row if c is not None), default=0) < 0:
         return None
-    fits = max(finite, default=0) * _CLASSIFY_MAX_K < _DENSE_INF
     return _Views(
         np.array([[c == 0 for c in row] for row in cost], dtype=bool),
         np.array([[c is not None for c in row] for row in cost], dtype=bool),
-        np.array([[_DENSE_INF if c is None else c for c in row] for row in cost], dtype=np.int64)
-        if fits else None,
+        None,
     )
 
 
@@ -188,23 +211,31 @@ def _is_nonsingular_cost(cost, rows, cols) -> bool:
     return min_permutation([[cost[i][j] for j in cols] for i in rows])[2]
 
 
-def _witness_order(finite_per_axis, n):
-    """Indices by decreasing finite-entry count, ties by index."""
-    return sorted(range(n), key=lambda i: (-finite_per_axis[i], i))
+def _witness_order(inf_per_axis):
+    """Indices by increasing inf count, that is by decreasing finite-entry
+    count, ties by index (the sort is stable)."""
+    return sorted(range(len(inf_per_axis)), key=inf_per_axis.__getitem__)
 
 
-def _ordered_combos(finite_per_axis, n, k):
-    """Index combinations in witness order, preferring indices with many finite entries."""
-    for combo in itertools.combinations(_witness_order(finite_per_axis, n), k):
+def _witness_orders(cost):
+    """(rows, columns) of a matrix's integer cost, each in witness order.
+    Without an inf in any row, no column holds one either."""
+    rows = [row.count(None) for row in cost]
+    cols = [col.count(None) for col in zip(*cost)] if any(rows) else [0] * len(cost[0])
+    return _witness_order(rows), _witness_order(cols)
+
+
+def _ordered_combos(order, k):
+    """k-combinations of an axis in witness order, each sorted."""
+    for combo in itertools.combinations(order, k):
         yield tuple(sorted(combo))
 
 
-def _generic_level_scan(m, cost, k, budget):
+def _generic_level_scan(cost, orders, k, budget):
     """('witness', (R, C)) | ('exhausted', None) | ('budget', None)."""
-    finite_rows = [sum(1 for j in range(m.cols) if cost[i][j] is not None) for i in range(m.rows)]
-    finite_cols = [sum(1 for i in range(m.rows) if cost[i][j] is not None) for j in range(m.cols)]
-    for rc in _ordered_combos(finite_rows, m.rows, k):
-        for cc in _ordered_combos(finite_cols, m.cols, k):
+    row_order, col_order = orders
+    for rc in _ordered_combos(row_order, k):
+        for cc in _ordered_combos(col_order, k):
             if not budget.spend(1):
                 return "budget", None
             if _is_nonsingular_cost(cost, rc, cc):
@@ -229,44 +260,68 @@ class _Multisets(NamedTuple):
     keys: np.ndarray      # uint64, strictly ascending
     counts: np.ndarray    # uint8, at most 4! = 24
     classes: np.ndarray   # uint8
-
-
-def _multiset_keys(codes: np.ndarray) -> np.ndarray:
-    """uint64 keys of the column multisets of a (pairs, k) uint8 array of
-    column codes, k <= 4: sum_t 1 << 4*codes[:, t], the count of code c in
-    nibble c."""
-    return np.left_shift(np.uint64(1), 4 * codes, dtype=np.uint64).sum(axis=1)
+    terms: np.ndarray     # (k, 2**k) intp: terms[t, a] = C(a + t, t + 1)
 
 
 @functools.cache
 def _multisets(k: int) -> _Multisets:
-    """The _Multisets table of k <= 4, built on first use.  Only multisets
-    with no all-zero permutation need the support rule."""
-    codes = np.array(list(itertools.combinations_with_replacement(range(1 << k), k)), dtype=np.uint8)
-    keys = _multiset_keys(codes)
-    order = np.argsort(keys)
-    keys, codes = keys[order], codes[order]
-    blocks = sum(codes[:, t].astype(np.uint16) << (k * t) for t in range(k))  # bit k*t + i: row i, column t
-    masks = np.array([sum(1 << (k * perm[i] + i) for i in range(k)) for perm in _PERMS[k]], dtype=np.uint16)
-    counts = np.count_nonzero((blocks[:, None] & masks) == masks, axis=1).astype(np.uint8)
+    """The _Multisets table of k <= 4, built on first use.
+
+    Rows come in colexicographic order of their sorted codes (the largest
+    code compared first), which is ascending key order: the multisets whose
+    largest code is c follow those below c, and are the first C(c + k - 1,
+    k - 1) multisets of k - 1 codes, in that order, each extended by c.
+    Each multiset is built as its key and its block's k row masks, bit t of
+    mask i set when row i, column t is zero.
+
+    inside[i, mask] has bit p set when permutation p's row-i column lies in
+    mask, so the AND of a block's k lookups holds its all-zero permutations.
+    Only blocks with none need the support rule: p's support is minimal and
+    used once iff p is the only permutation inside the zero cells and p's
+    own cells, where inside[i, mask | 1 << c] is inside[i, mask] |
+    inside[i, 1 << c]."""
+    n = 1 << k
+    codes = np.arange(n, dtype=np.uint8)
+    nibbles = np.left_shift(np.uint64(1), 4 * codes.astype(np.uint64))  # the key of each code alone
+    code_bits = (codes >> np.arange(k, dtype=np.uint8)[:, None]) & 1  # (k, codes): bit i of each code
+    keys, rows = nibbles, code_bits  # (multisets), (k, multisets), for one code
+    for t in range(1, k):
+        heads = np.array([comb(c + t, t) for c in range(n)])  # multisets of t codes at most c
+        at = np.arange(heads.sum()) - np.repeat(np.cumsum(heads) - heads, heads)
+        last = np.repeat(codes, heads)
+        keys = keys[at] + nibbles[last]
+        rows = rows[:, at] | code_bits[:, last] << t
+    perms = np.array(_PERMS[k], dtype=np.uint8).T  # (k, k!): row i's column in each permutation
+    bits = np.left_shift(np.uint64(1), np.arange(perms.shape[1], dtype=np.uint64))  # bit p: permutation p
+    inside = (((codes >> perms[:, :, None]) & 1) * bits[:, None]).sum(axis=1)  # (k, masks)
+    held = np.take_along_axis(inside, rows.astype(np.intp), axis=1)  # (k, multisets)
+    counts = _popcount(np.bitwise_and.reduce(held, axis=0)).astype(np.uint8, copy=False)
     todo = np.nonzero(counts == 0)[0]
-    support = masks & ~blocks[todo, None]  # (todo, perms): nonzero cells each permutation uses
-    # A support that holds no other permutation's support is minimal and used
-    # once: its permutation can be made the unique minimum.
-    separating = np.zeros(todo.size, dtype=bool)
-    for p in range(masks.size):
-        separating |= np.count_nonzero((support & ~support[:, p, None]) == 0, axis=1) == 1
+    held = held[:, todo]
+    own = np.take_along_axis(inside, np.left_shift(1, perms.astype(np.intp)), axis=1)  # (k, k!): p's cells
+    separating = np.zeros(len(todo), dtype=bool)
+    for p, bit in enumerate(bits):
+        separating |= functools.reduce(np.bitwise_and, (held[i] | own[i, p] for i in range(k))) == bit
     classes = np.minimum(counts, _SINGULAR)
     classes[todo[~separating]] = _SINGULAR
-    for array in (keys, counts, classes):
+    terms = np.array([[comb(a + t, t + 1) for a in range(n)] for t in range(k)], dtype=np.intp)
+    table = _Multisets(keys, counts, classes, terms)
+    for array in table:
         array.flags.writeable = False  # shared by every caller
-    return _Multisets(keys, counts, classes)
+    return table
 
 
 def _multiset_rows(codes: np.ndarray) -> np.ndarray:
     """Each pair's row in _multisets(k) of a (pairs, k) uint8 array of column
-    codes, k <= 4."""
-    return np.searchsorted(_multisets(codes.shape[1]).keys, _multiset_keys(codes))
+    codes, k <= 4: the colexicographic rank sum_t C(a_t + t, t + 1) of its
+    codes sorted, a_0 <= ... <= a_(k-1), by a network of compare-exchanges."""
+    k = codes.shape[1]
+    cols = [codes[:, t] for t in range(k)]
+    for top in range(1, k):
+        for t in range(top, 0, -1):
+            cols[t - 1], cols[t] = np.minimum(cols[t - 1], cols[t]), np.maximum(cols[t - 1], cols[t])
+    terms = _multisets(k).terms
+    return sum(terms[t].take(a) for t, a in enumerate(cols))
 
 
 def _swar_popcount(words: np.ndarray) -> np.ndarray:
@@ -380,6 +435,9 @@ _FILTER_CHUNK = 32
 # Most k-subsets in one _combination_blocks block: the row sets filtered at
 # once by the classified walk and the sampler's proof pass.
 _BLOCK_SIZE = 4096
+# Largest inverse table _combination_blocks builds for an inner position
+# (512 KB); a larger one, on a tall matrix, falls back to searchsorted.
+_INVERSE_MAX = 1 << 16
 
 
 class _Mark(NamedTuple):
@@ -395,18 +453,26 @@ class _LevelEntry:
     """One level of one zero pattern: the number of row sets classified (a
     prefix in witness order), the _Marks among them, and its column sets in
     witness order, built when first read.  A walk over the classified prefix
-    visits only the marks."""
+    visits only the marks.  Each axis's witness order is an intp array, or
+    None when it is the identity, as it is for a matrix with no inf."""
 
     def __init__(self, views: _Views, k: int):
-        self.finite_cols = views.finite.sum(axis=0)
+        self.shape = views.zero.shape
+        orders = (_witness_order(np.count_nonzero(~views.finite, axis=axis).tolist()) for axis in (1, 0))
+        self.row_order, self.col_order = (
+            None if order == list(range(len(order))) else np.array(order, dtype=np.intp) for order in orders
+        )
         self.k = k
         self.classified = 0
         self.marked = []
 
     @functools.cached_property
     def col_combos(self) -> np.ndarray:
+        blocks = _combination_blocks(self.shape[1], self.k)
+        if self.col_order is not None:
+            blocks = (np.sort(self.col_order[block], axis=1) for block in blocks)
         # Column-major, so each row set's (NC, k) code gather is read column by column.
-        return np.asfortranarray(np.concatenate(list(_witness_blocks(self.finite_cols, self.k))))
+        return np.asfortranarray(np.concatenate(list(blocks)))
 
 
 def _level_entry(views: _Views, k: int) -> _LevelEntry:
@@ -438,18 +504,25 @@ def _marked_row_sets(views: _Views, k, entry: _LevelEntry, room):
     yield from itertools.takewhile(lambda mark: mark.index < room, entry.marked)
     if entry.classified >= room:
         return
-    for rows in _witness_blocks(views.finite.sum(axis=1), k, entry.classified, room):
+    order = entry.row_order
+    for block in _combination_blocks(entry.shape[0], k, entry.classified, room):
         first = entry.classified
+        rows = block if order is None else order[block]
+        # A row set's verdict and its blocks' classes do not depend on the
+        # order of its rows, so only the row sets kept are sorted.
         kept = np.nonzero(_may_hold_open(views, rows, k))[0]
-        codes = _column_codes(views.zero[rows[kept]])  # (kept, cols)
-        for at, code in zip(kept.tolist(), codes):
+        rows = rows[kept]
+        if order is not None:
+            rows.sort(axis=1)
+        codes = _column_codes(views.zero[rows])  # (kept, cols)
+        for at, row_set, code in zip(kept.tolist(), rows.tolist(), codes):
             weighted, one_col = _classify_row_set(code, entry.col_combos)
             entry.classified = first + at + 1
             if weighted.size or one_col is not None:
-                mark = _Mark(first + at, tuple(rows[at].tolist()), weighted, one_col)
+                mark = _Mark(first + at, tuple(row_set), weighted, one_col)
                 entry.marked.append(mark)
                 yield mark
-        entry.classified = first + len(rows)
+        entry.classified = first + len(block)
 
 
 def _first_weighted_nonsingular(cost, views: _Views, entry: _LevelEntry, batch):
@@ -544,6 +617,7 @@ def tropical_rank(m: TropicalMatrix, limit: Optional[int] = None, budget: Option
         cap = min(cap, limit)
     tracker = _Budget(budget)
     cost = m.cost
+    orders = _witness_orders(cost)
     views = _UNSET  # derived at the first classified level
 
     rank = 0
@@ -556,7 +630,7 @@ def tropical_rank(m: TropicalMatrix, limit: Optional[int] = None, budget: Option
         if structured and views is not None:
             status, found = _structured_level_scan(cost, views, k, tracker)
         else:
-            status, found = _generic_level_scan(m, cost, k, tracker)
+            status, found = _generic_level_scan(cost, orders, k, tracker)
         if status == "witness":
             rank, witness = k, found
             continue
@@ -624,27 +698,33 @@ def _combination_blocks(n, k, start=0, stop=None):
     Each block is unranked directly by the combinatorial number system: the
     combination a of rank r has b_i = n-1-a_(k+1-i) at colexicographic rank
     C(n,k)-1-r = sum_i C(b_i, i), so b_k down to b_1 are each the last b with
-    C(b, i) no more than what is left, one searchsorted per position.  Ranks
-    are int64: C(n, k) of 2**63 or more raises OverflowError."""
+    C(b, i) no more than what is left.  What is left falls with the rank, so
+    b_k is one searchsorted; b_1 is what is left.  Before an inner position
+    i what is left is below C(n-1, i), and a table of the answer for each
+    value replaces the search over those unordered values, unless it would
+    exceed _INVERSE_MAX entries.  Ranks are int64: C(n, k) of 2**63 or more
+    raises OverflowError."""
     total = comb(n, k)
     last = np.int64(total - 1)
     stop = total if stop is None else stop
     binom = np.array([[comb(b, i) for b in range(n)] for i in range(k + 1)], dtype=np.int64)
+    # inverse[i][v] is the last b with C(b, i) <= v: b for each v from C(b, i) up to C(b + 1, i).
+    inverse = {
+        i: np.repeat(np.arange(n - 1), np.diff(binom[i])) for i in range(2, k) if comb(n - 1, i) <= _INVERSE_MAX
+    }
     for low in range(start, stop, _BLOCK_SIZE):
         left = last - np.arange(low, min(low + _BLOCK_SIZE, stop), dtype=np.int64)
         combos = np.empty((len(left), k), dtype=np.intp)
         for i in range(k, 0, -1):
-            b = np.searchsorted(binom[i], left, side="right") - 1
+            if i == 1:
+                b = left  # C(b, 1) = b
+            elif i in inverse:
+                b = inverse[i].take(left)
+            else:
+                b = np.searchsorted(binom[i], left, side="right") - 1
             combos[:, k - i] = n - 1 - b
-            left -= binom[i, b]
+            left -= binom[i].take(b)
         yield combos
-
-
-def _witness_blocks(finite_per_axis: np.ndarray, k, start=0, stop=None):
-    """_combination_blocks of an axis in witness order, as _ordered_combos
-    yields them: k-combinations of its witness ranking, each sorted."""
-    order = np.array(_witness_order(finite_per_axis.tolist(), len(finite_per_axis)), dtype=np.intp)
-    return (np.sort(order[block], axis=1) for block in _combination_blocks(len(order), k, start, stop))
 
 
 def _sample_subsets(rng, batch, n, k):

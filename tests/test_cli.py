@@ -192,6 +192,25 @@ def test_rank_tropical_kmax_cap_is_a_lower_bound(tmp_path, capsys):
     assert code == 0 and out.splitlines()[0] == "tropical rank 2 (certified True)"
 
 
+def test_rank_tropical_json_says_when_kmax_caps(tmp_path, capsys):
+    """--json: "capped" is true when a witness reached a --kmax below
+    min(rows, cols), so "rank" is a lower bound; rank, certified and
+    refuted_level keep their values."""
+    code, _, _ = run(
+        ["gen-plane", "--order", "2", "--weights", "unit", "--seed", "1", "--out", str(tmp_path / "fano")],
+        capsys,
+    )
+    assert code == 0
+    fano = str(tmp_path / "fano.tropmat")
+    got = {}
+    for kmax in (2, 4):
+        code, out, _ = run(["--json", "rank", fano, "--kind", "tropical", "--kmax", str(kmax), "--seed", "1"], capsys)
+        assert code == 0
+        verdict = json.loads(out)["verdict"]
+        got[kmax] = tuple(verdict[key] for key in ("rank", "certified", "refuted_level", "capped"))
+    assert got == {2: (2, True, None, True), 4: (3, True, 4, False)}
+
+
 def test_rank_negative_kmax_exit_1(tmp_path, capsys):
     # A rank-2 matrix: not "tropical rank 0 (certified True)" and not "exceeds kmax -1".
     f = write(tmp_path, "m.tropmat", "tropmat 2 2\n0 1\n1 0\n")

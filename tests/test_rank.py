@@ -183,11 +183,11 @@ def test_classified_scan_returns_generic_witness(monkeypatch):
             views = rank_mod._level_views(cost)
             # dense=None takes the exact fallback used when int64 would overflow.
             python_views = dataclasses.replace(views, dense=None)
-            finite_rows = [sum(x is not INF for x in row) for row in m.to_rows()]
+            orders = rank_mod._witness_orders(cost)
             for k in range(1, 6):
-                expected = rank_mod._generic_level_scan(m, cost, k, rank_mod._Budget(None))
+                expected = rank_mod._generic_level_scan(cost, orders, k, rank_mod._Budget(None))
                 # A witness in the r-th row set is charged r + 1 whole row sets.
-                row_sets = list(rank_mod._ordered_combos(finite_rows, m.rows, k))
+                row_sets = list(rank_mod._ordered_combos(orders[0], k))
                 covered = len(row_sets) if expected[0] == "exhausted" else row_sets.index(expected[1][0]) + 1
                 # Batches of 5 pairs resolve each level in many steps, and
                 # blocks of 5 row sets walk it in many blocks.
@@ -213,7 +213,7 @@ def test_classified_scan_returns_generic_witness(monkeypatch):
                 if status == "weight-free":
                     other = _reweighted(rng, m)
                     assert rank_mod._generic_level_scan(
-                        other, other.cost, k, rank_mod._Budget(None)
+                        other.cost, rank_mod._witness_orders(other.cost), k, rank_mod._Budget(None)
                     ) == ("exhausted", None)
                 if expected[0] == "exhausted":
                     break
@@ -238,6 +238,86 @@ def test_classified_scan_returns_generic_witness(monkeypatch):
                 plain.rank, plain.row_witness, plain.col_witness
             )
             assert classified.refuted_level == plain.refuted_level
+
+
+def _level_views_reference(cost):
+    """_level_views as three comprehensions over the integer cost."""
+    finite = [c for row in cost for c in row if c is not None]
+    if finite and min(finite) < 0:
+        return None
+    fits = max(finite, default=0) * rank_mod._CLASSIFY_MAX_K < rank_mod._DENSE_INF
+    return rank_mod._Views(
+        np.array([[c == 0 for c in row] for row in cost], dtype=bool),
+        np.array([[c is not None for c in row] for row in cost], dtype=bool),
+        np.array([[rank_mod._DENSE_INF if c is None else c for c in row] for row in cost], dtype=np.int64)
+        if fits else None,
+    )
+
+
+def _generic_level_scan_reference(cost, orders, k, budget):
+    """The pair-by-pair scan counting finite entries afresh at every level
+    (and every row set), ignoring the orders tropical_rank passes."""
+    rows, cols = len(cost), len(cost[0])
+    finite_rows = [sum(1 for j in range(cols) if cost[i][j] is not None) for i in range(rows)]
+    finite_cols = [sum(1 for i in range(rows) if cost[i][j] is not None) for j in range(cols)]
+
+    def ordered(finite, n):
+        for combo in itertools.combinations(sorted(range(n), key=lambda i: (-finite[i], i)), k):
+            yield tuple(sorted(combo))
+
+    for rc in ordered(finite_rows, rows):
+        for cc in ordered(finite_cols, cols):
+            if not budget.spend(1):
+                return "budget", None
+            if rank_mod._is_nonsingular_cost(cost, rc, cc):
+                return "witness", (rc, cc)
+    return "exhausted", None
+
+
+def test_views_and_witness_orders_match_reference(monkeypatch):
+    """_level_views against the comprehension reference, and tropical_rank
+    against a run on the reference views and the per-level count scan:
+    every RankResult field, pairs_examined included, at budgets None, 1, 7
+    and 100, with levels pair by pair (default cutoff) and classified
+    (cutoff 0).  Square and non-square shapes, inf rows and columns, a
+    negative entry (no views) and entries too large for the int64 view,
+    one of them equal to its inf sentinel."""
+    rng = random.Random(83)
+    matrices = []
+    for rows, cols in ((6, 6), (5, 9), (9, 5), (7, 8), (3, 11), (10, 4)):
+        m = _random_nonneg(rng, rows, cols)
+        entries = m.to_rows()
+        entries[rng.randrange(rows)] = [INF] * cols
+        col = rng.randrange(cols)
+        for row in entries:
+            row[col] = INF
+        matrices += [m, TropicalMatrix.from_rows(entries)]
+    base = _random_nonneg(rng, 7, 6)
+    for big in (Fraction(-1), Fraction(2**58), Fraction(2**60), Fraction(2**70), Fraction(-(2**70))):
+        entries = base.to_rows()
+        entries[3][2] = big
+        matrices.append(TropicalMatrix.from_rows(entries))
+    dense_none = 0
+    for m in matrices:
+        got, want = rank_mod._level_views(m.cost), _level_views_reference(m.cost)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert np.array_equal(got.zero, want.zero) and np.array_equal(got.finite, want.finite)
+            assert (got.dense is None) == (want.dense is None)
+            dense_none += got.dense is None
+            if got.dense is not None:
+                assert got.dense.dtype == np.int64 and np.array_equal(got.dense, want.dense)
+        for cutoff in (rank_mod._GENERIC_CUTOFF, 0):
+            for budget in (None, 1, 7, 100):
+                monkeypatch.setattr(rank_mod, "_GENERIC_CUTOFF", cutoff)
+                rank_mod._CLASSIFY_CACHE.clear()
+                result = tropical_rank(m, budget=budget)
+                monkeypatch.setattr(rank_mod, "_level_views", _level_views_reference)
+                monkeypatch.setattr(rank_mod, "_generic_level_scan", _generic_level_scan_reference)
+                rank_mod._CLASSIFY_CACHE.clear()
+                assert result == tropical_rank(m, budget=budget), (m.rows, m.cols, cutoff, budget)
+                monkeypatch.undo()
+    assert dense_none == 3
 
 
 def _deep_witness_matrix(rng, n):
@@ -371,8 +451,9 @@ def test_all_positive_matrix_stops_at_first_witness_row_set():
         assert entry.classified == 1
     cost = m.cost
     views = rank_mod._level_views(cost)
+    orders = rank_mod._witness_orders(cost)
     for k in (3, 4, 5):
-        expected = rank_mod._generic_level_scan(m, cost, k, rank_mod._Budget(None))
+        expected = rank_mod._generic_level_scan(cost, orders, k, rank_mod._Budget(None))
         got = rank_mod._structured_level_scan(cost, views, k, rank_mod._Budget(None))
         assert got == expected
 
@@ -547,6 +628,19 @@ def test_multiset_tables():
         assert (rank_mod._column_codes(blocks) == codes).all()
         assert (table.counts == _and_over_permutations(blocks)).all()
         assert table.classes.tolist() == [_minimal_support_class(b) for b in blocks.tolist()]
+
+
+def test_multiset_rows_match_binary_search():
+    """A block's row by its closed-form colexicographic rank is the row a
+    binary search over the table's keys finds for the block's key, sum_t
+    1 << 4*code_t: every block for k <= 3 and all 65,536 at k = 4, in
+    row-major and column-major layout."""
+    for k in range(1, 5):
+        codes = rank_mod._column_codes(_all_blocks(k))
+        keys = np.left_shift(np.uint64(1), 4 * codes, dtype=np.uint64).sum(axis=1)
+        expected = np.searchsorted(rank_mod._multisets(k).keys, keys)
+        assert np.array_equal(rank_mod._multiset_rows(codes), expected)
+        assert np.array_equal(rank_mod._multiset_rows(np.asfortranarray(codes)), expected)
 
 
 def _may_hold_open_reference(codes, k):
@@ -785,6 +879,17 @@ def test_combination_blocks_match_combinations_by_rank(monkeypatch, block):
             assert got == combos[start:stop], (n, k, start, stop)
             assert all(b.dtype == np.intp and b.shape[1] == k for b in blocks)
             assert all(len(b) == size for b in blocks[:-1]) and all(len(b) for b in blocks), (n, k, start, stop)
+
+
+def test_combination_blocks_search_where_inverse_tables_are_capped(monkeypatch):
+    """Inner positions whose inverse table would exceed _INVERSE_MAX are
+    searched instead, with the same combinations: no table at all, and a
+    cap that keeps some positions' tables and not others."""
+    for cap in (0, 100):
+        monkeypatch.setattr(rank_mod, "_INVERSE_MAX", cap)
+        for n, k in ((31, 4), (13, 5), (57, 3), (9, 6)):
+            got = [tuple(row) for block in rank_mod._combination_blocks(n, k) for row in block.tolist()]
+            assert got == list(itertools.combinations(range(n), k)), (cap, n, k)
 
 
 @pytest.mark.parametrize("q", [8, 9])
