@@ -435,9 +435,6 @@ _FILTER_CHUNK = 32
 # Most k-subsets in one _combination_blocks block: the row sets filtered at
 # once by the classified walk and the sampler's proof pass.
 _BLOCK_SIZE = 4096
-# Largest inverse table _combination_blocks builds for an inner position
-# (512 KB); a larger one, on a tall matrix, falls back to searchsorted.
-_INVERSE_MAX = 1 << 16
 
 
 class _Mark(NamedTuple):
@@ -456,9 +453,8 @@ class _LevelEntry:
     visits only the marks.  Each axis's witness order is an intp array, or
     None when it is the identity, as it is for a matrix with no inf."""
 
-    def __init__(self, views: _Views, k: int):
+    def __init__(self, views: _Views, orders, k: int):
         self.shape = views.zero.shape
-        orders = (_witness_order(np.count_nonzero(~views.finite, axis=axis).tolist()) for axis in (1, 0))
         self.row_order, self.col_order = (
             None if order == list(range(len(order))) else np.array(order, dtype=np.intp) for order in orders
         )
@@ -475,13 +471,14 @@ class _LevelEntry:
         return np.asfortranarray(np.concatenate(list(blocks)))
 
 
-def _level_entry(views: _Views, k: int) -> _LevelEntry:
+def _level_entry(views: _Views, orders, k: int) -> _LevelEntry:
+    # The witness orders follow from views.finite, so the key holds them.
     key = (views.zero.shape, views.zero.tobytes(), views.finite.tobytes(), k)
     entry = _CLASSIFY_CACHE.get(key)
     if entry is None:
         if len(_CLASSIFY_CACHE) >= _CLASSIFY_CACHE_SIZE:
             del _CLASSIFY_CACHE[next(iter(_CLASSIFY_CACHE))]
-        entry = _CLASSIFY_CACHE[key] = _LevelEntry(views, k)
+        entry = _CLASSIFY_CACHE[key] = _LevelEntry(views, orders, k)
     return entry
 
 
@@ -556,7 +553,7 @@ def _first_weighted_nonsingular(cost, views: _Views, entry: _LevelEntry, batch):
     return None
 
 
-def _structured_level_scan(cost, views: _Views, k, budget):
+def _structured_level_scan(cost, views: _Views, orders, k, budget):
     """_generic_level_scan's result via zero-pattern classification, with
     'weight-free' for an exhausted level none of whose pairs is WEIGHTED.
 
@@ -571,7 +568,7 @@ def _structured_level_scan(cost, views: _Views, k, budget):
         room = min(total, (budget.limit - budget.used) // pairs)
     if not room:  # not one row set fits: stop before adding a cache entry
         return "budget", None
-    entry = _level_entry(views, k)
+    entry = _level_entry(views, orders, k)
     batch, held = [], 0  # marks awaiting resolution, their WEIGHTED pairs
     # The first batch closes at one row set's pairs, so an early witness
     # costs little; each later one may hold twice as many, up to _RESOLVE_CHUNK.
@@ -628,7 +625,7 @@ def tropical_rank(m: TropicalMatrix, limit: Optional[int] = None, budget: Option
         if structured and views is _UNSET:
             views = _level_views(cost)
         if structured and views is not None:
-            status, found = _structured_level_scan(cost, views, k, tracker)
+            status, found = _structured_level_scan(cost, views, orders, k, tracker)
         else:
             status, found = _generic_level_scan(cost, orders, k, tracker)
         if status == "witness":
@@ -701,19 +698,22 @@ def _combination_blocks(n, k, start=0, stop=None):
     C(b, i) no more than what is left.  What is left falls with the rank, so
     b_k is one searchsorted; b_1 is what is left.  Before an inner position
     i what is left is below C(n-1, i), and a table of the answer for each
-    value replaces the search over those unordered values, unless it would
-    exceed _INVERSE_MAX entries.  Ranks are int64: C(n, k) of 2**63 or more
-    raises OverflowError."""
+    value replaces the search over those unordered values once the ranks
+    unranked reach its C(n-1, i) entries: a walk that stops early, or a
+    short range, searches, and a table never outgrows the ranks it serves.
+    Ranks are int64: C(n, k) of 2**63 or more raises OverflowError."""
     total = comb(n, k)
     last = np.int64(total - 1)
     stop = total if stop is None else stop
     binom = np.array([[comb(b, i) for b in range(n)] for i in range(k + 1)], dtype=np.int64)
-    # inverse[i][v] is the last b with C(b, i) <= v: b for each v from C(b, i) up to C(b + 1, i).
-    inverse = {
-        i: np.repeat(np.arange(n - 1), np.diff(binom[i])) for i in range(2, k) if comb(n - 1, i) <= _INVERSE_MAX
-    }
+    inverse = {}
     for low in range(start, stop, _BLOCK_SIZE):
-        left = last - np.arange(low, min(low + _BLOCK_SIZE, stop), dtype=np.int64)
+        high = min(low + _BLOCK_SIZE, stop)
+        for i in range(2, k):
+            if i not in inverse and comb(n - 1, i) <= high - start:
+                # The last b with C(b, i) <= v: b for each v from C(b, i) up to C(b + 1, i).
+                inverse[i] = np.repeat(np.arange(n - 1), np.diff(binom[i]))
+        left = last - np.arange(low, high, dtype=np.int64)
         combos = np.empty((len(left), k), dtype=np.intp)
         for i in range(k, 0, -1):
             if i == 1:

@@ -202,7 +202,7 @@ def test_classified_scan_returns_generic_witness(monkeypatch):
                     monkeypatch.setattr(rank_mod, "_BLOCK_SIZE", block)
                     rank_mod._CLASSIFY_CACHE.clear()
                     budget = rank_mod._Budget(None)
-                    status, found = rank_mod._structured_level_scan(cost, v, k, budget)
+                    status, found = rank_mod._structured_level_scan(cost, v, orders, k, budget)
                     monkeypatch.undo()
                     statuses.add(status)
                     assert ("exhausted" if status == "weight-free" else status, found) == expected, (
@@ -420,10 +420,10 @@ def test_budget_stop_before_building_a_level(monkeypatch):
     assert expected.pairs_examined == three
     level_entry = rank_mod._level_entry
 
-    def no_level_four(views, k):
+    def no_level_four(views, orders, k):
         if k == 4:
             raise AssertionError("level 4 column sets built")
-        return level_entry(views, k)
+        return level_entry(views, orders, k)
 
     monkeypatch.setattr(rank_mod, "_level_entry", no_level_four)
     rank_mod._CLASSIFY_CACHE.clear()
@@ -454,7 +454,7 @@ def test_all_positive_matrix_stops_at_first_witness_row_set():
     orders = rank_mod._witness_orders(cost)
     for k in (3, 4, 5):
         expected = rank_mod._generic_level_scan(cost, orders, k, rank_mod._Budget(None))
-        got = rank_mod._structured_level_scan(cost, views, k, rank_mod._Budget(None))
+        got = rank_mod._structured_level_scan(cost, views, orders, k, rank_mod._Budget(None))
         assert got == expected
 
 
@@ -881,17 +881,6 @@ def test_combination_blocks_match_combinations_by_rank(monkeypatch, block):
             assert all(len(b) == size for b in blocks[:-1]) and all(len(b) for b in blocks), (n, k, start, stop)
 
 
-def test_combination_blocks_search_where_inverse_tables_are_capped(monkeypatch):
-    """Inner positions whose inverse table would exceed _INVERSE_MAX are
-    searched instead, with the same combinations: no table at all, and a
-    cap that keeps some positions' tables and not others."""
-    for cap in (0, 100):
-        monkeypatch.setattr(rank_mod, "_INVERSE_MAX", cap)
-        for n, k in ((31, 4), (13, 5), (57, 3), (9, 6)):
-            got = [tuple(row) for block in rank_mod._combination_blocks(n, k) for row in block.tolist()]
-            assert got == list(itertools.combinations(range(n), k)), (cap, n, k)
-
-
 @pytest.mark.parametrize("q", [8, 9])
 def test_weighted_pg28_pg29_certified_in_little_memory(q):
     """Weighted PG(2,8) and PG(2,9): rank 3, refuted at 4 for every positive
@@ -907,6 +896,26 @@ def test_weighted_pg28_pg29_certified_in_little_memory(q):
         tracemalloc.stop()
     rank_mod._CLASSIFY_CACHE.clear()
     assert (res.rank, res.certified, res.refuted_level, res.weight_free) == (3, True, 4, True)
+    assert is_nonsingular(m.submatrix(res.row_witness, res.col_witness))
+    assert peak < 16_000_000, peak
+
+
+def test_tall_matrix_walk_that_stops_early_builds_no_large_inverse_table():
+    """183 x 5: level 5's row walk may cover C(183, 5) = 1.6e9 ranks but finds
+    its witness in the first row set.  _combination_blocks builds an inverse
+    table only once the ranks unranked reach its size, so the walk does not
+    build C(182, 4) = 44.2 M entries (354 MB) for one block."""
+    rng = random.Random(5)
+    m = TropicalMatrix.from_rows([[Fraction(rng.randint(0, 3)) for _ in range(5)] for _ in range(183)])
+    rank_mod._CLASSIFY_CACHE.clear()
+    tracemalloc.start()
+    try:
+        res = tropical_rank(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rank_mod._CLASSIFY_CACHE.clear()
+    assert (res.rank, res.certified, res.refuted_level) == (5, True, None)
     assert is_nonsingular(m.submatrix(res.row_witness, res.col_witness))
     assert peak < 16_000_000, peak
 
