@@ -12,10 +12,12 @@ row sets the k-combinations of that ranking, each sorted; columns likewise;
 every column set within a row set.  A level's witness is its first
 nonsingular pair in this order, whichever scan finds it.
 
-For matrices whose finite entries are all >= 0 with a zero/positive split
-(weighted incidence matrices), levels k <= 5 of more than _GENERIC_CUTOFF
-(1,000) pairs are classified by the zero pattern of each submatrix alone,
-treating every nonzero entry (inf too) as an unknown positive weight:
+Tropical scaling (subtract each row's finite minimum, then each column's)
+adds the same amount to every permutation sum of a submatrix, so it changes
+no nonsingularity; the scaled matrix's finite entries are >= 0, and every row
+and column with one holds a 0.  Levels k <= 5 of more than _GENERIC_CUTOFF
+(1,000) pairs are classified by the zero pattern of each scaled submatrix
+alone, treating every nonzero entry (inf too) as an unknown positive weight:
 
   SINGULAR     singular for every positive weighting;
   NONSINGULAR  exactly one all-zero permutation, so nonsingular for every
@@ -100,7 +102,6 @@ _GENERIC_CUTOFF = 1_000
 _CLASSIFY_MAX_K = 5
 # inf in the int64 cost view; _CLASSIFY_MAX_K of these sum below 2**63.
 _DENSE_INF = 2**60
-_UNSET = object()  # tropical_rank's views before the first classified level
 
 # Permutations of the classified levels: they build the _Multisets tables
 # (k <= 4) and _PERM_CELLS, which sums the weighted pairs' costs.
@@ -127,9 +128,9 @@ class RankResult:
     when the cap is min(rows, cols).  A budget stop leaves the best witness
     found with ``certified = False``.  ``weight_free`` is True when the
     refuted level was classified without weights (every pair SINGULAR), so
-    the refutation holds for every positive weighting of the zero pattern;
-    False says only that this was not shown (a level small enough for the
-    pair-by-pair scan is never classified).
+    the refutation holds for every positive weighting of the scaled matrix's
+    zero pattern; False says only that this was not shown (a level small
+    enough for the pair-by-pair scan is never classified).
     """
 
     rank: int
@@ -157,12 +158,13 @@ class _Budget:
 
 @dataclass(frozen=True)
 class _Views:
-    """The arrays a classified level reads, derived once per call; the
-    row-set filter's packed zero_words only when it first runs."""
+    """The arrays a classified level reads, of the scaled matrix, derived
+    once per call; the row-set filter's packed zero_words only when it first
+    runs."""
 
-    zero: np.ndarray              # True where the entry is exactly 0
+    zero: np.ndarray              # True where the scaled entry is exactly 0
     finite: np.ndarray            # True where the entry is finite
-    dense: Optional[np.ndarray]   # int64 cost, inf as _DENSE_INF; None on overflow
+    dense: Optional[np.ndarray]   # int64 scaled cost, inf as _DENSE_INF; None on overflow
 
     @functools.cached_property
     def zero_words(self) -> np.ndarray:
@@ -177,34 +179,36 @@ class _Views:
 
 
 def _level_views(cost):
-    """_Views of a matrix's integer cost, or None when an entry is negative.
-
-    One int64 array, inf as _DENSE_INF, gives all three views when every
-    finite entry is below _DENSE_INF / _CLASSIFY_MAX_K.  Larger entries (the
-    array overflows, or an entry equal to _DENSE_INF leaves fewer finite
-    cells than non-None ones) leave dense None, and the masks are then read
-    from the exact ints."""
+    """_Views of a matrix's integer cost, tropically scaled: each row's
+    finite minimum subtracted, then each column's.  One int64 array, inf as
+    _DENSE_INF, gives all three views when every finite entry lies within
+    +-_DENSE_INF // _CLASSIFY_MAX_K before and after scaling: counting the
+    cells within that bound against the non-None ones also catches a finite
+    entry equal to _DENSE_INF.  Otherwise dense is None, and the masks come
+    from the exact ints, scaled the same way."""
+    bound = _DENSE_INF // _CLASSIFY_MAX_K
     try:
         dense = np.array([_DENSE_INF if c is None else c for row in cost for c in row], dtype=np.int64)
     except OverflowError:  # an entry outside int64
         dense = None
     if dense is not None:
-        if len(dense) and dense.min() < 0:  # inf is positive, so this entry is finite
-            return None
         dense = dense.reshape(len(cost), -1)
-        finite = dense != _DENSE_INF
-        if (
-            int(dense.max(where=finite, initial=0)) * _CLASSIFY_MAX_K < _DENSE_INF
-            and np.count_nonzero(finite) == dense.size - sum(row.count(None) for row in cost)
-        ):
-            return _Views(dense == 0, finite, dense)
-    if min((c for row in cost for c in row if c is not None), default=0) < 0:
-        return None
-    return _Views(
-        np.array([[c == 0 for c in row] for row in cost], dtype=bool),
-        np.array([[c is not None for c in row] for row in cost], dtype=bool),
-        None,
-    )
+        finite_count = dense.size - sum(row.count(None) for row in cost)
+        if dense.min() >= -bound and np.count_nonzero(dense <= bound) == finite_count:
+            finite = dense != _DENSE_INF
+            for axis in (1, 0):  # inf, the largest entry, is the minimum of all-inf lines only
+                np.subtract(dense, dense.min(axis, keepdims=True), out=dense, where=finite)
+            if np.count_nonzero(dense <= bound) == finite_count:
+                return _Views(dense == 0, finite, dense)
+    scaled = zip(*_minus_row_minima(list(zip(*_minus_row_minima(cost)))))  # columns, then back
+    zero = np.array([[c == 0 for c in row] for row in scaled], dtype=bool)
+    return _Views(zero, np.array([[c is not None for c in row] for row in cost], dtype=bool), None)
+
+
+def _minus_row_minima(rows):
+    """Each row of exact ints (None for inf) less its finite minimum."""
+    lows = [min((c for c in row if c is not None), default=0) for row in rows]
+    return [[None if c is None else c - low for c in row] for row, low in zip(rows, lows)]
 
 
 def _is_nonsingular_cost(cost, rows, cols) -> bool:
@@ -615,16 +619,13 @@ def tropical_rank(m: TropicalMatrix, limit: Optional[int] = None, budget: Option
     tracker = _Budget(budget)
     cost = m.cost
     orders = _witness_orders(cost)
-    views = _UNSET  # derived at the first classified level
+    views = None  # derived at the first classified level
 
     rank = 0
     witness = (None, None)
     for k in range(1, cap + 1):
-        space = comb(m.rows, k) * comb(m.cols, k)
-        structured = k <= _CLASSIFY_MAX_K and space > _GENERIC_CUTOFF
-        if structured and views is _UNSET:
-            views = _level_views(cost)
-        if structured and views is not None:
+        if k <= _CLASSIFY_MAX_K and comb(m.rows, k) * comb(m.cols, k) > _GENERIC_CUTOFF:
+            views = views or _level_views(cost)
             status, found = _structured_level_scan(cost, views, orders, k, tracker)
         else:
             status, found = _generic_level_scan(cost, orders, k, tracker)
@@ -643,15 +644,15 @@ def sample_level_singular(m: TropicalMatrix, k: int, samples: int, seed: int):
 
     Draws come in chunks of 200,000 sorted row and column subsets, and are
     a function of (seed, shape, k, samples) alone.  A chunk's blocks are
-    classified by their zero pattern through one (chunk, k, k) gather; those
-    that are not SINGULAR are checked exactly, and every draw is when an
-    entry is negative or k > _COUNT_MAX_K.
+    classified by the zero pattern of the scaled matrix through one (chunk,
+    k, k) gather; those that are not SINGULAR are checked exactly, and every
+    draw is when k > _COUNT_MAX_K.
 
-    When k <= 4, no entry is negative and C(rows, k) <= samples, every k-row
-    set first goes through the row-set filter.  If none can hold a
-    non-SINGULAR block, every draw would be skipped, so (True, None) is
-    returned without drawing, and it is then a certificate: every k x k
-    submatrix is singular for every positive weighting of the zero pattern.
+    When k <= 4 and C(rows, k) <= samples, every k-row set first goes
+    through the row-set filter.  If none can hold a non-SINGULAR block,
+    every draw would be skipped, so (True, None) is returned without
+    drawing, and it is then a certificate: every k x k submatrix is singular
+    for every positive weighting of the scaled matrix's zero pattern.
     Otherwise the answer comes from sampling only and is not a certificate.
     """
     if not 1 <= k <= min(m.rows, m.cols):

@@ -57,7 +57,7 @@ from .patterns import (
     check_realization_exact,
     check_realization_float,
 )
-from .rank import tropical_rank
+from .rank import _level_views, tropical_rank
 from .tropical import TropicalMatrix
 
 
@@ -779,17 +779,20 @@ def kapranov_bounds(
 ) -> BoundsReport:
     """Sandwich the lift rank: tropical rank below, factorization rank above.
 
-    For a (0,1) matrix a rational rank-3 realization improves the upper
-    bound to 3 (the realization lifts).  A proof that none exists raises the
-    lower bound to 4 when every row and every column holds a 0 entry (the
-    residue-field argument: the t^0 coefficients of a rank-3 lift would form
-    such a realization).  Realizations over finite fields are not used.
+    Above an upper bound of 3, the residue pattern is tested over Q: the
+    incidences are the tropically scaled matrix's nonzero entries (positive
+    or inf), on the rows and columns holding a finite entry.  The t^0
+    coefficients of a rank-3 lift of the scaled matrix would realize it, so
+    a proof that no realization exists raises the lower bound to 4.  A
+    realization gives upper bound 3 for a (0,1) matrix only: it scales to
+    the (0,1) matrix of that pattern, to which the realization lifts.
 
     The factorization search (`barvinok_rank`) is capped at barvinok_budget
     coverings, 200,000 by default; when it runs out, the trivial
     min(rows, cols) upper bound stands in.  It runs out on unit Fano and unit
-    PG(2,3), which end at [4, 7] and [4, 13].  Only the lower bound can be
-    uncertified: a tropical-rank budget stop leaves a best-found value.
+    PG(2,3), which end at [4, 7] and [4, 13], and on the weighted planes,
+    which end at [4, n] too.  Only the lower bound can be uncertified: a
+    tropical-rank budget stop leaves a best-found value.
     """
     notes = []
     rk = tropical_rank(m, budget=rank_budget)
@@ -804,28 +807,22 @@ def kapranov_bounds(
         upper = bar.rank
     else:
         upper = min(m.rows, m.cols)
-        notes.append(
-            "factorization search inconclusive; trivial upper bound min(rows, cols)"
-        )
-    if upper > 3 and m.scale == 1 and set().union(*m.cost) <= {0, 1}:  # (0,1)-valued
-        pattern = IncidencePattern.from_matrix(m)
-        verdict = realize_rank3(pattern, seed=seed)
+        notes.append("factorization search inconclusive; trivial upper bound min(rows, cols)")
+    if upper > 3:
+        views = _level_views(m.cost)
+        residue = ~views.zero[views.finite.any(axis=1)][:, views.finite.any(axis=0)]
+        verdict = realize_rank3(IncidencePattern(residue), seed=seed)
         if isinstance(verdict, Realized):
-            upper = 3 if lower <= 3 else upper
-            notes.append("rational rank-3 realization found; upper bound improved to 3")
+            notes.append("rational rank-3 realization of the residue pattern found")
+            if m.scale == 1 and set().union(*m.cost) <= {0, 1} and lower <= 3:
+                upper = 3
+                notes.append("(0,1) matrix: the realization lifts; upper bound improved to 3")
         elif isinstance(verdict, ProvedInfeasible):
-            notes.append("no rational rank-3 realization exists")
-            zeros = ~pattern.bits
-            if zeros.any(axis=0).all() and zeros.any(axis=1).all():
-                # Residue field: the t^0 coefficients of a rank-3 lift would be
-                # nonzero 3-vectors (each row and column has a 0 entry, whose
-                # coefficient is nonzero) with P_i . L_j = 0 exactly at the
-                # 1-entries, a rational rank-3 realization.
-                lower = max(lower, 4)
-                notes.append("residue-field argument: a rank-3 lift would give a rational "
-                             "rank-3 realization, so the lower bound is 4")
-                if upper < lower:  # Barvinok rank >= Kapranov rank
-                    raise RuntimeError(f"factorization rank {upper} below the Kapranov lower bound {lower}")
+            lower = max(lower, 4)
+            notes.append("residue-field argument: no rational rank-3 realization of the residue pattern "
+                         "exists, and a rank-3 lift would give one, so the lower bound is at least 4")
+            if upper < lower:  # Barvinok rank >= Kapranov rank
+                raise RuntimeError(f"factorization rank {upper} below the Kapranov lower bound {lower}")
         else:
             notes.append("rank-3 realization search inconclusive")
     tight = lower_cert and lower == upper

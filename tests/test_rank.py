@@ -14,6 +14,7 @@ from troprank import (
     brute_force_determinant,
     incidence_matrix,
     is_nonsingular,
+    min_plus_multiply,
     projective_plane,
     sample_level_singular,
     tropical_rank,
@@ -162,10 +163,29 @@ def _random_nonneg(rng, rows, cols, inf_share=0.15, top=3):
     return TropicalMatrix.from_rows([[entry() for _ in range(cols)] for _ in range(rows)])
 
 
-def _reweighted(rng, m):
-    """The same zeros and infs with fresh weights in 1..9."""
+def _signed_product(rng, n):
+    """A min-plus product of n x 3 by 3 x n matrices with entries in
+    [-20, 20]: tropical rank at most 3, and no row or column need hold a 0."""
+    left = [[Fraction(rng.randint(-20, 20)) for _ in range(3)] for _ in range(n)]
+    right = [[Fraction(rng.randint(-20, 20)) for _ in range(n)] for _ in range(3)]
+    return min_plus_multiply(TropicalMatrix.from_rows(left), TropicalMatrix.from_rows(right))
+
+
+def _signed_zeros(rng, n):
+    """An n x n matrix with 60 % zeros and the rest nonzero in [-20, 20]."""
+    nonzero = [x for x in range(-20, 21) if x]
     return TropicalMatrix.from_rows(
-        [[x if x == 0 or x is INF else Fraction(rng.randint(1, 9)) for x in row] for row in m.to_rows()]
+        [[Fraction(0) if rng.random() < 0.6 else Fraction(rng.choice(nonzero)) for _ in range(n)] for _ in range(n)]
+    )
+
+
+def _reweighted(rng, views):
+    """The scaled pattern's zeros and infs with fresh weights in 1..9."""
+    return TropicalMatrix.from_rows(
+        [
+            [Fraction(0) if zero else Fraction(rng.randint(1, 9)) if finite else INF for zero, finite in zip(*cells)]
+            for cells in zip(views.zero.tolist(), views.finite.tolist())
+        ]
     )
 
 
@@ -173,7 +193,10 @@ def test_classified_scan_returns_generic_witness(monkeypatch):
     """Oracle: per level, the zero-pattern scan reports exactly what the
     plain pair-by-pair scan reports, witness included.  The second pass has
     no inf and weights 1-2 only, so weighted ties are common.  A level the
-    scan calls weight-free stays refuted under another weighting."""
+    scan calls weight-free stays refuted under another weighting of the
+    scaled zero pattern.  Signed matrices (rank-3 min-plus products, 60 %
+    zeros), which classify their scaled pattern, keep the rank, witness and
+    refuted level of the pair-by-pair search."""
     rng = random.Random(29)
     levels = {"witness": 0, "exhausted": 0, "weight-free": 0}
     for inf_share, top, count in ((0.15, 3, 300), (0.0, 2, 100)):
@@ -211,7 +234,7 @@ def test_classified_scan_returns_generic_witness(monkeypatch):
                 assert len(statuses) == 1
                 levels[status] += 1
                 if status == "weight-free":
-                    other = _reweighted(rng, m)
+                    other = _reweighted(rng, views)
                     assert rank_mod._generic_level_scan(
                         other.cost, rank_mod._witness_orders(other.cost), k, rank_mod._Budget(None)
                     ) == ("exhausted", None)
@@ -238,18 +261,38 @@ def test_classified_scan_returns_generic_witness(monkeypatch):
                 plain.rank, plain.row_witness, plain.col_witness
             )
             assert classified.refuted_level == plain.refuted_level
+    for m in [_signed_product(rng, n) for n in (8, 8, 10)] + [_signed_zeros(rng, 9) for _ in range(3)]:
+        monkeypatch.setattr(rank_mod, "_GENERIC_CUTOFF", 10**30)
+        plain = tropical_rank(m)
+        monkeypatch.undo()
+        rank_mod._CLASSIFY_CACHE.clear()
+        classified = tropical_rank(m)
+        assert (classified.rank, classified.row_witness, classified.col_witness, classified.refuted_level) == (
+            plain.rank, plain.row_witness, plain.col_witness, plain.refuted_level
+        )
+        # Level 3 holds more than 1,000 pairs, so it was classified.
+        assert any(key[-1] == 3 for key in rank_mod._CLASSIFY_CACHE)
 
 
 def _level_views_reference(cost):
-    """_level_views as three comprehensions over the integer cost."""
-    finite = [c for row in cost for c in row if c is not None]
-    if finite and min(finite) < 0:
-        return None
-    fits = max(finite, default=0) * rank_mod._CLASSIFY_MAX_K < rank_mod._DENSE_INF
+    """_level_views through the public tropical_scale: Fraction row minima
+    subtracted, then column minima; the int64 view only when every finite
+    entry lies within +-_DENSE_INF // _CLASSIFY_MAX_K before and after."""
+    m = TropicalMatrix.from_rows([[INF if c is None else Fraction(c) for c in row] for row in cost])
+
+    def minus_minima(rows):
+        return [-min((x for x in row if x is not INF), default=Fraction(0)) for row in rows]
+
+    m = tropical_scale(m, minus_minima(m.to_rows()), [0] * m.cols)
+    m = tropical_scale(m, [0] * m.rows, minus_minima(zip(*m.to_rows())))
+    scaled = m.to_rows()
+    bound = rank_mod._DENSE_INF // rank_mod._CLASSIFY_MAX_K
+    entries = itertools.chain(*cost, *scaled)
+    fits = all(abs(x) <= bound for x in entries if x is not None and x is not INF)
     return rank_mod._Views(
-        np.array([[c == 0 for c in row] for row in cost], dtype=bool),
-        np.array([[c is not None for c in row] for row in cost], dtype=bool),
-        np.array([[rank_mod._DENSE_INF if c is None else c for c in row] for row in cost], dtype=np.int64)
+        np.array([[x == 0 for x in row] for row in scaled], dtype=bool),
+        np.array([[x is not INF for x in row] for row in scaled], dtype=bool),
+        np.array([[rank_mod._DENSE_INF if x is INF else int(x) for x in row] for row in scaled], dtype=np.int64)
         if fits else None,
     )
 
@@ -279,9 +322,11 @@ def test_views_and_witness_orders_match_reference(monkeypatch):
     against a run on the reference views and the per-level count scan:
     every RankResult field, pairs_examined included, at budgets None, 1, 7
     and 100, with levels pair by pair (default cutoff) and classified
-    (cutoff 0).  Square and non-square shapes, inf rows and columns, a
-    negative entry (no views) and entries too large for the int64 view,
-    one of them equal to its inf sentinel."""
+    (cutoff 0).  Square and non-square shapes, inf rows and columns,
+    negative entries, entries on each side of the int64 view's bound
+    +-_DENSE_INF // _CLASSIFY_MAX_K (-bound fits, but not once scaled),
+    entries too large for it, one of them equal to its inf sentinel, and
+    rows too large for it that scale to small entries."""
     rng = random.Random(83)
     matrices = []
     for rows, cols in ((6, 6), (5, 9), (9, 5), (7, 8), (3, 11), (10, 4)):
@@ -292,21 +337,27 @@ def test_views_and_witness_orders_match_reference(monkeypatch):
         for row in entries:
             row[col] = INF
         matrices += [m, TropicalMatrix.from_rows(entries)]
+    matrices += [_signed_product(rng, 7), _signed_zeros(rng, 6)]
     base = _random_nonneg(rng, 7, 6)
-    for big in (Fraction(-1), Fraction(2**58), Fraction(2**60), Fraction(2**70), Fraction(-(2**70))):
+    bound = rank_mod._DENSE_INF // rank_mod._CLASSIFY_MAX_K
+    edges = (bound, bound + 1, -bound, -bound - 1)
+    for big in (-1, 2**58, 2**60, 2**70, -(2**70)) + edges:
         entries = base.to_rows()
-        entries[3][2] = big
+        entries[3][2] = Fraction(big)
+        matrices.append(TropicalMatrix.from_rows(entries))
+    # Rows beyond the bound that scale to small entries: no int64 view either.
+    for big in (2**59, -(2**59)):
+        entries = base.to_rows()
+        entries[3] = [Fraction(big + j) for j in range(base.cols)]
         matrices.append(TropicalMatrix.from_rows(entries))
     dense_none = 0
     for m in matrices:
         got, want = rank_mod._level_views(m.cost), _level_views_reference(m.cost)
-        assert (got is None) == (want is None)
-        if got is not None:
-            assert np.array_equal(got.zero, want.zero) and np.array_equal(got.finite, want.finite)
-            assert (got.dense is None) == (want.dense is None)
-            dense_none += got.dense is None
-            if got.dense is not None:
-                assert got.dense.dtype == np.int64 and np.array_equal(got.dense, want.dense)
+        assert np.array_equal(got.zero, want.zero) and np.array_equal(got.finite, want.finite)
+        assert (got.dense is None) == (want.dense is None)
+        dense_none += got.dense is None
+        if got.dense is not None:
+            assert got.dense.dtype == np.int64 and np.array_equal(got.dense, want.dense)
         for cutoff in (rank_mod._GENERIC_CUTOFF, 0):
             for budget in (None, 1, 7, 100):
                 monkeypatch.setattr(rank_mod, "_GENERIC_CUTOFF", cutoff)
@@ -317,7 +368,9 @@ def test_views_and_witness_orders_match_reference(monkeypatch):
                 rank_mod._CLASSIFY_CACHE.clear()
                 assert result == tropical_rank(m, budget=budget), (m.rows, m.cols, cutoff, budget)
                 monkeypatch.undo()
-    assert dense_none == 3
+    # 2**58, 2**60, +-2**70, bound + 1, -bound (bound + 3 once scaled),
+    # -bound - 1 and both rows near +-2**59.
+    assert dense_none == 9
 
 
 def _deep_witness_matrix(rng, n):
@@ -832,13 +885,21 @@ def test_weight_free_refutation(monkeypatch):
     monkeypatch.setattr(rank_mod, "_GENERIC_CUTOFF", 60_000)
     assert tropical_rank(fano).refuted_level == 4 and not tropical_rank(fano).weight_free
     monkeypatch.undo()
-    # Tropical rank one: every 2 x 2 minor ties, and no entry is zero.
+    # Tropical rank one: no entry is zero, but the matrix scales to all
+    # zeros, so every 2 x 2 block is SINGULAR by its scaled pattern.
     a, b = (1, 4, 2, 7, 3, 5), (2, 1, 6, 3, 8, 4)
     rank_one = TropicalMatrix.from_rows([[Fraction(x + y) for y in b] for x in a])
     monkeypatch.setattr(rank_mod, "_GENERIC_CUTOFF", 0)
     assert tropical_rank(fano).weight_free
     res = tropical_rank(rank_one)
-    assert (res.rank, res.refuted_level, res.weight_free) == (1, 2, False)
+    assert (res.rank, res.refuted_level, res.weight_free) == (1, 2, True)
+    # Tropical rank two, a min-plus product through two columns: its scaled
+    # pattern leaves level 3 WEIGHTED pairs, which the weights refute.
+    left = [[Fraction(x) for x in row] for row in ((0, 5), (1, 3), (4, 0), (2, 7), (6, 1), (3, 3))]
+    right = [[Fraction(x) for x in row] for row in ((0, 2, 5, 1, 7, 3), (4, 0, 1, 6, 2, 5))]
+    rank_two = min_plus_multiply(TropicalMatrix.from_rows(left), TropicalMatrix.from_rows(right))
+    res = tropical_rank(rank_two)
+    assert (res.rank, res.refuted_level, res.weight_free) == (2, 3, False)
 
 
 @pytest.mark.parametrize(
@@ -946,14 +1007,15 @@ def test_sample_subsets_match_retest_all_loop():
         assert rng.integers(1 << 30) == ref.integers(1 << 30)
 
 
-def _sample_level_singular_reference(m, k, samples, seed):
+def _sample_level_singular_reference(m, k, samples, seed, exact=False):
     """The sampler before its draws were sorted by a compare-exchange network
     and its codes gathered cell by cell: np.sort draws (through the loop
-    above) and one broadcast (B, k, k) gather of the zero pattern."""
+    above) and one broadcast (B, k, k) gather of the zero pattern.  With
+    `exact`, every draw is checked exactly, whatever its pattern."""
     if not 1 <= k <= min(m.rows, m.cols):
         raise ValueError(f"level {k} outside 1..{min(m.rows, m.cols)}")
     cost = m.cost
-    views = rank_mod._level_views(cost) if k <= rank_mod._COUNT_MAX_K else None
+    views = rank_mod._level_views(cost) if k <= rank_mod._COUNT_MAX_K and not exact else None
     rng = np.random.default_rng(seed)
     remaining = samples
     chunk = 200_000
@@ -977,13 +1039,16 @@ def _sample_level_singular_reference(m, k, samples, seed):
 def test_sample_level_singular_matches_reference():
     """Same verdict and counterexample as the reference sampler on seeded
     matrices at k = 1..6: square and non-square shapes, the complement path
-    (2k > n, and k = n), a negative entry (every draw checked exactly) and
-    mostly singular patterns, whose counterexamples lie deep in a batch."""
+    (2k > n, and k = n), mostly singular patterns, whose counterexamples
+    lie deep in a batch, and signed matrices, whose scaled pattern filters
+    the draws: those also match the reference checking every draw exactly."""
     rng = random.Random(71)
     matrices = [_random_nonneg(rng, r, c) for r, c in ((6, 6), (5, 9), (9, 5), (7, 12), (12, 7), (4, 4))]
-    matrices.append(TropicalMatrix.from_rows(
+    signed = [TropicalMatrix.from_rows(
         [[Fraction(-1) if i == j else Fraction(i * j % 5) for j in range(8)] for i in range(6)]
-    ))
+    )]
+    signed += [_signed_product(rng, 7), _signed_zeros(rng, 8)]
+    matrices += signed
     matrices += [incidence_matrix(projective_plane(q), "random", seed=q) for q in (2, 3)]
     # One nonzero cell in an all-zero pattern: few draws avoid being SINGULAR.
     matrices.append(TropicalMatrix.from_rows(
@@ -995,6 +1060,8 @@ def test_sample_level_singular_matches_reference():
             for seed in (index, 100 + k):
                 got = sample_level_singular(m, k, 3000, seed=seed)
                 assert got == _sample_level_singular_reference(m, k, 3000, seed=seed), (index, k, seed)
+                if m in signed:
+                    assert got == _sample_level_singular_reference(m, k, 3000, seed=seed, exact=True)
                 outcomes.add(got[0])
     assert outcomes == {True, False}
     # Three 200,000-draw chunks, all SINGULAR by their zero pattern.  PG(2,3)

@@ -3,11 +3,13 @@ import itertools
 import random
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from troprank import (
+    INF,
     IncidencePattern,
     ProvedInfeasible,
     Realized,
@@ -19,11 +21,13 @@ from troprank import (
     format_configuration,
     incidence_matrix,
     kapranov_bounds,
+    min_plus_multiply,
     parse_configuration,
     projective_plane,
     realize_rank3,
     tropical_rank,
 )
+from troprank import realize as realize_mod
 from troprank.multipoly import Poly, primitive_triple
 from troprank.realize import _ExactEngine, _IncidenceLeastSquares, _Node
 from troprank.reduction import compile_system, harden, parse_poly_system
@@ -697,12 +701,91 @@ def test_bounds_fano_never_claims_three():
     assert not res.tight
     assert any("no rational rank-3 realization" in n for n in res.notes)
     assert any("residue-field argument" in n for n in res.notes)
-    # A row of 1s only: a lift's t^0 row may vanish, so the argument is silent.
+    # A row of 1s scales to a row of 0s: in the residue pattern, a point on
+    # no line, beside the Fano plane, which is still infeasible over Q.
     with_full_row = TropicalMatrix(m.cost + ((1,) * 7,), 1)
+    assert tropical_rank(with_full_row).rank == 3
     res = kapranov_bounds(with_full_row, barvinok_budget=2000)
-    assert any("no rational rank-3 realization" in n for n in res.notes)
-    assert res.lower == tropical_rank(with_full_row).rank
-    assert not any("residue-field argument" in n for n in res.notes)
+    assert res.lower == 4
+    assert any("residue-field argument" in n for n in res.notes)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_bounds_weighted_plane_lower_four(q):
+    """A positively weighted PG(2,q) has tropical rank 3, and it scales to
+    itself with the unit plane as residue pattern, infeasible over Q: the
+    lower bound is 4, the paper's separation.  The unit plane keeps its
+    bounds."""
+    for scheme, seed in (("random", 1), ("unit", 0)):
+        m = incidence_matrix(projective_plane(q), scheme, seed=seed)
+        res = kapranov_bounds(m)
+        assert tropical_rank(m).rank == 3
+        assert (res.lower, res.upper, res.tight, res.lower_certified) == (4, m.rows, False, True)
+        assert any("residue-field argument" in n for n in res.notes)
+
+
+def _residue_pattern_oracle(m):
+    """The residue pattern by Fraction arithmetic on each entry: incidence
+    where the entry less its row's finite minimum, less its column's minimum
+    of those, is positive or inf; rows and columns all inf dropped."""
+    rows = m.to_rows()
+    lows = [min((x for x in row if x is not INF), default=None) for row in rows]
+    shifted = [[x if x is INF else x - low for x in row] for row, low in zip(rows, lows)]
+    col_lows = [min((x for x in col if x is not INF), default=None) for col in zip(*shifted)]
+    keep_cols = [j for j, low in enumerate(col_lows) if low is not None]
+    return IncidencePattern(np.array(
+        [[row[j] is INF or row[j] - col_lows[j] > 0 for j in keep_cols] for row, low in zip(shifted, lows)
+         if low is not None],
+        dtype=bool,
+    ).reshape(-1, len(keep_cols)))
+
+
+def test_bounds_residue_pattern_matches_scaling_oracle(monkeypatch):
+    """On seeded small signed matrices with inf entries (some with an all-inf
+    row or column), random or one entry off a rank-3 min-plus product, the
+    pattern kapranov_bounds tests is the scaling oracle's, and the
+    residue-field lower bound appears iff realize_rank3 proves that exact
+    pattern infeasible over Q."""
+    tested = []
+
+    def recording(pattern, **kwargs):
+        tested.append((pattern, realize_rank3(pattern, **kwargs)))
+        return tested[-1][1]
+
+    monkeypatch.setattr(realize_mod, "realize_rank3", recording)
+    rng = random.Random(47)
+    outcomes = set()
+    for _ in range(40):
+        rows, cols = rng.randint(4, 6), rng.randint(4, 6)
+        entries = [[INF if rng.random() < 0.1 else Fraction(rng.randint(-3, 3)) for _ in range(cols)]
+                   for _ in range(rows)]
+        if rng.random() < 0.5:
+            right = [[Fraction(rng.randint(-3, 3)) for _ in range(cols)] for _ in range(3)]
+            entries = min_plus_multiply(
+                TropicalMatrix.from_rows([row[:3] for row in entries]), TropicalMatrix.from_rows(right)
+            ).to_rows()
+            entries[rng.randrange(rows)][rng.randrange(cols)] = Fraction(rng.randint(-3, 3))
+        if rng.random() < 0.3:  # an all-inf row or column, which the pattern drops
+            if rng.random() < 0.5:
+                entries[rng.randrange(rows)] = [INF] * cols
+            else:
+                column = rng.randrange(cols)
+                for row in entries:
+                    row[column] = INF
+        m = TropicalMatrix.from_rows(entries)
+        tested.clear()
+        res = kapranov_bounds(m, barvinok_budget=2000)
+        if res.upper <= 3:
+            assert not tested
+            continue
+        (pattern, verdict), = tested
+        assert pattern == _residue_pattern_oracle(m)
+        infeasible = isinstance(verdict, ProvedInfeasible)
+        assert any("residue-field argument" in n for n in res.notes) == infeasible
+        assert res.lower == (max(tropical_rank(m).rank, 4) if infeasible else tropical_rank(m).rank)
+        assert res.upper > 3  # a realization lifts only for a (0,1) matrix
+        outcomes.add(infeasible)
+    assert outcomes == {True, False}
 
 
 def test_bounds_pg23_default_budget():
