@@ -1,17 +1,25 @@
 """Tropical determinant: exact minimum permutation sum with a uniqueness certificate.
 
-The minimum is computed by a Hungarian solver over the matrix's stored form,
-integer costs ``m.cost`` over one denominator ``m.scale`` (None for inf is a
-forbidden edge).  Uniqueness comes from the optimal dual potentials of that
-same solve: the optimal permutations are exactly the perfect matchings of the
-tight subgraph (edges of reduced cost 0), so the optimum is unique iff that
-subgraph has no cycle alternating with the optimal matching (Butkovič,
-*Max-linear Systems*, 2010).  Below size 5 the n!
-permutation sums are enumerated instead, which is faster at those sizes.
+Every solver reads the matrix's stored form, integer costs ``m.cost`` over one
+denominator ``m.scale`` (None for inf is a forbidden edge), and the method
+depends on the size n:
+
+- n <= 3: the n! permutation sums are enumerated.
+- 4 <= n <= 6: one subset DP over the sets of used columns gives the least
+  cost of the remaining rows and how many assignments attain it, so
+  uniqueness is an exact count.
+- n >= 7: a Hungarian solve, whose optimal dual potentials certify
+  uniqueness: the optimal permutations are exactly the perfect matchings of
+  the tight subgraph (edges of reduced cost 0), so the optimum is unique iff
+  that subgraph has no cycle alternating with the optimal matching
+  (Butkovič, *Max-linear Systems*, 2010).
+
+The first two methods return the lexicographically first optimum as witness.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,6 +28,8 @@ from typing import Optional
 from .tropical import INF, TropicalMatrix
 
 _UNREACHED = float("inf")  # sentinel only; never mixed into exact arithmetic
+_ENUMERATE_MAX = 3  # largest size solved by enumeration
+_SUBSET_DP_MAX = 6  # largest size solved by the subset DP
 
 
 @dataclass(frozen=True)
@@ -130,16 +140,76 @@ def _has_alternating_cycle(cost, perm, row_pot, col_pot) -> bool:
     return peeled < n
 
 
+@functools.lru_cache(maxsize=_SUBSET_DP_MAX - _ENUMERATE_MAX)
+def _subset_dp_plan(n):
+    """The subset DP's steps for size n: (mask, row, moves) for every proper
+    column mask in decreasing order, so each mask follows all its supersets.
+    row is the mask's size, the row assigned next; moves lists (j, mask | 1 << j)
+    for each free column j, ascending."""
+    return tuple(
+        (mask, bin(mask).count("1"), tuple((j, mask | 1 << j) for j in range(n) if not mask >> j & 1))
+        for mask in range((1 << n) - 2, -1, -1)
+    )
+
+
+def _subset_dp_min_permutation(cost):
+    """min_permutation by a DP over column masks, rows assigned in order.
+
+    best[mask] is the least cost of the rows not yet assigned over the columns
+    not in mask (None when none is finite), count[mask] how many assignments
+    attain it, and first[mask] the least column that does; following first
+    from the empty mask reads off the lexicographically first optimum.
+    """
+    n = len(cost)
+    full = (1 << n) - 1
+    best = [None] * (full + 1)
+    count = [0] * (full + 1)
+    first = [0] * full
+    best[full] = 0
+    count[full] = 1
+    for mask, row, moves in _subset_dp_plan(n):
+        costs = cost[row]
+        low = None
+        ways = 0
+        for j, rest in moves:
+            c = costs[j]
+            if c is None:
+                continue
+            tail = best[rest]
+            if tail is None:
+                continue
+            total = c + tail
+            if low is None or total < low:
+                low = total
+                ways = count[rest]
+                first[mask] = j
+            elif total == low:
+                ways += count[rest]
+        best[mask] = low
+        count[mask] = ways
+    if best[0] is None:
+        return None, None, False
+    perm = []
+    mask = 0
+    for _ in range(n):
+        j = first[mask]
+        perm.append(j)
+        mask |= 1 << j
+    return best[0], tuple(perm), count[0] == 1
+
+
 def min_permutation(cost):
     """(total, perm, unique) for a square int/None cost matrix.
 
     ``unique`` is True when exactly one permutation attains the minimum;
-    (None, None, False) when every permutation meets a None.  Sizes up to 4
-    enumerate all permutations, the first optimum in lexicographic order
-    being the witness; larger sizes make one Hungarian solve.
+    (None, None, False) when every permutation meets a None.  Sizes up to 3
+    enumerate all permutations and sizes 4 to 6 count the optima with a
+    subset DP, both returning the first optimum in lexicographic order as
+    the witness; larger sizes make one Hungarian solve and test its tight
+    subgraph for an alternating cycle.
     """
     n = len(cost)
-    if n <= 4:
+    if n <= _ENUMERATE_MAX:
         best = None
         witness = None
         count = 0
@@ -159,6 +229,8 @@ def min_permutation(cost):
             elif total == best:
                 count += 1
         return best, witness, count == 1
+    if n <= _SUBSET_DP_MAX:
+        return _subset_dp_min_permutation(cost)
     solved = solve_min_assignment(cost)
     if solved is None:
         return None, None, False
@@ -187,23 +259,20 @@ def brute_force_determinant(m: TropicalMatrix):
     """Oracle: enumerate all n! permutations.  Returns (value, best perms list)."""
     if not m.is_square:
         raise ValueError("square matrices only")
-    n = m.rows
-    best = INF
+    cost = m.cost
+    best = None
     winners = []
-    for perm in itertools.permutations(range(n)):
-        total = Fraction(0)
-        dead = False
+    for perm in itertools.permutations(range(m.rows)):
+        total = 0
         for i, j in enumerate(perm):
-            v = m.entry(i, j)
-            if v is INF:
-                dead = True
+            c = cost[i][j]
+            if c is None:
                 break
-            total += v
-        if dead:
-            continue
-        if best is INF or total < best:
-            best = total
-            winners = [perm]
-        elif total == best:
-            winners.append(perm)
-    return best, winners
+            total += c
+        else:
+            if best is None or total < best:
+                best = total
+                winners = [perm]
+            elif total == best:
+                winners.append(perm)
+    return (INF if best is None else Fraction(best, m.scale)), winners

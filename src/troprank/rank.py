@@ -185,7 +185,9 @@ def _level_views(cost):
     +-_DENSE_INF // _CLASSIFY_MAX_K before and after scaling: counting the
     cells within that bound against the non-None ones also catches a finite
     entry equal to _DENSE_INF.  Otherwise dense is None, and the masks come
-    from the exact ints, scaled the same way."""
+    from the exact ints, scaled the same way.  A pass whose minima are all 0
+    or inf subtracts nothing and is skipped, and so is the second count when
+    neither pass subtracts."""
     bound = _DENSE_INF // _CLASSIFY_MAX_K
     try:
         dense = np.array([_DENSE_INF if c is None else c for row in cost for c in row], dtype=np.int64)
@@ -196,9 +198,13 @@ def _level_views(cost):
         finite_count = dense.size - sum(row.count(None) for row in cost)
         if dense.min() >= -bound and np.count_nonzero(dense <= bound) == finite_count:
             finite = dense != _DENSE_INF
+            subtracted = False
             for axis in (1, 0):  # inf, the largest entry, is the minimum of all-inf lines only
-                np.subtract(dense, dense.min(axis, keepdims=True), out=dense, where=finite)
-            if np.count_nonzero(dense <= bound) == finite_count:
+                lows = dense.min(axis, keepdims=True)
+                if np.count_nonzero(lows) and (lows % _DENSE_INF).any():  # a minimum not 0 or inf
+                    np.subtract(dense, lows, out=dense, where=finite)
+                    subtracted = True
+            if not subtracted or np.count_nonzero(dense <= bound) == finite_count:
                 return _Views(dense == 0, finite, dense)
     scaled = zip(*_minus_row_minima(list(zip(*_minus_row_minima(cost)))))  # columns, then back
     zero = np.array([[c == 0 for c in row] for row in scaled], dtype=bool)

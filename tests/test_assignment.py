@@ -11,6 +11,12 @@ from troprank import (
     tropical_determinant,
     tropical_scale,
 )
+from troprank.assignment import (
+    _has_alternating_cycle,
+    _subset_dp_min_permutation,
+    min_permutation,
+    solve_min_assignment,
+)
 
 
 def test_det_identity_pattern():
@@ -129,3 +135,63 @@ def test_scaling_invariance_100_random():
         c = [Fraction(rng.randint(-5, 5)) for _ in range(4)]
         scaled = tropical_scale(m, r, c)
         assert is_nonsingular(scaled) == is_nonsingular(m)
+
+
+def _oracle_corpus(seed, sizes, per_kind):
+    """(kind, matrix) pairs of random, tie-heavy ({0, 1, 2}) and inf-heavy
+    matrices for each size."""
+    rng = random.Random(seed)
+    for n in sizes:
+        count = per_kind(n)
+        for _ in range(count):
+            yield "random", _random_matrix(rng, n, inf_rate=0.15)
+        for _ in range(count):
+            yield "ties", _tie_heavy_matrix(rng, n, inf_rate=0.15)
+        for _ in range(count):
+            yield "inf", _tie_heavy_matrix(rng, n, inf_rate=0.55)
+
+
+def _per_kind(n):
+    return 12 if n == 7 else 60
+
+
+def test_subset_dp_matches_brute_force():
+    """Value, uniqueness and witness == the lexicographically first optimum
+    (brute force lists its winners in lexicographic order), n = 1..7."""
+    for kind, m in _oracle_corpus(2027, range(1, 8), _per_kind):
+        value, winners = brute_force_determinant(m)
+        total, perm, unique = _subset_dp_min_permutation(m.cost)
+        if value is INF:
+            assert (total, perm, unique) == (None, None, False), (kind, m)
+        else:
+            assert Fraction(total, m.scale) == value, (kind, m)
+            assert unique == (len(winners) == 1), (kind, m)
+            assert perm == winners[0], (kind, m)
+
+
+def test_min_permutation_witness_is_first_optimum_up_to_six():
+    """Enumeration (n <= 3) and the subset DP (n = 4..6) both return the
+    first optimum in lexicographic order; the Hungarian path (n = 7) returns
+    some optimum."""
+    for kind, m in _oracle_corpus(2029, range(1, 8), _per_kind):
+        value, winners = brute_force_determinant(m)
+        total, perm, unique = min_permutation(m.cost)
+        if value is INF:
+            assert (total, perm, unique) == (None, None, False), (kind, m)
+            continue
+        assert Fraction(total, m.scale) == value and unique == (len(winners) == 1), (kind, m)
+        assert perm == winners[0] if m.rows <= 6 else perm in winners, (kind, m)
+
+
+def test_hungarian_and_cycle_check_match_subset_dp():
+    """The Hungarian path, called directly at sizes it no longer serves by
+    default, agrees with the subset DP on value and uniqueness."""
+    for kind, m in _oracle_corpus(2031, (5, 6), lambda n: 100):
+        total, _, unique = _subset_dp_min_permutation(m.cost)
+        solved = solve_min_assignment(m.cost)
+        if solved is None:
+            assert total is None, (kind, m)
+            continue
+        value, perm, row_pot, col_pot = solved
+        assert value == total, (kind, m)
+        assert (not _has_alternating_cycle(m.cost, perm, row_pot, col_pot)) == unique, (kind, m)

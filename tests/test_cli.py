@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 
+import troprank
 from troprank import min_plus_multiply, parse_matrix
 from troprank.barvinok import DEFAULT_COVERING_BUDGET
 from troprank.cli import main
@@ -81,19 +85,24 @@ def test_rank_barvinok_budget_stop_exit_3(tmp_path, capsys):
 def test_rank_barvinok_default_budget_stops_on_fano(tmp_path, capsys):
     """Without --budget the factorization search stops at the default
     covering budget (the one kapranov_bounds uses), which the manifest
-    records, and exits 3 on unit Fano."""
+    records, and exits 3 on unit Fano.  The search runs in a child process
+    under a wall-clock limit, so a lost default budget fails the test
+    instead of hanging it."""
     code, _, _ = run(
         ["gen-plane", "--order", "2", "--weights", "unit", "--seed", "1",
          "--out", str(tmp_path / "fano")],
         capsys,
     )
     assert code == 0
-    code, out, _ = run(
-        ["--json", "rank", str(tmp_path / "fano.tropmat"), "--kind", "barvinok", "--seed", "1"],
-        capsys,
+    src = os.path.dirname(os.path.dirname(os.path.abspath(troprank.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    child = subprocess.run(
+        [sys.executable, "-m", "troprank.cli", "--json", "rank", str(tmp_path / "fano.tropmat"),
+         "--kind", "barvinok", "--seed", "1"],
+        env=env, capture_output=True, text=True, timeout=120,
     )
-    assert code == 3
-    doc = json.loads(out)
+    assert child.returncode == 3, child.stderr
+    doc = json.loads(child.stdout)
     assert doc["budgets"]["budget"] == DEFAULT_COVERING_BUDGET == 200_000
     verdict = doc["verdict"]
     assert verdict["rank"] is None and verdict["budget_exhausted"] is True
