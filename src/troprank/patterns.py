@@ -14,7 +14,13 @@ from typing import Optional
 import numpy as np
 
 from .galois import is_prime
-from .tropical import TropicalMatrix, format_value, parse_fraction
+from .tropical import (
+    TropicalMatrix,
+    format_value,
+    parse_fraction,
+    zero_one_bytes,
+    zero_one_matrix,
+)
 
 INCIDENCE_TOL = 1e-9      # float incidence: |v.w| <= tol * |v||w|
 NONINCIDENCE_MARGIN = 1e-4  # float non-incidence: |v.w| >= margin * |v||w|
@@ -60,12 +66,13 @@ class IncidencePattern:
     @staticmethod
     def from_matrix(m: TropicalMatrix) -> "IncidencePattern":
         """Read a (0,1)-valued tropical matrix as a pattern (1 = incidence)."""
-        if m.scale != 1 or not set().union(*m.cost) <= {0, 1}:
+        flat = zero_one_bytes(m)
+        if flat is None:
             raise ValueError("matrix is not (0,1)-valued")
-        return IncidencePattern(np.array(m.cost, dtype=bool))
+        return IncidencePattern(np.frombuffer(flat, dtype=bool).reshape(m.rows, m.cols))
 
     def to_tropical(self) -> TropicalMatrix:
-        return TropicalMatrix(tuple(map(tuple, self.bits.view(np.uint8).tolist())), 1)
+        return zero_one_matrix(self.bits.tobytes(), self.rows, self.cols)
 
     def ones(self) -> list:
         """Incidences (i, j) as Python ints, in row-major order."""

@@ -14,13 +14,21 @@ hold identically are discovered by evaluating all coordinates at two
 independent random witnesses and keeping the products that vanish at both
 (Schwartz-Zippel style identity testing, run modulo a 31-bit prime for speed);
 a disagreement between the witnesses triggers a redraw and, on the third
-failure, an abort.  The asserted equation incidences are overlaid on top:
-they are exactly the entries a realization can only satisfy by solving the
-system.
+failure, an abort.  At a witness, incidence is decided by pencil keys, not by
+dot products: a line (a, b, c) with (a, b) != 0 is scaled to (1, beta, gamma)
+or (0, 1, gamma), so it lies in the pencil through its point at infinity with
+key gamma, and a point (x, y, z) with z != 0 meets exactly the lines of each
+pencil whose gamma is -(alpha x + beta y) / z.  Points at infinity, the line
+at infinity and vectors == 0 mod p are decided by their own rules.  Every
+rule is the congruence point . line == 0 mod p divided by a unit, so the
+pattern is the one the dot products mod p give.  The asserted equation
+incidences are overlaid on top: they are exactly the entries a realization
+can only satisfy by solving the system.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,6 +43,7 @@ WITNESS_PRIME = 2_147_483_647  # 2^31 - 1
 _MIX_TERMS = 4  # hardening: monomials per mixing definition, besides a constant
 _MIX_BOUND = 9  # hardening: equations get multiples 1.._MIX_BOUND of each definition
 DEFAULT_STAND_IN_BITS = 16  # hardening: bit size of the generic stand-in constants
+_MASK_CHUNK_CELLS = 8_000_000  # witness masks: key-table gathers of at most this many cells
 
 
 class CompileError(RuntimeError):
@@ -317,6 +326,8 @@ class GadgetProgram:
         self._var_cache = {}
         self._inf1 = None
         self._neg1 = None
+        # Polys are never changed once built, so every gadget step shares these.
+        self._zero, self._one, self._minus_one = Poly.const(0), Poly.const(1), Poly.const(-1)
         self._frame()
 
     def label(self, i: int) -> str:
@@ -326,10 +337,10 @@ class GadgetProgram:
     # -- construction primitives
 
     def _add_element(self, kind, coords, name, prov) -> int:
-        if all(p.is_zero() for p in coords):
+        if not any(p.terms for p in coords):
             raise CompileError("zero coordinate triple")
         coords = primitive_triple(coords)
-        key = (kind, tuple(_poly_key(p) for p in coords))
+        key = (kind, *map(_poly_key, coords))
         hit = self._index.get(key)
         if hit is not None:
             return hit
@@ -338,11 +349,8 @@ class GadgetProgram:
         self._index[key] = idx
         return idx
 
-    def _c(self, x) -> Poly:
-        return Poly.const(x)
-
     def _point(self, x_val, y_val, name, prov) -> int:
-        return self._add_element("point", (x_val, y_val, self._c(1)), name, prov)
+        return self._add_element("point", (x_val, y_val, self._one), name, prov)
 
     def _diag(self, value, name, prov) -> int:
         idx = self._point(value, value, name, prov)
@@ -350,26 +358,26 @@ class GadgetProgram:
         return idx
 
     def _vline(self, c_val, prov) -> int:
-        return self._add_element("line", (self._c(1), self._c(0), -c_val), "x=...", prov)
+        return self._add_element("line", (self._one, self._zero, -c_val), "x=...", prov)
 
     def _hline(self, c_val, prov) -> int:
-        return self._add_element("line", (self._c(0), self._c(1), -c_val), "y=...", prov)
+        return self._add_element("line", (self._zero, self._one, -c_val), "y=...", prov)
 
     def _slope1(self, c_val, prov) -> int:
-        return self._add_element("line", (self._c(1), self._c(-1), -c_val), "x=y+...", prov)
+        return self._add_element("line", (self._one, self._minus_one, -c_val), "x=y+...", prov)
 
     def _slope_line(self, a_val, prov) -> int:
-        return self._add_element("line", (a_val, self._c(-1), self._c(0)), "y=a*x", prov)
+        return self._add_element("line", (a_val, self._minus_one, self._zero), "y=a*x", prov)
 
     def _frame(self):
-        self.X = self._add_element("point", (self._c(1), self._c(0), self._c(0)), "X", "frame")
-        self.Y = self._add_element("point", (self._c(0), self._c(1), self._c(0)), "Y", "frame")
-        self.O = self._diag(self._c(0), "O", "frame")
-        self.I = self._diag(self._c(1), "I", "frame")
-        self.OX = self._add_element("line", (self._c(0), self._c(1), self._c(0)), "OX", "frame")
-        self.OY = self._add_element("line", (self._c(1), self._c(0), self._c(0)), "OY", "frame")
-        self.OI = self._add_element("line", (self._c(1), self._c(-1), self._c(0)), "OI", "frame")
-        self.XY = self._add_element("line", (self._c(0), self._c(0), self._c(1)), "XY", "frame")
+        self.X = self._add_element("point", (self._one, self._zero, self._zero), "X", "frame")
+        self.Y = self._add_element("point", (self._zero, self._one, self._zero), "Y", "frame")
+        self.O = self._diag(self._zero, "O", "frame")
+        self.I = self._diag(self._one, "I", "frame")
+        self.OX = self._add_element("line", (self._zero, self._one, self._zero), "OX", "frame")
+        self.OY = self._add_element("line", (self._one, self._zero, self._zero), "OY", "frame")
+        self.OI = self._add_element("line", (self._one, self._minus_one, self._zero), "OI", "frame")
+        self.XY = self._add_element("line", (self._zero, self._zero, self._one), "XY", "frame")
         # The frame is a quadrilateral: no three of X, Y, O, I collinear.
         self.required_nonincidence = [
             (self.O, self.XY),
@@ -382,14 +390,14 @@ class GadgetProgram:
         """The slope-one direction at infinity (anchors all addition lines)."""
         if self._inf1 is None:
             self._inf1 = self._add_element(
-                "point", (self._c(1), self._c(1), self._c(0)), "(1)", "slope-1 direction"
+                "point", (self._one, self._one, self._zero), "(1)", "slope-1 direction"
             )
         return self._inf1
 
     def neg_one(self) -> int:
         """The fixed -1 point, pinned by an addition gadget summing to zero."""
         if self._neg1 is None:
-            self._neg1 = self._diag(self._c(-1), "-1", "negative unit")
+            self._neg1 = self._diag(self._minus_one, "-1", "negative unit")
             back = self.add(self._neg1, self.I, "check: (-1) + 1")
             if back != self.O:
                 raise CompileError("the -1 verification gadget missed the origin")
@@ -446,7 +454,7 @@ class GadgetProgram:
         self.inf1()
         tag = prov or "add"
         self._vline(va, tag)                       # x = a (through (a,a) and Y)
-        self._point(va, self._c(0), "(a,0)", tag)  # meets the x-axis
+        self._point(va, self._zero, "(a,0)", tag)  # meets the x-axis
         self._slope1(va, tag)                      # x = y + a (through (1))
         self._hline(vb, tag)                       # y = b (through (b,b) and X)
         vs = va + vb
@@ -458,9 +466,9 @@ class GadgetProgram:
         """Product gadget: lines x=1, y=a, y=ax, x=b, y=ab down to (ab,ab)."""
         va, vb = self.value(a), self.value(b)
         tag = prov or "mul"
-        self._vline(self._c(1), tag)               # x = 1 (through I and Y)
+        self._vline(self._one, tag)                # x = 1 (through I and Y)
         self._hline(va, tag)                       # y = a
-        self._point(self._c(1), va, "(1,a)", tag)
+        self._point(self._one, va, "(1,a)", tag)
         self._slope_line(va, tag)                  # y = a x (through O)
         self._vline(vb, tag)                       # x = b
         vp = va * vb
@@ -489,38 +497,32 @@ class GadgetProgram:
         return [i for i, e in enumerate(self.elements) if e.kind == "line"]
 
     def two_witness_pattern(self, seed: int):
-        """Incidence pattern from two independent witnesses plus assertions."""
+        """Incidence pattern from two independent witnesses plus assertions.
+
+        Each witness draws a random value mod WITNESS_PRIME for every
+        variable and evaluates every coordinate there (_ResidueEvaluator).
+        Its mask is decided by the pencil test (_incidence_mask): each line
+        is keyed by its pencil and gamma, each point by one key per pencil,
+        and a point meets a line when the keys agree.  The test decides the
+        congruence point . line == 0 mod p that the dot product decides, so
+        the masks, the redraws and the errors are those of the dot product.
+        A disagreement between the two masks redraws both.
+        """
         points = self.point_indices()
         lines = self.line_indices()
+        evaluate = _ResidueEvaluator([self.elements[i].coords for i in points + lines])
+        n = len(points)
         nv = len(self.variables)
         last_disagreement = None
         for attempt in range(3):
             masks = []
             for w in range(2):
                 rng = random.Random(f"witness:{seed}:{attempt}:{w}")
-                assignment = {v: rng.randrange(1, WITNESS_PRIME) for v in range(nv)}
-                pts = np.array(
-                    [_eval_triple_mod(self.elements[i].coords, assignment) for i in points],
-                    dtype=np.int64,
-                )
-                lns = np.array(
-                    [_eval_triple_mod(self.elements[j].coords, assignment) for j in lines],
-                    dtype=np.int64,
-                )
-                mask = np.zeros((len(points), len(lines)), dtype=bool)
-                step = max(1, 8_000_000 // max(1, len(lines)))
-                for lo in range(0, len(points), step):
-                    hi = min(lo + step, len(points))
-                    dots = np.zeros((hi - lo, len(lines)), dtype=np.int64)
-                    for c in range(3):
-                        dots = (
-                            dots
-                            + (pts[lo:hi, c][:, None] * lns[:, c][None, :]) % WITNESS_PRIME
-                        ) % WITNESS_PRIME
-                    mask[lo:hi] = dots == 0
-                masks.append(mask)
-            if (masks[0] ^ masks[1]).any():
-                last_disagreement = int((masks[0] ^ masks[1]).sum())
+                residues = evaluate([rng.randrange(1, WITNESS_PRIME) for _ in range(nv)])
+                masks.append(_incidence_mask(residues[:n], residues[n:]))
+            differ = masks[0] ^ masks[1]
+            if differ.any():
+                last_disagreement = int(differ.sum())
                 continue
             bits = masks[0]
             point_row = {idx: r for r, idx in enumerate(points)}
@@ -537,18 +539,120 @@ class GadgetProgram:
         )
 
 
-def _eval_triple_mod(coords, assignment):
-    return tuple(_eval_mod(p, assignment) for p in coords)
+class _ResidueEvaluator:
+    """Coordinate triples evaluated mod WITNESS_PRIME at variable assignments.
+
+    Built once per pattern: every coordinate's constant term is reduced once,
+    and the coordinates with other terms (few: most are constants) keep
+    those coefficients mod p against an index into the distinct monomials.
+    A call raises each variable to each exponent once and evaluates each
+    distinct monomial once.
+    """
+
+    def __init__(self, triples):
+        polys = [q.terms for q in itertools.chain.from_iterable(triples)]
+        constants = [terms.get((), 0) for terms in polys]
+        self._base = [c % WITNESS_PRIME for c in constants]
+        monomials = {}
+        # (slot, ((monomial index, coefficient mod p), ...)) for each
+        # coordinate with more terms than its constant term.
+        self._varying = [
+            (
+                slot,
+                tuple(
+                    (monomials.setdefault(m, len(monomials)), c % WITNESS_PRIME)
+                    for m, c in polys[slot].items()
+                    if m
+                ),
+            )
+            for slot, c in enumerate(constants)
+            if len(polys[slot]) > (c != 0)
+        ]
+        self._monomials = list(monomials)
+
+    def __call__(self, assignment) -> list:
+        """Residue triples at assignment (one residue per variable index)."""
+        p = WITNESS_PRIME
+        powers = {}
+        values = []
+        for mono in self._monomials:
+            v = 1
+            for var, e in mono:
+                if (var, e) not in powers:
+                    powers[var, e] = pow(assignment[var], e, p)
+                v = v * powers[var, e] % p
+            values.append(v)
+        flat = self._base.copy()
+        for slot, terms in self._varying:
+            flat[slot] = (flat[slot] + sum(c * values[k] for k, c in terms)) % p
+        return list(zip(flat[0::3], flat[1::3], flat[2::3]))
 
 
-def _eval_mod(p: Poly, assignment) -> int:
-    acc = 0
-    for mono, c in p.terms.items():
-        term = c % WITNESS_PRIME
-        for v, e in mono:
-            term = (term * pow(assignment[v], e, WITNESS_PRIME)) % WITNESS_PRIME
-        acc = (acc + term) % WITNESS_PRIME
-    return acc
+def _incidence_mask(points, lines, p: int = WITNESS_PRIME) -> np.ndarray:
+    """mask[i, j] == (points[i] . lines[j] == 0 mod p), by pencil keys.
+
+    points and lines are triples of residues 0..p-1, p a prime below
+    2^31.  A line (a, b, c) with (a, b) != 0 lies in the pencil of lines
+    through its point at infinity; one modular inverse scales it to
+    (1, beta, gamma) or (0, 1, gamma), and the pencil (alpha, beta) with its
+    key gamma identify it.  A point (x, y, z) with z != 0 meets exactly the
+    lines of pencil (alpha, beta) whose gamma == -(alpha x + beta y) / z, so
+    one key per point and pencil decides its row: one gather of the
+    points-by-pencils key table and one comparison with gamma.  A point at
+    infinity (z == 0, the point 0 included) meets all lines of a pencil
+    when alpha x + beta y == 0 and none otherwise; the line at infinity
+    (0, 0, c) meets exactly the points with z == 0, and a line == 0 meets
+    every point.  Each rule is the congruence point . line == 0 divided by
+    a unit, so the mask equals that of the dot product mod p.
+    """
+    n, m = len(points), len(lines)
+    mask = np.zeros((n, m), dtype=bool)
+    if not n or not m:
+        return mask
+    pencil_of = {}           # beta (p for the pencil (0, 1)) -> pencil index
+    pen = [0] * m
+    gamma = [0] * m          # the columns of lines outside every pencil are set below
+    at_infinity = []
+    null = []
+    for j, (a, b, c) in enumerate(lines):
+        if a:
+            inv = 1 if a == 1 else pow(a, -1, p)
+            beta = b * inv % p
+        elif b:
+            inv = 1 if b == 1 else pow(b, -1, p)
+            beta = p
+        else:
+            (at_infinity if c else null).append(j)
+            continue
+        pen[j] = pencil_of.setdefault(beta, len(pencil_of))
+        gamma[j] = c * inv % p
+    # (alpha, beta) per pencil; a placeholder pencil when there is none.
+    alphas, betas = np.array(
+        [(0, 1) if b == p else (1, b) for b in pencil_of] or [(1, 0)], dtype=np.int64
+    ).T
+    xs, ys, zs = zip(*points)
+    # s[i, k] = alpha_k x_i + beta_k y_i mod p; below 2^63 before the reduction.
+    s = (
+        np.array(xs, dtype=np.int64)[:, None] * alphas
+        + np.array(ys, dtype=np.int64)[:, None] * betas
+    ) % p
+    neg_zinv = np.array(
+        [p - 1 if z == 1 else p - pow(z, -1, p) if z else 0 for z in zs], dtype=np.int64
+    )
+    keys = (s * neg_zinv[:, None] % p).astype(np.int32)
+    pen = np.array(pen, dtype=np.intp)
+    gamma = np.array(gamma, dtype=np.int32)
+    step = max(1, _MASK_CHUNK_CELLS // m)
+    for lo in range(0, n, step):
+        np.equal(keys[lo : lo + step].take(pen, axis=1), gamma, out=mask[lo : lo + step])
+    infinite = [i for i, z in enumerate(zs) if not z]
+    if infinite:
+        mask[infinite] = s[infinite].take(pen, axis=1) == 0
+    if at_infinity:
+        mask[:, at_infinity] = (np.array(zs) == 0)[:, None]
+    if null:
+        mask[:, null] = True
+    return mask
 
 
 # ---- system compilation -----------------------------------------------------

@@ -15,7 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
+
+import numpy as np
 
 
 class TropicalInfinity:
@@ -231,19 +233,57 @@ def tropical_scale(m: TropicalMatrix, row_offsets: Sequence, col_offsets: Sequen
     )
 
 
+_DIGIT_TEXT = bytes.maketrans(b"\x00\x01", b"01")
+_DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def zero_one_bytes(m: TropicalMatrix) -> Optional[bytes]:
+    """The entries of a (0,1)-valued matrix as row-major bytes 0/1, else None.
+
+    The check and the conversion are one C-level pass: ``bytes`` rejects inf
+    (None) and every cost outside 0..255, and deleting the bytes 0 and 1
+    leaves nothing exactly when the rest are 0 or 1."""
+    if m.scale != 1:
+        return None
+    try:
+        flat = b"".join(map(bytes, m.cost))
+    except (TypeError, ValueError):
+        return None
+    return None if flat.translate(None, b"\x00\x01") else flat
+
+
+def zero_one_matrix(flat: bytes, rows: int, cols: int) -> TropicalMatrix:
+    """The rows x cols matrix whose row-major entries are the bytes 0/1 of flat."""
+    return TropicalMatrix(tuple(tuple(flat[i * cols : (i + 1) * cols]) for i in range(rows)), 1)
+
+
 def format_matrix(m: TropicalMatrix) -> str:
-    """Render in the `tropmat` text format (exactly reparseable)."""
+    """Render in the `tropmat` text format (exactly reparseable).
+
+    A (0,1)-valued matrix is written from its bytes in a few array passes;
+    every other matrix converts each distinct cost once."""
+    head = f"tropmat {m.rows} {m.cols}\n"
+    flat = zero_one_bytes(m)
+    if flat is not None:
+        text = np.full((m.rows, 2 * m.cols), ord(" "), dtype=np.uint8)
+        digits = np.frombuffer(flat.translate(_DIGIT_TEXT), dtype=np.uint8)
+        text[:, 0::2] = digits.reshape(m.rows, m.cols)
+        text[:, -1] = ord("\n")
+        return head + text.tobytes().decode("ascii")
     text = {
         c: "inf" if c is None else format_value(Fraction(c, m.scale))
         for c in set().union(*m.cost)
     }
-    lines = [f"tropmat {m.rows} {m.cols}"]
-    lines.extend(" ".join(map(text.__getitem__, row)) for row in m.cost)
-    return "\n".join(lines) + "\n"
+    return head + "\n".join(" ".join(map(text.__getitem__, row)) for row in m.cost) + "\n"
 
 
 def parse_matrix(text: str) -> TropicalMatrix:
-    """Parse the `tropmat` format; decimals with fractional parts read exactly."""
+    """Parse the `tropmat` format; decimals with fractional parts read exactly.
+
+    Data rows of single 0/1 characters separated by single spaces (what
+    format_matrix writes for a (0,1) matrix) are read as bytes in a few
+    C-level passes; any other text takes the token-by-token path, which
+    reads the same matrix and raises every error."""
     lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln and not ln.startswith("#")]
     if not lines:
         raise ValueError("empty tropmat input")
@@ -255,6 +295,12 @@ def parse_matrix(text: str) -> TropicalMatrix:
         raise ValueError("bad tropmat dimensions")
     if len(lines) - 1 != rows:
         raise ValueError(f"expected {rows} data rows, found {len(lines) - 1}")
+    data = "\n".join(lines[1:]) + "\n"
+    if len(data) == 2 * rows * cols and data.isascii():
+        raw = data.encode("ascii")
+        digits = raw[0::2]
+        if raw[1::2] == (b" " * (cols - 1) + b"\n") * rows and not digits.translate(None, b"01"):
+            return zero_one_matrix(digits.translate(_DIGIT_VALUES), rows, cols)
     tokens = [ln.split() for ln in lines[1:]]
     for toks in tokens:
         if len(toks) != cols:

@@ -25,6 +25,36 @@ def test_from_matrix_rejects_non_01_entries(entry):
         IncidencePattern.from_matrix(m)
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[0, 2], [2, 0]],                # {0, 2}
+        [[0, "inf"], ["inf", 0]],
+        [["inf", "inf"]],
+        [[0, "1/2"]],                    # scale 2
+        [["1/2", "1/2"], ["1/2", 0]],    # scale 2, residues 0/1 over it
+        [[0, 1], [1, 256]],
+        [[0, 10**30]],
+    ],
+)
+def test_from_matrix_rejects_every_matrix_that_is_not_01(rows):
+    with pytest.raises(ValueError, match=r"^matrix is not \(0,1\)-valued$"):
+        IncidencePattern.from_matrix(TropicalMatrix.from_rows(rows))
+
+
+def test_to_tropical_and_from_matrix_agree_with_entrywise_reading():
+    rng = random.Random(5)
+    for r, c in ((1, 1), (1, 8), (8, 1), (6, 9), (31, 17)):
+        rows = [[int(rng.random() < 0.4) for _ in range(c)] for _ in range(r)]
+        p = IncidencePattern.from_rows(rows)
+        for q, q_rows in ((p, rows), (p.transpose(), [list(col) for col in zip(*rows)])):
+            m = q.to_tropical()
+            assert m == TropicalMatrix.from_rows(q_rows) and m.scale == 1
+            assert m.cost == tuple(map(tuple, q_rows))
+            back = IncidencePattern.from_matrix(m)
+            assert back == q and not back.bits.flags.writeable
+
+
 def test_text_round_trip_gives_equal_pattern_and_hash():
     rng = random.Random(3)
     p = IncidencePattern.from_rows([[int(rng.random() < 0.4) for _ in range(9)] for _ in range(7)])

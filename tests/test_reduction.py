@@ -14,6 +14,7 @@ from troprank import (
     ReductionVerdict,
     cnf_to_polys,
     compile_system,
+    format_matrix,
     format_poly_system,
     format_provenance,
     harden,
@@ -21,8 +22,14 @@ from troprank import (
     parse_poly_system,
     verify_reduction,
 )
+from troprank import reduction
 from troprank.multipoly import Poly
-from troprank.reduction import poly_from_terms
+from troprank.reduction import (
+    WITNESS_PRIME,
+    _incidence_mask,
+    _ResidueEvaluator,
+    poly_from_terms,
+)
 
 
 def brute_solutions(sys, cube=(0, 1)):
@@ -340,3 +347,167 @@ def test_poly_system_text_round_trip():
     again = parse_poly_system(text)
     assert again.variables == sys.variables
     assert all(a.terms == b.terms for a, b in zip(again.equations, sys.equations))
+
+
+# ---- pencil-keyed witness incidences --------------------------------------------
+#
+# The oracle is the dense sweep the pencil test replaced: every point/line dot
+# product mod p in int64, one coordinate at a time, over the whole matrix.
+
+
+def _dense_mask(points, lines, p=WITNESS_PRIME):
+    pts = np.array(points, dtype=np.int64).reshape(-1, 3)
+    lns = np.array(lines, dtype=np.int64).reshape(-1, 3)
+    dots = np.zeros((len(pts), len(lns)), dtype=np.int64)
+    for c in range(3):
+        dots = (dots + (pts[:, c][:, None] * lns[:, c][None, :]) % p) % p
+    return dots == 0
+
+
+def _oracle_residue(poly, assignment):
+    """One coordinate mod WITNESS_PRIME, term by term with pow per occurrence."""
+    acc = 0
+    for mono, c in poly.terms.items():
+        term = c % WITNESS_PRIME
+        for v, e in mono:
+            term = term * pow(assignment[v], e, WITNESS_PRIME) % WITNESS_PRIME
+        acc = (acc + term) % WITNESS_PRIME
+    return acc
+
+
+def _dense_two_witness_pattern(prog, seed):
+    """two_witness_pattern as the dense sweep decides it: (bits, attempts)."""
+    points, lines = prog.point_indices(), prog.line_indices()
+    for attempt in range(3):
+        masks = []
+        for w in range(2):
+            rng = random.Random(f"witness:{seed}:{attempt}:{w}")
+            assignment = {v: rng.randrange(1, WITNESS_PRIME) for v in range(len(prog.variables))}
+            triples = [
+                [tuple(_oracle_residue(q, assignment) for q in prog.elements[i].coords) for i in idx]
+                for idx in (points, lines)
+            ]
+            masks.append(_dense_mask(*triples))
+        if not (masks[0] ^ masks[1]).any():
+            bits = masks[0]
+            row = {idx: r for r, idx in enumerate(points)}
+            col = {idx: c for c, idx in enumerate(lines)}
+            for p_idx, l_idx, _ in prog.asserted:
+                bits[row[p_idx], col[l_idx]] = True
+            return bits, attempt
+    return None, None
+
+
+_TWO_VARIABLES = "vars x1 x2\nx1*x2 - 2*x1 + 1\nx1^2 - x1"
+
+
+@pytest.mark.parametrize(
+    "text, bits",
+    [
+        ("x1^2 - x1", None),
+        (_TWO_VARIABLES, None),
+        ("x1 + x2 - 1\nx1^2 - x1\nx2^2 - x2", 10),
+        ("x1^2 - x1", 16),
+        ("x1^2 - x1", 32),
+        (_TWO_VARIABLES, 64),  # 2267 x 1600
+    ],
+)
+def test_pencil_masks_match_dense_sweep_on_compiled_programs(text, bits):
+    compiled = _compiled_at_seed_1(text, bits)
+    prog = compiled.program
+    points, lines = prog.point_indices(), prog.line_indices()
+    evaluate = _ResidueEvaluator([prog.elements[i].coords for i in points + lines])
+    rng = random.Random(f"pencil-oracle:{text}:{bits}")
+    for _ in range(2):
+        values = [rng.randrange(1, WITNESS_PRIME) for _ in prog.variables]
+        residues = evaluate(values)
+        assert residues == [
+            tuple(_oracle_residue(q, dict(enumerate(values))) for q in prog.elements[i].coords)
+            for i in points + lines
+        ]
+        pts, lns = residues[: len(points)], residues[len(points) :]
+        assert np.array_equal(_incidence_mask(pts, lns), _dense_mask(pts, lns))
+    bits_, attempts = _dense_two_witness_pattern(prog, 1)
+    assert np.array_equal(compiled.pattern.bits, bits_)
+    assert compiled.witness_attempts == attempts
+
+
+def _all_triples(p):
+    return list(itertools.product(range(p), repeat=3))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_pencil_mask_matches_dense_sweep_on_every_triple_mod_small_primes(p):
+    """Every residue triple as a point and as a line: the zero vector, the
+    line at infinity, points at infinity and every pencil with all of its
+    lines and its own point at infinity."""
+    triples = _all_triples(p)
+    assert np.array_equal(_incidence_mask(triples, triples, p), _dense_mask(triples, triples, p))
+
+
+def _degenerate_triples(rng, p=WITNESS_PRIME):
+    """Lines in a few shared pencils at random scales, each pencil's own
+    point at infinity, points on those lines, and every degenerate class."""
+
+    def unit():
+        return rng.randrange(1, p)
+
+    betas = [0, 1, p - 1, unit(), unit()]
+    lines = [(0, 0, 0), (0, 0, unit()), (0, 0, 1), (0, unit(), unit()), (0, 1, 0), (p - 1, p - 1, p - 1)]
+    for beta in betas:
+        for _ in range(4):
+            s, gamma = unit(), rng.randrange(p)
+            lines.append((s, s * beta % p, s * gamma % p))
+    points = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (p - 1, p - 1, p - 1), (0, unit(), 0)]
+    for beta in betas:  # the pencil's point at infinity, (-beta, 1, 0) up to scale
+        s = unit()
+        points.append(((p - beta) * s % p, s, 0))
+    for a, b, c in lines:  # a finite point of each line, at a random scale
+        x, y, z, s = rng.randrange(p), rng.randrange(p), unit(), unit()
+        if a:
+            x = -(b * y + c * z) * pow(a, -1, p) % p
+        elif b:
+            y = -c * z * pow(b, -1, p) % p
+        else:
+            continue
+        points.append((s * x % p, s * y % p, s * z % p))
+    points += [(rng.randrange(p), rng.randrange(p), rng.choice((0, unit()))) for _ in range(20)]
+    rng.shuffle(points)
+    rng.shuffle(lines)
+    return points, lines
+
+
+def test_pencil_mask_matches_dense_sweep_on_degenerate_triples():
+    rng = random.Random(2024)
+    for _ in range(20):
+        points, lines = _degenerate_triples(rng)
+        got = _incidence_mask(points, lines)
+        assert np.array_equal(got, _dense_mask(points, lines))
+        assert got.any() and not got.all()
+    assert _incidence_mask([], [(1, 0, 0)]).shape == (0, 1)
+    assert _incidence_mask([(1, 0, 0)], []).shape == (1, 0)
+    only_special = [(0, 0, 0), (0, 0, 5)]
+    points = [(1, 2, 0), (1, 2, 3), (0, 0, 0)]
+    assert np.array_equal(_incidence_mask(points, only_special), _dense_mask(points, only_special))
+
+
+def test_bits_32_pattern_and_witness_attempts_pinned():
+    """At 32 stand-in bits the witness prime meets the stand-in constants
+    (the known bits-32 defect of verify_reduction); this is the pattern the
+    dense mod-p sweep gave there, byte for byte."""
+    compiled = _compiled_at_seed_1("x1^2 - x1", 32)
+    text = format_matrix(compiled.pattern.to_tropical())
+    assert (compiled.pattern.rows, compiled.pattern.cols) == (538, 404)
+    assert hashlib.sha256(text.encode()).hexdigest()[:12] == "a404ddbe62fb"
+    assert compiled.witness_attempts == 0
+
+
+def test_pencil_mask_in_small_chunks(monkeypatch):
+    """The key-table gather runs in row chunks of at most _MASK_CHUNK_CELLS
+    cells; chunks of one and a few rows give the same mask."""
+    rng = random.Random(7)
+    points, lines = _degenerate_triples(rng)
+    want = _dense_mask(points, lines)
+    for cells in (1, len(lines), 3 * len(lines) + 1):
+        monkeypatch.setattr(reduction, "_MASK_CHUNK_CELLS", cells)
+        assert np.array_equal(_incidence_mask(points, lines), want)

@@ -218,3 +218,78 @@ def test_format_of_large_01_pattern_matches_oracle():
     assert text == _ref_format(*_flat(m))
     back = parse_matrix(text)
     assert back == m and IncidencePattern.from_matrix(back) == pattern
+
+
+# ---- the (0,1) text hand-off ------------------------------------------------------
+
+
+def _zero_one_matrices():
+    rng = random.Random(1)
+    shapes = [(1, 1), (1, 9), (9, 1), (2, 2), (7, 5), (20, 19), (57, 43)]
+    out = [TropicalMatrix.constant(3, 4, 0), TropicalMatrix.constant(4, 3, 1)]
+    for r, c in shapes:
+        out.append(TropicalMatrix.from_rows([[int(rng.random() < 0.3) for _ in range(c)] for _ in range(r)]))
+    return out
+
+
+def _general_matrices():
+    return [
+        TropicalMatrix.from_rows([[0, 1, "inf"]]),
+        TropicalMatrix.from_rows([[0], [1], [2]]),
+        TropicalMatrix.from_rows([[0, 10], [1, 0]]),
+        TropicalMatrix.from_rows([[0, -1], [1, 0]]),
+        TropicalMatrix.from_rows([["1/2", 0], [1, 0]]),
+        TropicalMatrix.from_rows([[1, 1], [1, 1]]).transpose(),
+        TropicalMatrix.from_rows([[256, 0]]),
+        TropicalMatrix.constant(2, 3, INF),
+    ]
+
+
+def test_format_is_byte_identical_on_01_and_general_matrices():
+    for m in _zero_one_matrices() + _general_matrices():
+        text = format_matrix(m)
+        assert text == _ref_format(*_flat(m))
+        assert parse_matrix(text) == m
+
+
+def _spellings(m):
+    """The (0,1) matrix m as text in layouts the byte path does not take."""
+    rows = [[str(v) for v in row] for row in m.cost]
+    head = f"tropmat {m.rows} {m.cols}"
+    body = ["\t".join(r) for r in rows]
+    yield head + "\n" + "\n".join(body) + "\n"
+    yield head + "\n" + "\n".join("  ".join(r) for r in rows)
+    yield head + "\r\n" + "\r\n".join(" ".join(r) for r in rows) + "\r\n"
+    yield "# comment\n\n" + head + "\n\n" + "\n# between\n".join(" ".join(r) for r in rows) + "\n\n"
+    yield "  " + head + "  \n" + "\n".join("   " + " ".join(r) + " " for r in rows)
+    for zero, one in (("0", "01"), ("0.0", "1.0"), ("-0", "+1"), ("0/3", "2/2")):
+        yield head + "\n" + "\n".join(" ".join(one if v == "1" else zero for v in r) for r in rows)
+
+
+def test_parse_reads_the_same_01_matrix_in_every_spelling():
+    for m in _zero_one_matrices():
+        assert parse_matrix(format_matrix(m)) == m
+        for text in _spellings(m):
+            assert parse_matrix(text) == m, text
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("tropmat 2 3\n0 1 0\n", "expected 2 data rows, found 1"),
+        ("tropmat 1 2\n0 1 0\n", "expected 2 entries per row, found 3"),
+        ("tropmat 2 2\n0 1\n1\n", "expected 2 entries per row, found 1"),
+        ("tropmat 2 2\n0 1\n1 0 1\n", "expected 2 entries per row, found 3"),
+        ("tropmat 2 2\n0 1 1\n0\n", "expected 2 entries per row, found 3"),
+        ("nope 1 1\n0\n", "bad tropmat header"),
+        ("tropmat 2\n0 1\n", "bad tropmat header"),
+        ("tropmat 0 2\n", "bad tropmat dimensions"),
+        ("# only a comment\n\n", "empty tropmat input"),
+        ("tropmat 1 2\n0 1/0\n", "zero denominator in '1/0'"),
+        ("tropmat 1 2\n0 x\n", "Invalid literal for Fraction: 'x'"),
+    ],
+)
+def test_parse_errors_are_unchanged(text, message):
+    with pytest.raises(ValueError) as err:
+        parse_matrix(text)
+    assert str(err.value) == message
