@@ -4,8 +4,7 @@ Every solver reads the matrix's stored form, integer costs ``m.cost`` over one
 denominator ``m.scale`` (None for inf is a forbidden edge), and the method
 depends on the size n:
 
-- n <= 3: the n! permutation sums are enumerated.
-- 4 <= n <= 6: one subset DP over the sets of used columns gives the least
+- n <= 6: one subset DP over the sets of used columns gives the least
   cost of the remaining rows and how many assignments attain it, so
   uniqueness is an exact count.
 - n >= 7: a Hungarian solve, whose optimal dual potentials certify
@@ -14,7 +13,9 @@ depends on the size n:
   that subgraph has no cycle alternating with the optimal matching
   (Butkovič, *Max-linear Systems*, 2010).
 
-The first two methods return the lexicographically first optimum as witness.
+The subset DP returns the lexicographically first optimum as witness.  The
+oracle ``brute_force_determinant`` enumerates the n! permutations, so the
+tests compare each solver with a different algorithm at every size.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from typing import Optional
 from .tropical import INF, TropicalMatrix
 
 _UNREACHED = float("inf")  # sentinel only; never mixed into exact arithmetic
-_ENUMERATE_MAX = 3  # largest size solved by enumeration
 _SUBSET_DP_MAX = 6  # largest size solved by the subset DP
 
 
@@ -140,7 +140,7 @@ def _has_alternating_cycle(cost, perm, row_pot, col_pot) -> bool:
     return peeled < n
 
 
-@functools.lru_cache(maxsize=_SUBSET_DP_MAX - _ENUMERATE_MAX)
+@functools.lru_cache(maxsize=_SUBSET_DP_MAX + 1)  # every size 0.._SUBSET_DP_MAX stays cached
 def _subset_dp_plan(n):
     """The subset DP's steps for size n: (mask, row, moves) for every proper
     column mask in decreasing order, so each mask follows all its supersets.
@@ -202,34 +202,12 @@ def min_permutation(cost):
     """(total, perm, unique) for a square int/None cost matrix.
 
     ``unique`` is True when exactly one permutation attains the minimum;
-    (None, None, False) when every permutation meets a None.  Sizes up to 3
-    enumerate all permutations and sizes 4 to 6 count the optima with a
-    subset DP, both returning the first optimum in lexicographic order as
-    the witness; larger sizes make one Hungarian solve and test its tight
-    subgraph for an alternating cycle.
+    (None, None, False) when every permutation meets a None.  Sizes up to 6
+    count the optima with a subset DP and return the first optimum in
+    lexicographic order as the witness; larger sizes make one Hungarian
+    solve and test its tight subgraph for an alternating cycle.
     """
-    n = len(cost)
-    if n <= _ENUMERATE_MAX:
-        best = None
-        witness = None
-        count = 0
-        for perm in itertools.permutations(range(n)):
-            total = 0
-            dead = False
-            for i in range(n):
-                c = cost[i][perm[i]]
-                if c is None:
-                    dead = True
-                    break
-                total += c
-            if dead:
-                continue
-            if best is None or total < best:
-                best, witness, count = total, perm, 1
-            elif total == best:
-                count += 1
-        return best, witness, count == 1
-    if n <= _SUBSET_DP_MAX:
+    if len(cost) <= _SUBSET_DP_MAX:
         return _subset_dp_min_permutation(cost)
     solved = solve_min_assignment(cost)
     if solved is None:

@@ -71,12 +71,12 @@ are filtered a block at a time and only those kept are classified.  Blocks
 are addressed by rank in witness order, so a walk resumes where the
 classified prefix ends without producing the row sets before it, and a
 level's column sets are built only when a kept row set first reads them.
-For the PG(2,q) incidence matrices, q <= 9 (Fano included), every level-4
-pair is SINGULAR (every row set is skipped, so no level-4 column set is
-built), and their refutation holds for every positive weighting of the
-pattern (``RankResult.weight_free``); their level-4 row sets have only 5 or
-6 distinct capped histograms, so the filter's cost is the histograms
-themselves.
+For the PG(2,q) incidence matrices, q <= 13 (Fano included), every level-4
+pair is SINGULAR, and their refutation holds for every positive weighting of
+the pattern (``RankResult.weight_free``).  For q <= 9 every level-4 row set
+is skipped (no level-4 column set is built), and their level-4 row sets have
+only 5 or 6 distinct capped histograms, so the filter's cost is the
+histograms themselves.
 
 Levels of at most _GENERIC_CUTOFF pairs go pair by pair through the exact
 assignment check: there a witness among the first pairs is cheaper than

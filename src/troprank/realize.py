@@ -58,7 +58,7 @@ from .patterns import (
     check_realization_float,
 )
 from .rank import _level_views, tropical_rank
-from .tropical import TropicalMatrix
+from .tropical import TropicalMatrix, zero_one_bytes
 
 
 @dataclass(frozen=True)
@@ -814,7 +814,7 @@ def kapranov_bounds(
         verdict = realize_rank3(IncidencePattern(residue), seed=seed)
         if isinstance(verdict, Realized):
             notes.append("rational rank-3 realization of the residue pattern found")
-            if m.scale == 1 and set().union(*m.cost) <= {0, 1} and lower <= 3:
+            if zero_one_bytes(m) is not None and lower <= 3:
                 upper = 3
                 notes.append("(0,1) matrix: the realization lifts; upper bound improved to 3")
         elif isinstance(verdict, ProvedInfeasible):

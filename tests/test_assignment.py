@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -169,11 +170,18 @@ def test_subset_dp_matches_brute_force():
             assert perm == winners[0], (kind, m)
 
 
+def _every_small_matrix():
+    """("every", matrix) for each matrix of size n <= 3 over {inf, 0, 1}."""
+    for n in (1, 2, 3):
+        for cells in itertools.product((INF, 0, 1), repeat=n * n):
+            yield "every", TropicalMatrix.from_rows([cells[i : i + n] for i in range(0, n * n, n)])
+
+
 def test_min_permutation_witness_is_first_optimum_up_to_six():
-    """Enumeration (n <= 3) and the subset DP (n = 4..6) both return the
-    first optimum in lexicographic order; the Hungarian path (n = 7) returns
-    some optimum."""
-    for kind, m in _oracle_corpus(2029, range(1, 8), _per_kind):
+    """The subset DP (n <= 6) returns the first optimum in lexicographic
+    order, also on every n <= 3 matrix over {inf, 0, 1}; the Hungarian path
+    (n = 7) returns some optimum."""
+    for kind, m in itertools.chain(_oracle_corpus(2029, range(1, 8), _per_kind), _every_small_matrix()):
         value, winners = brute_force_determinant(m)
         total, perm, unique = min_permutation(m.cost)
         if value is INF:

@@ -21,6 +21,19 @@ def write(tmp_path, name, text):
     return str(p)
 
 
+def test_import_loads_no_scipy():
+    """The package and its CLI import in a fresh interpreter without loading
+    scipy: numpy is the only dependency."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(troprank.__file__)))
+    child = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, troprank, troprank.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == "[]\n"
+
+
 def test_det_tie(tmp_path, capsys):
     f = write(tmp_path, "m.tropmat", "tropmat 2 2\n0 0\n0 0\n")
     code, out, _ = run(["det", f], capsys)
