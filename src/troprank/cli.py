@@ -105,7 +105,9 @@ def _emit(args, manifest, out_prefix, message):
     else:
         print(message)
         if manifest.wall_clock_s is not None:
-            print(f"(seed {manifest.data['seed']}, {manifest.wall_clock_s:.3f}s)")
+            seed = manifest.data["seed"]
+            named = "" if seed is None else f"seed {seed}, "
+            print(f"({named}{manifest.wall_clock_s:.3f}s)")
 
 
 def _seed_of(args) -> int:

@@ -7,10 +7,13 @@ submatrix (normalize the unique optimal permutation onto the diagonal; every
 nontrivial cycle then carries strictly positive weight, and that survives
 deleting any diagonal vertex), so the nonsingular levels form a prefix.
 
-Witness order: rows ranked by decreasing finite-entry count (ties by index),
-row sets the k-combinations of that ranking, each sorted; columns likewise;
+Witness order: tropical_rank ranks rows by decreasing finite-entry count
+(ties by index), and columns likewise, and permutes the matrix into that
+order once; a matrix with no inf is in it already.  Every scan then walks
+row sets and column sets as lexicographic k-subsets of the permuted matrix,
 every column set within a row set.  A level's witness is its first
-nonsingular pair in this order, whichever scan finds it.
+nonsingular pair in this order, whichever scan finds it, and is returned as
+sorted original indices.
 
 Tropical scaling (subtract each row's finite minimum, then each column's)
 adds the same amount to every permutation sum of a submatrix, so it changes
@@ -61,14 +64,14 @@ only in words of 64, and column codes are built only for the row sets the
 filter keeps.  A block of row sets gets one verdict per distinct capped
 histogram, mapped back.
 
-The classification streams row sets in witness order, resolving their
+The classification streams row sets in lexicographic order, resolving their
 WEIGHTED pairs with the weights in batches, and stops at the first row set
 holding a nonsingular pair of either class; its first such pair is the
 witness.  Only WEIGHTED pairs need arithmetic.  The first batch closes at
 one row set's pairs and each later one may hold twice as many, up to
 _RESOLVE_CHUNK, so a witness in an early row set costs little.  Row sets
 are filtered a block at a time and only those kept are classified.  Blocks
-are addressed by rank in witness order, so a walk resumes where the
+are addressed by lexicographic rank, so a walk resumes where the
 classified prefix ends without producing the row sets before it, and a
 level's column sets are built only when a kept row set first reads them.
 For the PG(2,q) incidence matrices, q <= 13 (Fano included), every level-4
@@ -158,12 +161,11 @@ class _Budget:
 
 @dataclass(frozen=True)
 class _Views:
-    """The arrays a classified level reads, of the scaled matrix, derived
-    once per call; the row-set filter's packed zero_words only when it first
-    runs."""
+    """The arrays a classified level reads, of the scaled matrix (in
+    tropical_rank, the cost in witness order), derived once per call; the
+    row-set filter's packed zero_words only when it first runs."""
 
     zero: np.ndarray              # True where the scaled entry is exactly 0
-    finite: np.ndarray            # True where the entry is finite
     dense: Optional[np.ndarray]   # int64 scaled cost, inf as _DENSE_INF; None on overflow
 
     @functools.cached_property
@@ -181,13 +183,13 @@ class _Views:
 def _level_views(cost):
     """_Views of a matrix's integer cost, tropically scaled: each row's
     finite minimum subtracted, then each column's.  One int64 array, inf as
-    _DENSE_INF, gives all three views when every finite entry lies within
+    _DENSE_INF, gives both views when every finite entry lies within
     +-_DENSE_INF // _CLASSIFY_MAX_K before and after scaling: counting the
     cells within that bound against the non-None ones also catches a finite
-    entry equal to _DENSE_INF.  Otherwise dense is None, and the masks come
-    from the exact ints, scaled the same way.  A pass whose minima are all 0
-    or inf subtracts nothing and is skipped, and so is the second count when
-    neither pass subtracts."""
+    entry equal to _DENSE_INF.  Otherwise dense is None, and the zero mask
+    comes from the exact ints, scaled the same way.  A pass whose minima are
+    all 0 or inf subtracts nothing and is skipped, and so is the second count
+    when neither pass subtracts."""
     bound = _DENSE_INF // _CLASSIFY_MAX_K
     try:
         dense = np.array([_DENSE_INF if c is None else c for row in cost for c in row], dtype=np.int64)
@@ -205,10 +207,9 @@ def _level_views(cost):
                     np.subtract(dense, lows, out=dense, where=finite)
                     subtracted = True
             if not subtracted or np.count_nonzero(dense <= bound) == finite_count:
-                return _Views(dense == 0, finite, dense)
+                return _Views(dense == 0, dense)
     scaled = zip(*_minus_row_minima(list(zip(*_minus_row_minima(cost)))))  # columns, then back
-    zero = np.array([[c == 0 for c in row] for row in scaled], dtype=bool)
-    return _Views(zero, np.array([[c is not None for c in row] for row in cost], dtype=bool), None)
+    return _Views(np.array([[c == 0 for c in row] for row in scaled], dtype=bool), None)
 
 
 def _minus_row_minima(rows):
@@ -221,31 +222,19 @@ def _is_nonsingular_cost(cost, rows, cols) -> bool:
     return min_permutation([[cost[i][j] for j in cols] for i in rows])[2]
 
 
-def _witness_order(inf_per_axis):
-    """Indices by increasing inf count, that is by decreasing finite-entry
-    count, ties by index (the sort is stable)."""
-    return sorted(range(len(inf_per_axis)), key=inf_per_axis.__getitem__)
-
-
 def _witness_orders(cost):
-    """(rows, columns) of a matrix's integer cost, each in witness order.
-    Without an inf in any row, no column holds one either."""
-    rows = [row.count(None) for row in cost]
-    cols = [col.count(None) for col in zip(*cost)] if any(rows) else [0] * len(cost[0])
-    return _witness_order(rows), _witness_order(cols)
+    """(rows, columns) of a matrix's integer cost, each by increasing inf
+    count, that is by decreasing finite-entry count, ties by index (the
+    sort is stable); None when no entry is inf and both are the identity."""
+    if not any(None in row for row in cost):
+        return None
+    return [sorted(range(len(axis)), key=lambda i: axis[i].count(None)) for axis in (cost, list(zip(*cost)))]
 
 
-def _ordered_combos(order, k):
-    """k-combinations of an axis in witness order, each sorted."""
-    for combo in itertools.combinations(order, k):
-        yield tuple(sorted(combo))
-
-
-def _generic_level_scan(cost, orders, k, budget):
+def _generic_level_scan(cost, k, budget):
     """('witness', (R, C)) | ('exhausted', None) | ('budget', None)."""
-    row_order, col_order = orders
-    for rc in _ordered_combos(row_order, k):
-        for cc in _ordered_combos(col_order, k):
+    for rc in itertools.combinations(range(len(cost)), k):
+        for cc in itertools.combinations(range(len(cost[0])), k):
             if not budget.spend(1):
                 return "budget", None
             if _is_nonsingular_cost(cost, rc, cc):
@@ -448,9 +437,10 @@ _BLOCK_SIZE = 4096
 
 
 class _Mark(NamedTuple):
-    """A classified row set holding a non-SINGULAR pair."""
+    """A classified row set holding a non-SINGULAR pair, in the indices of
+    the matrix scanned (witness order)."""
 
-    index: int                # position in witness order
+    index: int                # lexicographic rank among the level's row sets
     rows: tuple
     weighted: np.ndarray      # WEIGHTED column-set indices before `one`
     one: Optional[int]        # the first NONSINGULAR column-set index
@@ -458,37 +448,29 @@ class _Mark(NamedTuple):
 
 class _LevelEntry:
     """One level of one zero pattern: the number of row sets classified (a
-    prefix in witness order), the _Marks among them, and its column sets in
-    witness order, built when first read.  A walk over the classified prefix
-    visits only the marks.  Each axis's witness order is an intp array, or
-    None when it is the identity, as it is for a matrix with no inf."""
+    lexicographic prefix), the _Marks among them, and its column sets in
+    lexicographic order, built when first read.  A walk over the classified
+    prefix visits only the marks."""
 
-    def __init__(self, views: _Views, orders, k: int):
-        self.shape = views.zero.shape
-        self.row_order, self.col_order = (
-            None if order == list(range(len(order))) else np.array(order, dtype=np.intp) for order in orders
-        )
+    def __init__(self, shape, k: int):
+        self.shape = shape
         self.k = k
         self.classified = 0
         self.marked = []
 
     @functools.cached_property
     def col_combos(self) -> np.ndarray:
-        blocks = _combination_blocks(self.shape[1], self.k)
-        if self.col_order is not None:
-            blocks = (np.sort(self.col_order[block], axis=1) for block in blocks)
         # Column-major, so each row set's (NC, k) code gather is read column by column.
-        return np.asfortranarray(np.concatenate(list(blocks)))
+        return np.asfortranarray(np.concatenate(list(_combination_blocks(self.shape[1], self.k))))
 
 
-def _level_entry(views: _Views, orders, k: int) -> _LevelEntry:
-    # The witness orders follow from views.finite, so the key holds them.
-    key = (views.zero.shape, views.zero.tobytes(), views.finite.tobytes(), k)
+def _level_entry(views: _Views, k: int) -> _LevelEntry:
+    key = (views.zero.shape, views.zero.tobytes(), k)
     entry = _CLASSIFY_CACHE.get(key)
     if entry is None:
         if len(_CLASSIFY_CACHE) >= _CLASSIFY_CACHE_SIZE:
             del _CLASSIFY_CACHE[next(iter(_CLASSIFY_CACHE))]
-        entry = _CLASSIFY_CACHE[key] = _LevelEntry(views, orders, k)
+        entry = _CLASSIFY_CACHE[key] = _LevelEntry(views.zero.shape, k)
     return entry
 
 
@@ -511,16 +493,10 @@ def _marked_row_sets(views: _Views, k, entry: _LevelEntry, room):
     yield from itertools.takewhile(lambda mark: mark.index < room, entry.marked)
     if entry.classified >= room:
         return
-    order = entry.row_order
     for block in _combination_blocks(entry.shape[0], k, entry.classified, room):
         first = entry.classified
-        rows = block if order is None else order[block]
-        # A row set's verdict and its blocks' classes do not depend on the
-        # order of its rows, so only the row sets kept are sorted.
-        kept = np.nonzero(_may_hold_open(views, rows, k))[0]
-        rows = rows[kept]
-        if order is not None:
-            rows.sort(axis=1)
+        kept = np.nonzero(_may_hold_open(views, block, k))[0]
+        rows = block[kept]
         codes = _column_codes(views.zero[rows])  # (kept, cols)
         for at, row_set, code in zip(kept.tolist(), rows.tolist(), codes):
             weighted, one_col = _classify_row_set(code, entry.col_combos)
@@ -563,7 +539,7 @@ def _first_weighted_nonsingular(cost, views: _Views, entry: _LevelEntry, batch):
     return None
 
 
-def _structured_level_scan(cost, views: _Views, orders, k, budget):
+def _structured_level_scan(cost, views: _Views, k, budget):
     """_generic_level_scan's result via zero-pattern classification, with
     'weight-free' for an exhausted level none of whose pairs is WEIGHTED.
 
@@ -578,7 +554,7 @@ def _structured_level_scan(cost, views: _Views, orders, k, budget):
         room = min(total, (budget.limit - budget.used) // pairs)
     if not room:  # not one row set fits: stop before adding a cache entry
         return "budget", None
-    entry = _level_entry(views, orders, k)
+    entry = _level_entry(views, k)
     batch, held = [], 0  # marks awaiting resolution, their WEIGHTED pairs
     # The first batch closes at one row set's pairs, so an early witness
     # costs little; each later one may hold twice as many, up to _RESOLVE_CHUNK.
@@ -625,23 +601,27 @@ def tropical_rank(m: TropicalMatrix, limit: Optional[int] = None, budget: Option
     tracker = _Budget(budget)
     cost = m.cost
     orders = _witness_orders(cost)
+    if orders is not None:  # the witness order, applied once
+        cost = [[cost[i][j] for j in orders[1]] for i in orders[0]]
     views = None  # derived at the first classified level
 
-    rank = 0
-    witness = (None, None)
+    rank, witness, status = 0, (None, None), "witness"
     for k in range(1, cap + 1):
         if k <= _CLASSIFY_MAX_K and comb(m.rows, k) * comb(m.cols, k) > _GENERIC_CUTOFF:
             views = views or _level_views(cost)
-            status, found = _structured_level_scan(cost, views, orders, k, tracker)
+            status, found = _structured_level_scan(cost, views, k, tracker)
         else:
-            status, found = _generic_level_scan(cost, orders, k, tracker)
-        if status == "witness":
-            rank, witness = k, found
-            continue
-        if status == "budget":
-            return RankResult(rank, *witness, False, None, True, tracker.used, False)
-        return RankResult(rank, *witness, True, k, False, tracker.used, status == "weight-free")
-    return RankResult(rank, *witness, True, None, False, tracker.used, False)
+            status, found = _generic_level_scan(cost, k, tracker)
+        if status != "witness":
+            break
+        rank, witness = k, found
+    if orders is not None and rank:
+        witness = tuple(tuple(sorted(order[i] for i in axis)) for order, axis in zip(orders, witness))
+    if status == "witness":  # every level up to the cap holds one
+        return RankResult(rank, *witness, True, None, False, tracker.used, False)
+    if status == "budget":
+        return RankResult(rank, *witness, False, None, True, tracker.used, False)
+    return RankResult(rank, *witness, True, k, False, tracker.used, status == "weight-free")
 
 
 def sample_level_singular(m: TropicalMatrix, k: int, samples: int, seed: int):

@@ -781,11 +781,12 @@ def kapranov_bounds(
 
     Above an upper bound of 3, the residue pattern is tested over Q: the
     incidences are the tropically scaled matrix's nonzero entries (positive
-    or inf), on the rows and columns holding a finite entry.  The t^0
-    coefficients of a rank-3 lift of the scaled matrix would realize it, so
-    a proof that no realization exists raises the lower bound to 4.  A
-    realization gives upper bound 3 for a (0,1) matrix only: it scales to
-    the (0,1) matrix of that pattern, to which the realization lifts.
+    or inf, from rank._level_views's zero mask), on the rows and columns
+    where m.cost holds a finite entry.  The t^0 coefficients of a rank-3
+    lift of the scaled matrix would realize it, so a proof that no
+    realization exists raises the lower bound to 4.  A realization gives
+    upper bound 3 for a (0,1) matrix only: it scales to the (0,1) matrix of
+    that pattern, to which the realization lifts.
 
     The factorization search (`barvinok_rank`) is capped at barvinok_budget
     coverings, 200,000 by default; when it runs out, the trivial
@@ -809,8 +810,8 @@ def kapranov_bounds(
         upper = min(m.rows, m.cols)
         notes.append("factorization search inconclusive; trivial upper bound min(rows, cols)")
     if upper > 3:
-        views = _level_views(m.cost)
-        residue = ~views.zero[views.finite.any(axis=1)][:, views.finite.any(axis=0)]
+        finite = np.array([[c is not None for c in row] for row in m.cost], dtype=bool)
+        residue = ~_level_views(m.cost).zero[finite.any(axis=1)][:, finite.any(axis=0)]
         verdict = realize_rank3(IncidencePattern(residue), seed=seed)
         if isinstance(verdict, Realized):
             notes.append("rational rank-3 realization of the residue pattern found")

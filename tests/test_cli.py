@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -45,6 +46,23 @@ def test_det_identity(tmp_path, capsys):
     f = write(tmp_path, "m.tropmat", "tropmat 2 2\n0 inf\ninf 0\n")
     code, out, _ = run(["det", f], capsys)
     assert code == 0 and "unique true" in out
+
+
+def test_text_report_names_a_seed_only_when_used(tmp_path, capsys):
+    """det and verify-lift take no seed, so their text reports end in the
+    wall time alone; rank records the seed it was given."""
+    f = write(tmp_path, "m3.tropmat", "tropmat 3 3\n0 0 1\n0 0 1\n1 1 0\n")
+    code, out, _ = run(["det", f], capsys)
+    assert code == 0
+    verdict, timing = out.splitlines()
+    assert verdict == "value 0, witness [0, 1, 2], unique false"
+    assert re.fullmatch(r"\(\d+\.\d{3}s\)", timing), timing
+    lift = write(tmp_path, "L.troplift", "troplift 1 1 q 3\n0 0 : 1*t^0\n")
+    one = write(tmp_path, "m1.tropmat", "tropmat 1 1\n0\n")
+    code, out, _ = run(["verify-lift", "--matrix", one, "--lift", lift, "--rank", "1"], capsys)
+    assert code == 0 and re.fullmatch(r"\(\d+\.\d{3}s\)", out.splitlines()[-1]), out
+    code, out, _ = run(["rank", f, "--seed", "2"], capsys)
+    assert code == 0 and re.fullmatch(r"\(seed 2, \d+\.\d{3}s\)", out.splitlines()[-1]), out
 
 
 def test_det_parse_error(tmp_path, capsys):

@@ -179,12 +179,12 @@ def _signed_zeros(rng, n):
     )
 
 
-def _reweighted(rng, views):
-    """The scaled pattern's zeros and infs with fresh weights in 1..9."""
+def _reweighted(rng, cost, views):
+    """The scaled pattern's zeros and the cost's infs with fresh weights in 1..9."""
     return TropicalMatrix.from_rows(
         [
-            [Fraction(0) if zero else Fraction(rng.randint(1, 9)) if finite else INF for zero, finite in zip(*cells)]
-            for cells in zip(views.zero.tolist(), views.finite.tolist())
+            [Fraction(0) if zero else INF if c is None else Fraction(rng.randint(1, 9)) for zero, c in zip(zeros, row)]
+            for zeros, row in zip(views.zero.tolist(), cost)
         ]
     )
 
@@ -206,11 +206,10 @@ def test_classified_scan_returns_generic_witness(monkeypatch):
             views = rank_mod._level_views(cost)
             # dense=None takes the exact fallback used when int64 would overflow.
             python_views = dataclasses.replace(views, dense=None)
-            orders = rank_mod._witness_orders(cost)
             for k in range(1, 6):
-                expected = rank_mod._generic_level_scan(cost, orders, k, rank_mod._Budget(None))
+                expected = rank_mod._generic_level_scan(cost, k, rank_mod._Budget(None))
                 # A witness in the r-th row set is charged r + 1 whole row sets.
-                row_sets = list(rank_mod._ordered_combos(orders[0], k))
+                row_sets = list(itertools.combinations(range(m.rows), k))
                 covered = len(row_sets) if expected[0] == "exhausted" else row_sets.index(expected[1][0]) + 1
                 # Batches of 5 pairs resolve each level in many steps, and
                 # blocks of 5 row sets walk it in many blocks.
@@ -225,7 +224,7 @@ def test_classified_scan_returns_generic_witness(monkeypatch):
                     monkeypatch.setattr(rank_mod, "_BLOCK_SIZE", block)
                     rank_mod._CLASSIFY_CACHE.clear()
                     budget = rank_mod._Budget(None)
-                    status, found = rank_mod._structured_level_scan(cost, v, orders, k, budget)
+                    status, found = rank_mod._structured_level_scan(cost, v, k, budget)
                     monkeypatch.undo()
                     statuses.add(status)
                     assert ("exhausted" if status == "weight-free" else status, found) == expected, (
@@ -234,24 +233,50 @@ def test_classified_scan_returns_generic_witness(monkeypatch):
                 assert len(statuses) == 1
                 levels[status] += 1
                 if status == "weight-free":
-                    other = _reweighted(rng, views)
-                    assert rank_mod._generic_level_scan(
-                        other.cost, rank_mod._witness_orders(other.cost), k, rank_mod._Budget(None)
-                    ) == ("exhausted", None)
+                    other = _reweighted(rng, cost, views)
+                    assert rank_mod._generic_level_scan(other.cost, k, rank_mod._Budget(None)) == ("exhausted", None)
                 if expected[0] == "exhausted":
                     break
     assert min(levels.values()) > 0, levels
-    # Whole searches agree too, with every level classified.  Each matrix is
-    # followed by one with the same zeros but inf and weights swapped, whose
-    # scan order differs: its classification must not come from the cache.
+    # Whole searches agree too, with every level classified.  A cache entry
+    # depends only on the zero pattern of the matrix in witness order and on
+    # k, so copies of a matrix may share entries: one with the same zeros but
+    # inf and weights swapped, row- and column-permuted ones, and the matrix
+    # permuted into its own witness order, which shares every entry.  On one
+    # warm cache each gives its cold-cache result (up to level 5, the last
+    # one classified).
     for _ in range(15):
         m = _random_nonneg(rng, rng.randint(6, 9), rng.randint(6, 9))
+        rows = m.to_rows()
         swapped = TropicalMatrix.from_rows(
-            [
-                [x if x == 0 else Fraction(2) if x is INF else INF for x in row]
-                for row in m.to_rows()
-            ]
+            [[x if x == 0 else Fraction(2) if x is INF else INF for x in row] for row in rows]
         )
+        row_perm, col_perm = rng.sample(range(m.rows), m.rows), rng.sample(range(m.cols), m.cols)
+        row_order, col_order = (
+            sorted(range(len(lines)), key=lambda i: -sum(x is not INF for x in lines[i]))
+            for lines in (rows, list(zip(*rows)))
+        )
+        ordered = TropicalMatrix.from_rows([[rows[i][j] for j in col_order] for i in row_order])
+        permuted = [
+            TropicalMatrix.from_rows([rows[i] for i in row_perm]),
+            TropicalMatrix.from_rows([[row[j] for j in col_perm] for row in rows]),
+            ordered,
+        ]
+        copies = [m, swapped, *permuted]
+        monkeypatch.setattr(rank_mod, "_GENERIC_CUTOFF", 0)
+        cold = []
+        for a in copies:
+            rank_mod._CLASSIFY_CACHE.clear()
+            cold.append(tropical_rank(a, limit=5))
+        rank_mod._CLASSIFY_CACHE.clear()
+        for a, expected in zip(copies, cold):
+            assert tropical_rank(a, limit=5) == expected
+        rank_mod._CLASSIFY_CACHE.clear()
+        tropical_rank(m, limit=5)
+        keys = list(rank_mod._CLASSIFY_CACHE)
+        assert tropical_rank(ordered, limit=5) == cold[-1] and list(rank_mod._CLASSIFY_CACHE) == keys
+        monkeypatch.undo()
+        assert {res.rank for res in cold[2:]} == {cold[0].rank}
         for a in (m, swapped):
             plain = tropical_rank(a)
             monkeypatch.setattr(rank_mod, "_GENERIC_CUTOFF", 0)
@@ -291,38 +316,57 @@ def _level_views_reference(cost):
     fits = all(abs(x) <= bound for x in entries if x is not None and x is not INF)
     return rank_mod._Views(
         np.array([[x == 0 for x in row] for row in scaled], dtype=bool),
-        np.array([[x is not INF for x in row] for row in scaled], dtype=bool),
         np.array([[rank_mod._DENSE_INF if x is INF else int(x) for x in row] for row in scaled], dtype=np.int64)
         if fits else None,
     )
 
 
-def _generic_level_scan_reference(cost, orders, k, budget):
-    """The pair-by-pair scan counting finite entries afresh at every level
-    (and every row set), ignoring the orders tropical_rank passes."""
-    rows, cols = len(cost), len(cost[0])
-    finite_rows = [sum(1 for j in range(cols) if cost[i][j] is not None) for i in range(rows)]
-    finite_cols = [sum(1 for i in range(rows) if cost[i][j] is not None) for j in range(cols)]
+def _tropical_rank_reference(m, budget, cutoff):
+    """(rank, row_witness, col_witness, certified, refuted_level,
+    pairs_examined) of a level search on the matrix as given: rows ranked by
+    finite-entry count (ties by index), row sets the k-combinations of that
+    ranking, each sorted; columns likewise; every column set within a row
+    set, tested with is_nonsingular.  A level of k <= _CLASSIFY_MAX_K and
+    more than `cutoff` pairs is charged as tropical_rank charges a
+    classified one, in whole row sets: a witness in the r-th (0-based)
+    costs r + 1 of them, and a budget stop nothing; other levels are
+    charged pair by pair.  A charge past the budget stops the search."""
+    rows = m.to_rows()
 
-    def ordered(finite, n):
-        for combo in itertools.combinations(sorted(range(n), key=lambda i: (-finite[i], i)), k):
-            yield tuple(sorted(combo))
+    def subsets(lines, k):
+        finite = [sum(x is not INF for x in line) for line in lines]
+        ranking = sorted(range(len(lines)), key=lambda i: (-finite[i], i))
+        return [tuple(sorted(combo)) for combo in itertools.combinations(ranking, k)]
 
-    for rc in ordered(finite_rows, rows):
-        for cc in ordered(finite_cols, cols):
-            if not budget.spend(1):
-                return "budget", None
-            if rank_mod._is_nonsingular_cost(cost, rc, cc):
-                return "witness", (rc, cc)
-    return "exhausted", None
+    used, rank, witness = 0, 0, (None, None)
+    for k in range(1, min(m.rows, m.cols) + 1):
+        row_sets, col_sets = subsets(rows, k), subsets(list(zip(*rows)), k)
+        whole = k <= rank_mod._CLASSIFY_MAX_K and len(row_sets) * len(col_sets) > cutoff
+        found = None
+        for r, rs in enumerate(row_sets):
+            for c, cs in enumerate(col_sets):
+                charge = (r + 1) * len(col_sets) if whole else r * len(col_sets) + c + 1
+                if budget is not None and used + charge > budget:
+                    return rank, *witness, False, None, used + (0 if whole else charge - 1)
+                if is_nonsingular(TropicalMatrix.from_rows([[rows[i][j] for j in cs] for i in rs])):
+                    found = charge, (rs, cs)
+                    break
+            if found:
+                break
+        if found is None:
+            return rank, *witness, True, k, used + len(row_sets) * len(col_sets)
+        used += found[0]
+        rank, witness = k, found[1]
+    return rank, *witness, True, None, used
 
 
 def test_views_and_witness_orders_match_reference(monkeypatch):
-    """_level_views against the comprehension reference, and tropical_rank
-    against a run on the reference views and the per-level count scan:
-    every RankResult field, pairs_examined included, at budgets None, 1, 7
-    and 100, with levels pair by pair (default cutoff) and classified
-    (cutoff 0).  Square and non-square shapes, inf rows and columns,
+    """tropical_rank's witness order against an oracle that walks the
+    unpermuted matrix in that order (_tropical_rank_reference): rank,
+    witnesses, certified, refuted level and pairs_examined, at budgets None,
+    1, 7 and 100, with levels pair by pair (default cutoff) and classified
+    (cutoff 0).  _level_views against the comprehension reference, and
+    every RankResult field against a run on the reference views.  Square and non-square shapes, inf rows and columns,
     negative entries, entries on each side of the int64 view's bound
     +-_DENSE_INF // _CLASSIFY_MAX_K (-bound fits, but not once scaled),
     entries too large for it, one of them equal to its inf sentinel, and
@@ -353,7 +397,7 @@ def test_views_and_witness_orders_match_reference(monkeypatch):
     dense_none = 0
     for m in matrices:
         got, want = rank_mod._level_views(m.cost), _level_views_reference(m.cost)
-        assert np.array_equal(got.zero, want.zero) and np.array_equal(got.finite, want.finite)
+        assert np.array_equal(got.zero, want.zero)
         assert (got.dense is None) == (want.dense is None)
         dense_none += got.dense is None
         if got.dense is not None:
@@ -363,8 +407,11 @@ def test_views_and_witness_orders_match_reference(monkeypatch):
                 monkeypatch.setattr(rank_mod, "_GENERIC_CUTOFF", cutoff)
                 rank_mod._CLASSIFY_CACHE.clear()
                 result = tropical_rank(m, budget=budget)
+                assert (
+                    result.rank, result.row_witness, result.col_witness, result.certified, result.refuted_level,
+                    result.pairs_examined,
+                ) == _tropical_rank_reference(m, budget, cutoff), (m.rows, m.cols, cutoff, budget)
                 monkeypatch.setattr(rank_mod, "_level_views", _level_views_reference)
-                monkeypatch.setattr(rank_mod, "_generic_level_scan", _generic_level_scan_reference)
                 rank_mod._CLASSIFY_CACHE.clear()
                 assert result == tropical_rank(m, budget=budget), (m.rows, m.cols, cutoff, budget)
                 monkeypatch.undo()
@@ -451,7 +498,7 @@ def test_partly_classified_entry_resumes_mid_block(monkeypatch, block):
         rank_mod._CLASSIFY_CACHE.clear()
         for budget in budgets:
             assert tropical_rank(m, limit=5, budget=budget) == cold[budget], budget
-            for (_, _, _, k), entry in rank_mod._CLASSIFY_CACHE.items():
+            for (_, _, k), entry in rank_mod._CLASSIFY_CACHE.items():
                 room = (budget - level_start[k - 1]) // comb(m.cols, k)
                 assert entry.classified <= min(room, comb(m.rows, k))
                 # Each classified row set is marked at most once, in order.
@@ -473,10 +520,10 @@ def test_budget_stop_before_building_a_level(monkeypatch):
     assert expected.pairs_examined == three
     level_entry = rank_mod._level_entry
 
-    def no_level_four(views, orders, k):
+    def no_level_four(views, k):
         if k == 4:
             raise AssertionError("level 4 column sets built")
-        return level_entry(views, orders, k)
+        return level_entry(views, k)
 
     monkeypatch.setattr(rank_mod, "_level_entry", no_level_four)
     rank_mod._CLASSIFY_CACHE.clear()
@@ -499,15 +546,14 @@ def test_all_positive_matrix_stops_at_first_witness_row_set():
     assert res.pairs_examined == 1 + sum(comb(16, k) for k in range(2, 6))
     # The first weighted batch closes at one row set's pairs, so exactly
     # that row set is classified.
-    assert sorted(k for (_, _, _, k) in rank_mod._CLASSIFY_CACHE) == [2, 3, 4, 5]
+    assert sorted(k for (_, _, k) in rank_mod._CLASSIFY_CACHE) == [2, 3, 4, 5]
     for entry in rank_mod._CLASSIFY_CACHE.values():
         assert entry.classified == 1
     cost = m.cost
     views = rank_mod._level_views(cost)
-    orders = rank_mod._witness_orders(cost)
     for k in (3, 4, 5):
-        expected = rank_mod._generic_level_scan(cost, orders, k, rank_mod._Budget(None))
-        got = rank_mod._structured_level_scan(cost, views, orders, k, rank_mod._Budget(None))
+        expected = rank_mod._generic_level_scan(cost, k, rank_mod._Budget(None))
+        got = rank_mod._structured_level_scan(cost, views, k, rank_mod._Budget(None))
         assert got == expected
 
 
@@ -708,8 +754,8 @@ def _may_hold_open_reference(codes, k):
 
 
 def _zero_views(zero):
-    """_Views of a bool zero pattern, every entry finite."""
-    return rank_mod._Views(zero, np.ones_like(zero), None)
+    """_Views of a bool zero pattern."""
+    return rank_mod._Views(zero, None)
 
 
 def _disjoint_row_sets(blocks):
