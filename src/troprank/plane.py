@@ -12,6 +12,8 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .galois import GaloisField, make_field
 from .tropical import TropicalMatrix
 
@@ -57,18 +59,17 @@ def projective_plane(q: int) -> ProjectivePlane:
     if n != expected:
         raise PlaneAxiomError(f"{n} points generated, expected {expected}")
 
-    line_points = []
-    for line in triples:
-        incident = tuple(
-            i for i, pt in enumerate(triples) if f.dot(pt, line) == 0
-        )
-        line_points.append(incident)
-    point_lines = [[] for _ in range(n)]
-    for j, pts in enumerate(line_points):
-        for i in pts:
-            point_lines[i].append(j)
-    point_lines = tuple(tuple(v) for v in point_lines)
-    plane = ProjectivePlane(q, triples, triples, tuple(line_points), point_lines)
+    # Every point-line dot product at once: (n, n, 3) coordinate products
+    # through the field's multiplication table, summed through its addition
+    # table.  The lines are the points' own triples and the dot product is
+    # symmetric, so row i lists both point i's lines and line i's points.
+    add = np.array([[f.add(a, b) for b in range(q)] for a in range(q)])
+    mul = np.array([[f.mul(a, b) for b in range(q)] for a in range(q)])
+    coords = np.array(triples)
+    prods = mul[coords[:, None, :], coords[None, :, :]]
+    dots = add[add[prods[..., 0], prods[..., 1]], prods[..., 2]]
+    incident = tuple(tuple(np.flatnonzero(row).tolist()) for row in dots == 0)
+    plane = ProjectivePlane(q, triples, triples, incident, incident)
     _verify_axioms(plane)
     return plane
 
@@ -100,21 +101,26 @@ _WEIGHT_DENOMINATOR = 1000  # random weights are k/1000 with 1 <= k <= 1000
 def incidence_matrix(plane: ProjectivePlane, scheme: str = "unit", seed: int = 0) -> TropicalMatrix:
     """Tropical matrix: 0 where point i is off line j, a positive weight on it.
 
-    scheme "unit" puts 1 at every incidence; "random" draws weights k/1000
-    (1 <= k <= 1000) row-major from the seed, so the zero pattern is
-    identical across schemes.
+    scheme "unit" puts 1 at every incidence; "random" puts k/1000 there,
+    where the ks are the draws of ``random.Random(seed).randint(1, 1000)``
+    taken row-major, so the zero pattern is identical across schemes.
     """
     if scheme not in ("unit", "random"):
         raise ValueError(f"unknown weight scheme {scheme!r}")
     unit = scheme == "unit"
-    rng = random.Random(seed)
+    # randint(1, 1000)'s own draw, inlined: 10 random bits, redrawn while
+    # they are 1000 or more, plus 1.  A unit weight is a draw of 0, plus 1.
+    bits, width = random.Random(seed).getrandbits, _WEIGHT_DENOMINATOR.bit_length()
     cost = []
     for on in plane.point_lines:
         row = [0] * plane.size
         for j in on:
-            row[j] = 1 if unit else rng.randint(1, _WEIGHT_DENOMINATOR)
-        cost.append(tuple(row))
-    return TropicalMatrix(tuple(cost), 1 if unit else _WEIGHT_DENOMINATOR)
+            k = 0 if unit else bits(width)
+            while k >= _WEIGHT_DENOMINATOR:
+                k = bits(width)
+            row[j] = k + 1
+        cost.append(row)
+    return TropicalMatrix(cost, 1 if unit else _WEIGHT_DENOMINATOR)
 
 
 def format_plane_sidecar(plane: ProjectivePlane) -> str:

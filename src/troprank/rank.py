@@ -88,6 +88,7 @@ setting up a classification (a few tenths of a millisecond per level).
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 from dataclasses import dataclass
@@ -185,26 +186,32 @@ def _level_views(cost):
     finite minimum subtracted, then each column's.  One int64 array, inf as
     _DENSE_INF, gives both views when every finite entry lies within
     +-_DENSE_INF // _CLASSIFY_MAX_K before and after scaling: counting the
-    cells within that bound against the non-None ones also catches a finite
+    cells within that bound against the finite ones also catches a finite
     entry equal to _DENSE_INF.  Otherwise dense is None, and the zero mask
-    comes from the exact ints, scaled the same way.  A pass whose minima are
-    all 0 or inf subtracts nothing and is skipped, and so is the second count
-    when neither pass subtracts."""
+    comes from the exact ints, scaled the same way.  The cost is read into
+    int64 as it is, and scanned for inf only when that fails on one.  A pass
+    whose minima are all 0 or inf subtracts nothing and is skipped, and so
+    is the second count when neither pass subtracts."""
     bound = _DENSE_INF // _CLASSIFY_MAX_K
+    rows, cols = len(cost), len(cost[0])
+    finite_count = rows * cols
     try:
-        dense = np.array([_DENSE_INF if c is None else c for row in cost for c in row], dtype=np.int64)
+        try:
+            dense = np.fromiter(itertools.chain.from_iterable(cost), np.int64, finite_count)
+        except TypeError:  # an inf
+            finite_count -= sum(row.count(None) for row in cost)
+            dense = np.array([_DENSE_INF if c is None else c for row in cost for c in row], dtype=np.int64)
     except OverflowError:  # an entry outside int64
         dense = None
     if dense is not None:
-        dense = dense.reshape(len(cost), -1)
-        finite_count = dense.size - sum(row.count(None) for row in cost)
+        dense = dense.reshape(rows, cols)
         if dense.min() >= -bound and np.count_nonzero(dense <= bound) == finite_count:
-            finite = dense != _DENSE_INF
             subtracted = False
             for axis in (1, 0):  # inf, the largest entry, is the minimum of all-inf lines only
                 lows = dense.min(axis, keepdims=True)
                 if np.count_nonzero(lows) and (lows % _DENSE_INF).any():  # a minimum not 0 or inf
-                    np.subtract(dense, lows, out=dense, where=finite)
+                    # Finite entries stay within twice the bound, so _DENSE_INF marks the infs.
+                    np.subtract(dense, lows, out=dense, where=dense != _DENSE_INF)
                     subtracted = True
             if not subtracted or np.count_nonzero(dense <= bound) == finite_count:
                 return _Views(dense == 0, dense)
@@ -421,7 +428,8 @@ def _block_classes(codes: np.ndarray) -> np.ndarray:
 
 # Per-pattern classification cache: repeated weightings of one zero pattern
 # (the 20-seed reproduction runs) reuse the combinatorial scan, which makes a
-# PG(2,4) call about 1 ms instead of about 45 ms.  At most
+# weighted PG(2,4) call about 0.2 ms warm against about 3 ms cold (2-vCPU
+# Xeon, lookup tables already built).  At most
 # _CLASSIFY_CACHE_SIZE levels are kept; the oldest is dropped first.
 _CLASSIFY_CACHE: dict = {}
 _CLASSIFY_CACHE_SIZE = 8
@@ -510,30 +518,34 @@ def _marked_row_sets(views: _Views, k, entry: _LevelEntry, room):
 
 def _first_weighted_nonsingular(cost, views: _Views, entry: _LevelEntry, batch):
     """(row-set index, (rows, cols)) of the first nonsingular WEIGHTED pair
-    of a batch of the entry's _Marks, or None."""
-    at = np.repeat(np.arange(len(batch)), [len(mark.weighted) for mark in batch])
-    if not at.size:
-        return None
-    zeros_r = np.array([mark.rows for mark in batch])[at]
-    zeros_c = entry.col_combos[np.concatenate([mark.weighted for mark in batch])]
+    of a batch of the entry's _Marks holding at least one, or None.  The
+    pairs' k x k blocks are one flat take of the int64 view, laid out
+    (cells, pairs), so the permutation sums and their minima run along the
+    pairs."""
+    sizes = [len(mark.weighted) for mark in batch]
+    cols = entry.col_combos.T.take(np.concatenate([mark.weighted for mark in batch]), axis=1)  # (k, P)
     if views.dense is None:
-        candidates = range(len(zeros_r))  # every pair, checked exactly
+        candidates = range(cols.shape[1])  # every pair, checked exactly
     else:
-        k = zeros_r.shape[1]
-        sub = views.dense[zeros_r[:, :, None], zeros_c[:, None, :]].reshape(-1, k * k)
+        k = len(cols)
+        starts = np.array([mark.rows for mark in batch]).T * views.dense.shape[1]  # (k, marks): row offsets
+        rows = np.repeat(starts, sizes, axis=1)  # (k, P)
+        sub = views.dense.take((rows[:, None] + cols).reshape(k * k, -1))  # (k * k, P): cell i * k + j
         cells = _PERM_CELLS[k]
-        # Column by column, so no temporary outgrows sums: a (P, 120, 5)
-        # gather would be 78 MB at k = 5 and P = _RESOLVE_CHUNK.
-        sums = sub[:, cells[:, 0]]  # (P, k!)
+        # Row by row, so no temporary outgrows sums: a (120, 5, P) gather
+        # would be 78 MB at k = 5 and P = _RESOLVE_CHUNK.
+        sums = sub[cells[:, 0]]  # (k!, P)
         for i in range(1, k):
-            sums += sub[:, cells[:, i]]
-        best = sums.min(axis=1)
-        ties = (sums == best[:, None]).sum(axis=1)
-        candidates = np.nonzero((best < _DENSE_INF) & (ties == 1))[0][:1]
+            sums += sub[cells[:, i]]
+        best = sums.min(axis=0)
+        unique = (sums == best).sum(axis=0) == 1
+        candidates = np.flatnonzero(unique & (best < _DENSE_INF))[:1].tolist()
+    ends = list(itertools.accumulate(sizes))
     for t in candidates:
-        found = (batch[at[t]].rows, tuple(zeros_c[t].tolist()))
+        mark = batch[bisect.bisect(ends, t)]
+        found = (mark.rows, tuple(cols[:, t].tolist()))
         if _is_nonsingular_cost(cost, *found):
-            return batch[at[t]].index, found
+            return mark.index, found
         if views.dense is not None:  # exact confirmation failed
             raise RuntimeError("vectorized and exact assignment verdicts disagree")
     return None
@@ -566,7 +578,7 @@ def _structured_level_scan(cost, views: _Views, k, budget):
             held += len(mark.weighted)
             if mark.one is None and held < limit:
                 continue
-        hit = _first_weighted_nonsingular(cost, views, entry, batch)
+        hit = _first_weighted_nonsingular(cost, views, entry, batch) if held else None
         if hit is None and mark is not None and mark.one is not None:
             hit = mark.index, (mark.rows, tuple(entry.col_combos[mark.one].tolist()))
             # One all-zero permutation and positive weights: nonsingular.

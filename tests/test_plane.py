@@ -1,11 +1,18 @@
+import hashlib
+import random
+
 import pytest
 
 from troprank import (
+    TropicalMatrix,
+    format_matrix,
     format_plane_sidecar,
     incidence_matrix,
+    make_field,
     projective_plane,
 )
 from troprank.galois import SUPPORTED_ORDERS, UnsupportedOrder
+from troprank.plane import _normalized_triples
 
 
 @pytest.mark.parametrize("q", SUPPORTED_ORDERS)
@@ -18,6 +25,26 @@ def test_counts_and_axioms(q):
     assert plane.incidence_count() == n * (q + 1)
     assert all(len(pts) == q + 1 for pts in plane.line_points)
     assert all(len(lns) == q + 1 for lns in plane.point_lines)
+
+
+def _plane_by_dot_products(q):
+    """(points, lines, line_points, point_lines) of PG(2, q), one
+    GaloisField.dot per point-line pair."""
+    f = make_field(q)
+    triples = _normalized_triples(f)
+    line_points = tuple(
+        tuple(i for i, pt in enumerate(triples) if f.dot(pt, line) == 0) for line in triples
+    )
+    point_lines = tuple(
+        tuple(j for j, pts in enumerate(line_points) if i in pts) for i in range(len(triples))
+    )
+    return triples, triples, line_points, point_lines
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_plane_matches_dot_product_construction(q):
+    plane = projective_plane(q)
+    assert (plane.points, plane.lines, plane.line_points, plane.point_lines) == _plane_by_dot_products(q)
 
 
 def test_fano_shape():
@@ -92,6 +119,26 @@ def test_random_weights_deterministic():
     assert a == b
     c = incidence_matrix(plane, "random", seed=8)
     assert a != c
+
+
+def test_random_weights_are_randint_draws():
+    """The weights are the draws of random.Random(seed).randint(1, 1000),
+    row-major over the incidences, for every order up to 9 and 50 seeds;
+    the text of three seed-1 matrices is pinned by digest as well."""
+    for q in (q for q in SUPPORTED_ORDERS if q <= 9):
+        plane = projective_plane(q)
+        for seed in range(50):
+            draw = random.Random(seed).randint
+            expected = [[0] * plane.size for _ in range(plane.size)]
+            for i, on in enumerate(plane.point_lines):
+                for j in on:
+                    expected[i][j] = draw(1, 1000)
+            assert incidence_matrix(plane, "random", seed=seed) == TropicalMatrix(expected, 1000), (q, seed)
+    digests = {
+        q: hashlib.sha256(format_matrix(incidence_matrix(projective_plane(q), "random", seed=1)).encode()).hexdigest()
+        for q in (2, 3, 4)
+    }
+    assert {q: d[:12] for q, d in digests.items()} == {2: "b25aa86f8832", 3: "cc8673dede93", 4: "efcd32c5f84d"}
 
 
 def test_bad_weight_scheme():

@@ -436,7 +436,11 @@ def test_rank_result_same_cold_and_warm(monkeypatch, chunk):
     """A budgeted call gives the same RankResult whatever the classification
     cache holds, and never charges past its budget.  Budgets fall on and just
     short of row-set boundaries; with small batches they cut a level between
-    resolutions, and a cache filled under a larger budget reaches past them."""
+    resolutions, and a cache filled under a larger budget reaches past them.
+    Weighted planes like the benchmark's, 25 of PG(2,3) and 3 of PG(2,4) in
+    one shuffled run on one shared cache, each give their cold-cache result,
+    with the default cutoff and with every level classified."""
+    default_cutoff = rank_mod._GENERIC_CUTOFF
     monkeypatch.setattr(rank_mod, "_GENERIC_CUTOFF", 0)
     monkeypatch.setattr(rank_mod, "_RESOLVE_CHUNK", chunk)
     rng = random.Random(41)
@@ -474,6 +478,47 @@ def test_rank_result_same_cold_and_warm(monkeypatch, chunk):
         tropical_rank(m, limit=5)
         for budget, expected in cold.items():
             assert tropical_rank(m, limit=5, budget=budget) == expected
+    planes = [incidence_matrix(projective_plane(q), "random", seed=rng.randrange(2**31)) for q in [3] * 25 + [4] * 3]
+    rng.shuffle(planes)
+    for cutoff in (default_cutoff, 0):
+        monkeypatch.setattr(rank_mod, "_GENERIC_CUTOFF", cutoff)
+        cold = []
+        for m in planes:
+            rank_mod._CLASSIFY_CACHE.clear()
+            cold.append(tropical_rank(m))
+        rank_mod._CLASSIFY_CACHE.clear()
+        assert [tropical_rank(m) for m in planes] == cold
+        assert {(res.rank, res.refuted_level, res.weight_free) for res in cold} == {(3, 4, True)}
+
+
+def test_cache_keeps_one_index_per_weighted_pair():
+    """The classification cache keeps one column-set index per WEIGHTED
+    pair.  Each of three seeded 10 x 10 min-plus products of rank 4 (factor
+    entries in [-9, 9]) holds 57-63 k WEIGHTED pairs at level 5.  The bytes
+    the cache retains after a limit-5 call on a cleared cache stay within
+    10 % of those measured with one intp index a pair; a k x k cell plan
+    kept per pair would take about 25 times as much."""
+    rng = random.Random(7)
+    for at, pinned in enumerate((601_676, 627_772, 616_381)):
+        left = TropicalMatrix.from_rows([[rng.randint(-9, 9) for _ in range(4)] for _ in range(10)])
+        right = TropicalMatrix.from_rows([[rng.randint(-9, 9) for _ in range(10)] for _ in range(4)])
+        m = min_plus_multiply(left, right)
+        if not at:  # the process's lookup tables, built on first use, are not the cache's
+            tropical_rank(m, limit=5)
+        rank_mod._CLASSIFY_CACHE.clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            res = tropical_rank(m, limit=5)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        (level5,) = [entry for key, entry in rank_mod._CLASSIFY_CACHE.items() if key[-1] == 5]
+        weighted = sum(len(mark.weighted) for mark in level5.marked)
+        rank_mod._CLASSIFY_CACHE.clear()
+        assert (res.rank, res.refuted_level, res.certified) == (4, 5, True)
+        assert 57_000 <= weighted <= 63_000, weighted
+        assert abs(retained - pinned) <= pinned // 10, (retained, pinned)
 
 
 @pytest.mark.parametrize("block", [5, 7])
